@@ -59,35 +59,39 @@ class Bivector:
         return self.home.reduce_vector(adj.apply(psi1))
 
 
-def bivector_residual(system: EquationSystem, op: CDiffOp) -> CDiffOp:
-    """Reduced defect of the bivector condition; zero iff the condition holds."""
+def _theta(system: EquationSystem, op: CDiffOp) -> CDiffOp:
+    """The certification identity theta = l_E o A - A* o l*_E, unreduced.
+
+    Its reduction is the bivector residual; applied to formal arguments
+    and factored through the equation it yields the bilinear remainder.
+    """
     lin = system.linearization()
     if op.rows != lin.cols or op.cols != lin.rows:
         raise DimensionMismatch(
             f"operator must be {lin.cols}x{lin.rows} on this system"
         )
-    theta = lin.compose(op) - op.adjoint().compose(system.adjoint_linearization())
-    return system.restrict_op(theta)
-
-
-def _theta(system: EquationSystem, op: CDiffOp) -> CDiffOp:
-    lin = system.linearization()
     return lin.compose(op) - op.adjoint().compose(system.adjoint_linearization())
+
+
+def bivector_residual(system: EquationSystem, op: CDiffOp) -> CDiffOp:
+    """Reduced defect of the bivector condition; zero iff the condition holds."""
+    return system.restrict_op(_theta(system, op))
 
 
 def certify_bivector(system: EquationSystem, op: CDiffOp) -> Bivector:
     """Certify the bivector condition and extract the bilinear remainder.
 
-    Raises NotABivector carrying the nonzero reduced residual on failure.
+    Both come from one build of theta.  Raises NotABivector carrying the
+    nonzero reduced residual on failure.
     """
-    residual = bivector_residual(system, op)
+    theta = _theta(system, op)
+    residual = system.restrict_op(theta)
     if not residual.is_zero():
         raise NotABivector(residual)
     l = len(system.rules)
     names = system.frame.fresh_names("q", l)
     b_frame, args = system.frame.extend(names, formal=True)
-    theta_psi = _theta(system, op).apply(formal_vector(system.frame.n, args))
-    b_op = system.factor_through_f(theta_psi)
+    b_op = system.factor_through_f(theta.apply(formal_vector(system.frame.n, args)))
     return Bivector(system, op, b_op, b_frame, args)
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 all tasks ok, 1 any task failed or left a residual,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .parser import ParseError, parse_program
@@ -55,9 +56,11 @@ def main(argv=None) -> int:
     try:
         program = parse_program(source)
         if args.passivity_depth is not None:
-            for decl in program.systems.values():
-                if decl["passivity"] is None:
-                    decl["passivity"] = args.passivity_depth
+            program = dataclasses.replace(program, systems={
+                name: decl if decl.passivity is not None
+                else dataclasses.replace(decl, passivity=args.passivity_depth)
+                for name, decl in program.systems.items()
+            })
         results = run_program(program)
     except ParseError as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)

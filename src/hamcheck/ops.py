@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .poly import DiffPoly, VectorFunction, as_vector
+from .poly import DiffPoly, VectorFunction, as_vector, total_memo
 
 
 class DimensionMismatch(ValueError):
@@ -194,10 +194,7 @@ class CDiffOp:
         cache = {}
         out = [DiffPoly.zero(self.n) for _ in range(self.rows)]
         for (r, c, sigma), a in self.entries.items():
-            key = (c, sigma)
-            if key not in cache:
-                cache[key] = v[c].total_multi(sigma)
-            out[r] = out[r] + a * cache[key]
+            out[r] = out[r] + a * total_memo(cache, c, sigma, v[c])
         return VectorFunction(out)
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
@@ -207,19 +204,6 @@ class CDiffOp:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         dcache = {}
-
-        def deriv(key, b, delta):
-            if not any(delta):
-                return b
-            full = (key, delta)
-            got = dcache.get(full)
-            if got is None:
-                i = next(k for k, q in enumerate(delta) if q)
-                lower = tuple(q - 1 if k == i else q for k, q in enumerate(delta))
-                got = deriv(key, b, lower).total(i)
-                dcache[full] = got
-            return got
-
         res = {}
         for (r, k, sigma), a in self.entries.items():
             for (k2, c, tau), b in other.entries.items():
@@ -228,7 +212,7 @@ class CDiffOp:
                 for rho in _sub_indices(sigma):
                     coeff = _binom(sigma, rho)
                     delta = tuple(s - q for s, q in zip(sigma, rho))
-                    db = deriv((k, c, tau), b, delta)
+                    db = total_memo(dcache, (k, c, tau), delta, b)
                     if db.is_zero():
                         continue
                     part = a * db
@@ -247,26 +231,13 @@ class CDiffOp:
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: entry (i,j) becomes sum (-1)^|s| D_s o a_(j,i,s)."""
         dcache = {}
-
-        def deriv(key, a, delta):
-            if not any(delta):
-                return a
-            full = (key, delta)
-            got = dcache.get(full)
-            if got is None:
-                i = next(k for k, q in enumerate(delta) if q)
-                lower = tuple(q - 1 if k == i else q for k, q in enumerate(delta))
-                got = deriv(key, a, lower).total(i)
-                dcache[full] = got
-            return got
-
         res = {}
         for (r, c, sigma), a in self.entries.items():
             sign = -1 if sum(sigma) % 2 else 1
             for rho in _sub_indices(sigma):
                 coeff = sign * _binom(sigma, rho)
                 delta = tuple(s - q for s, q in zip(sigma, rho))
-                da = deriv((r, c, sigma), a, delta)
+                da = total_memo(dcache, (r, c, sigma), delta, a)
                 if da.is_zero():
                     continue
                 part = da * coeff

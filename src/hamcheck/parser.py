@@ -132,6 +132,21 @@ class TaskDecl:
 
 
 @dataclass(frozen=True)
+class EquationDecl:
+    """An equation block as written: solved forms still carry their tokens.
+
+    ``deps`` restricts the frame to an initial segment of the dependents
+    (None: all of them); ``passivity`` is None when the block sets no depth.
+    """
+
+    deps: tuple
+    solves: tuple
+    ranking: tuple
+    passivity: int
+    pos: tuple
+
+
+@dataclass(frozen=True)
 class EquivalenceDecl:
     name: str
     system1: str
@@ -345,8 +360,11 @@ class Parser:
         num = int(tok.text)
         if self.peek().kind == "SLASH":
             self.next()
-            den = self.expect("INT", "denominator")
-            return Fraction(num, int(den.text))
+            tok = self.expect("INT", "denominator")
+            den = int(tok.text)
+            if not den:
+                self.fail(tok, "zero denominator")
+            return Fraction(num, den)
         return Fraction(num)
 
     def parse_atom(self, frame: Frame) -> CDiffOp:
@@ -472,13 +490,9 @@ class Parser:
             self.fail(kw, f"equation {name.text!r} has no solve clauses")
         if ranking_names is None:
             self.fail(kw, f"equation {name.text!r} needs a ranking clause")
-        self.declare(name, self.system_decls, {
-            "deps": deps,
-            "solves": solves,
-            "ranking": tuple(ranking_names),
-            "passivity": passivity,
-            "pos": (name.line, name.col),
-        })
+        self.declare(name, self.system_decls, EquationDecl(
+            deps, tuple(solves), tuple(ranking_names), passivity, (name.line, name.col)
+        ))
         self.systems[name.text] = None  # reserve the name
 
     def parse_operator(self):

@@ -50,7 +50,7 @@ class DiffPoly:
     """Differential polynomial with exact rational coefficients.
 
     Instances are immutable by convention; all operations return new
-    values, so polynomials can be shared freely between threads.
+    values, so polynomials can be shared freely.
     """
 
     __slots__ = ("n", "terms")
@@ -332,12 +332,8 @@ class DiffPoly:
         p = self
         cache = {}
         for v in sorted(self.jetvars()):
-            if v[0] != dep:
-                continue
-            idx = v[1]
-            if idx not in cache:
-                cache[idx] = value.total_multi(idx)
-            p = p.subst_jet(v, cache[idx])
+            if v[0] == dep:
+                p = p.subst_jet(v, total_memo(cache, dep, v[1], value))
         return p
 
     def relabel_deps(self, mapping: dict) -> "DiffPoly":
@@ -428,6 +424,27 @@ def formal_vector(n: int, dep_ids) -> VectorFunction:
 # -- operations of the jet algebra ------------------------------------
 
 
+def total_memo(cache: dict, key, sigma, base: DiffPoly, step=None) -> DiffPoly:
+    """D_sigma(base), memoized in ``cache`` under ``(key, sigma)``.
+
+    ``sigma`` is lowered in its first nonzero direction until it meets a
+    cached index or zero; the path is then climbed back with ``total``,
+    followed by ``step`` when given, caching every index on the way.
+    Iterative, so the jet order is not limited by the recursion depth.
+    """
+    path = []
+    while any(sigma) and (key, sigma) not in cache:
+        i = next(k for k, q in enumerate(sigma) if q)
+        path.append((sigma, i))
+        sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
+    p = cache[(key, sigma)] if any(sigma) else base
+    for up, i in reversed(path):
+        # no name keeps D_i(p) alive while step runs, so step can free it early
+        p = p.total(i) if step is None else step(p.total(i))
+        cache[(key, up)] = p
+    return p
+
+
 def total_derivative(i: int, p: DiffPoly) -> DiffPoly:
     """Total derivative D_i; linear and Leibniz over products."""
     return p.total(i)
@@ -481,10 +498,6 @@ def evolutionary_apply(frame: Frame, phi: VectorFunction, f):
     acc = DiffPoly.zero(frame.n)
     for v in f.jetvars():
         dep, idx = v
-        if dep not in slot:
-            continue
-        key = (dep, idx)
-        if key not in cache:
-            cache[key] = phi[slot[dep]].total_multi(idx)
-        acc = acc + f.partial(v) * cache[key]
+        if dep in slot:
+            acc = acc + f.partial(v) * total_memo(cache, dep, idx, phi[slot[dep]])
     return acc

@@ -1,24 +1,21 @@
 """Task execution and deterministic report assembly.
 
-Tasks run in declaration order; independent tasks inside a declaration
-segment may execute concurrently (capped by HAMCHECK_THREADS), but the
-report is always assembled in declaration order.  Reports are built from
-canonical renderings only, so identical inputs produce identical bytes.
+Tasks run one after another in declaration order, so a task sees the
+outputs of every deform before it.  Reports are built from canonical
+renderings only, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass
 
 from . import __version__
 from .brackets import (
     NotABivector,
-    bivector_residual,
     certify_bivector,
     is_zero_trivector,
     magri_defects,
@@ -62,23 +59,23 @@ class RunContext:
         self.vectors = dict(program.vectors)
         self.equivalences = {}
         self.deformed = {}
-        self.bivector_cache = {}
+        self.bivectors = {}
         self._build_systems()
         self._build_equivalences()
 
     def _build_systems(self):
         for name, decl in self.program.systems.items():
             frame = self.frame
-            if decl["deps"] is not None:
-                deps = decl["deps"]
+            if decl.deps is not None:
+                deps = decl.deps
                 if tuple(self.frame.dependents[: len(deps)]) != tuple(deps):
                     raise HamcheckError(
                         f"equation {name!r}: restricted dependents must be an "
                         "initial segment of the declared dependents"
                     )
                 frame = Frame(self.frame.independents, tuple(deps))
-            ranking = Ranking.of(frame, *decl["ranking"])
-            solved = [(jet, rhs) for jet, rhs, _tok in decl["solves"]]
+            ranking = Ranking.of(frame, *decl.ranking)
+            solved = [(jet, rhs) for jet, rhs, _tok in decl.solves]
             for jet, rhs in solved:
                 used = {jet[0]} | rhs.deps()
                 if any(d >= frame.m for d in used):
@@ -89,7 +86,7 @@ class RunContext:
             originals = [
                 DiffPoly.jet(frame.n, jet[0], jet[1]) - rhs for jet, rhs in solved
             ]
-            depth = decl["passivity"] if decl["passivity"] is not None else 4
+            depth = decl.passivity if decl.passivity is not None else 4
             self.systems[name] = make_system(
                 frame, originals, solved, ranking, depth
             )
@@ -142,6 +139,10 @@ class RunContext:
                 )
             else:
                 raise HamcheckError("expected a vector of densities, got an operator")
+        if not isinstance(value, (VectorFunction, DiffPoly)):
+            raise HamcheckError(
+                f"expected a vector of densities, got {type(value).__name__}"
+            )
         value = as_vector(value)
         bad = set()
         for p in value:
@@ -150,27 +151,45 @@ class RunContext:
             raise HamcheckError("vector mentions dependents outside the system frame")
         return value
 
-    def certified(self, system, op: CDiffOp):
-        key = (
-            id(system),
-            op.rows,
-            op.cols,
-            tuple(
-                (r, c, sigma, tuple(sorted(a.terms.items())))
-                for (r, c, sigma), a in sorted(op.entries.items())
-            ),
-        )
-        got = self.bivector_cache.get(key)
+    def certify(self, system, op: CDiffOp):
+        """The Bivector of op on system, or the NotABivector carrying its
+        residual; certified at most once per (system, operator)."""
+        key = _bivector_key(system, op)
+        got = self.bivectors.get(key)
         if got is None:
             try:
                 got = certify_bivector(system, op)
             except NotABivector as exc:
-                raise HamcheckError(
-                    "operator fails the bivector condition; residual "
-                    + op_text(system.frame, exc.residual)
-                ) from exc
-            self.bivector_cache[key] = got
+                # without its traceback the memo keeps no frames of the build alive
+                got = exc.with_traceback(None)
+            self.bivectors[key] = got
         return got
+
+    def certified(self, system, op: CDiffOp):
+        """The Bivector of op on system; HamcheckError if it is not one."""
+        got = self.certify(system, op)
+        if isinstance(got, NotABivector):
+            raise HamcheckError(
+                "operator fails the bivector condition; residual "
+                + op_text(system.frame, got.residual)
+            )
+        return got
+
+    def remember(self, biv):
+        """Record a Bivector certified elsewhere (the deformed blocks)."""
+        self.bivectors[_bivector_key(biv.home, biv.op)] = biv
+
+
+def _bivector_key(system, op: CDiffOp):
+    return (
+        id(system),
+        op.rows,
+        op.cols,
+        tuple(
+            (r, c, sigma, tuple(sorted(a.terms.items())))
+            for (r, c, sigma), a in sorted(op.entries.items())
+        ),
+    )
 
 
 def _verdict_detail(frame, verdict) -> dict:
@@ -189,6 +208,12 @@ def run_task(ctx: RunContext, task: TaskDecl) -> TaskResult:
         status, detail = _dispatch(ctx, task)
     except (HamcheckError, ValueError) as exc:
         status, detail = FAIL, {"error": str(exc)}
+    except Exception as exc:
+        # a kernel bug: fail this task only, and keep the traceback on stderr
+        traceback.print_exc()
+        status, detail = FAIL, {
+            "error": f"internal error: {type(exc).__name__}: {exc}"
+        }
     return TaskResult(0, kind, status, detail, time.perf_counter() - t0)
 
 
@@ -235,12 +260,11 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
     if kind == "bivector":
         args = _args(task, 2)
         system = ctx.need_system(ctx.resolve(args[0]))
-        op = ctx.need_op(ctx.resolve(args[1]))
-        residual = bivector_residual(system, op)
-        if residual.is_zero():
-            ctx.certified(system, op)
-            return OK, {"bivector": True}
-        return FAIL, {"bivector": False, "residual": op_text(system.frame, residual)}
+        got = ctx.certify(system, ctx.need_op(ctx.resolve(args[1])))
+        if isinstance(got, NotABivector):
+            return FAIL, {"bivector": False,
+                          "residual": op_text(system.frame, got.residual)}
+        return OK, {"bivector": True}
 
     if kind == "schouten":
         args = _args(task, 3)
@@ -254,12 +278,10 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
     if kind == "hamiltonian":
         args = _args(task, 2)
         system = ctx.need_system(ctx.resolve(args[0]))
-        op = ctx.need_op(ctx.resolve(args[1]))
-        residual = bivector_residual(system, op)
-        if not residual.is_zero():
+        biv = ctx.certify(system, ctx.need_op(ctx.resolve(args[1])))
+        if isinstance(biv, NotABivector):
             return FAIL, {"bivector": False,
-                          "residual": op_text(system.frame, residual)}
-        biv = ctx.certified(system, op)
+                          "residual": op_text(system.frame, biv.residual)}
         verdict = is_zero_trivector(system, schouten(system, biv, biv))
         detail = {"bivector": True}
         detail.update(_verdict_detail(system.frame, verdict))
@@ -318,16 +340,17 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
         source = data.e1 if direction.text == "1->2" else data.e2
         ctx.certified(source, op)
         moved = transport(data, op, direction.text)
-        residual = bivector_residual(target, moved)
+        got = ctx.certify(target, moved)
+        recertified = not isinstance(got, NotABivector)
         detail = {"transported": op_text(target.frame, moved),
-                  "recertified": residual.is_zero()}
-        if not residual.is_zero():
-            detail["residual"] = op_text(target.frame, residual)
+                  "recertified": recertified}
+        if not recertified:
+            detail["residual"] = op_text(target.frame, got.residual)
             return FAIL, detail
         if len(args) == 4:
             other = ctx.need_op(ctx.resolve(args[3]))
             verdict = equivalent_as_bivectors(
-                target, ctx.certified(target, moved), ctx.certified(target, other)
+                target, got, ctx.certified(target, other)
             )
             detail["comparison"] = _verdict_detail(target.frame, verdict)
             return (OK if verdict.zero else RESIDUAL), detail
@@ -339,6 +362,8 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
         b1 = ctx.certified(system, ctx.need_op(ctx.resolve(args[1])))
         b2 = ctx.certified(system, ctx.need_op(ctx.resolve(args[2])))
         deformed = deform(system, b1, b2)
+        ctx.remember(deformed.a1_til)
+        ctx.remember(deformed.a2_til)
         frame = deformed.system.frame
         detail = {
             "equations": vector_text(frame, deformed.system.originals),
@@ -388,39 +413,14 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
     raise HamcheckError(f"unhandled task kind {kind!r}")
 
 
-def _segments(tasks):
-    """Split the task list at deform boundaries: later tasks may use them."""
-    out = []
-    current = []
-    for task in tasks:
-        current.append(task)
-        if task.kind == "deform":
-            out.append(current)
-            current = []
-    if current:
-        out.append(current)
-    return out
-
-
-def run_program(program: Program, threads: int = None) -> list:
+def run_program(program: Program) -> list:
     """Execute all tasks; never aborts mid-suite, results in declaration order."""
-    if threads is None:
-        threads = int(os.environ.get("HAMCHECK_THREADS", "1") or "1")
     ctx = RunContext(program)
     results = []
-    for segment in _segments(program.tasks):
-        parallel = segment[:-1] if segment[-1].kind == "deform" else segment
-        serial = segment[len(parallel):]
-        if threads > 1 and len(parallel) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results.extend(pool.map(lambda t: run_task(ctx, t), parallel))
-        else:
-            for task in parallel:
-                results.append(run_task(ctx, task))
-        for task in serial:
-            results.append(run_task(ctx, task))
-    for i, r in enumerate(results):
-        r.index = i
+    for i, task in enumerate(program.tasks):
+        result = run_task(ctx, task)
+        result.index = i
+        results.append(result)
     return results
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .frame import index_le, index_sub
 from .ops import CDiffOp, DimensionMismatch, linearize
-from .poly import DiffPoly, VectorFunction, as_vector
+from .poly import DiffPoly, VectorFunction, as_vector, total_memo
 
 
 class HamcheckError(Exception):
@@ -69,8 +69,7 @@ class EquationSystem:
     """Immutable orthonomic system; all queries are pure functions.
 
     The per-instance caches only memoize derived values that are functions
-    of the immutable state, so sharing instances between threads is safe
-    (concurrent misses at worst recompute the same value).
+    of the immutable state.
     """
 
     def __init__(self, frame, originals, rules, ranking, passivity_depth):
@@ -98,17 +97,11 @@ class EquationSystem:
 
     def prolonged_rhs(self, k: int, tau) -> DiffPoly:
         """Normal form of D_tau applied to rule k's right-hand side."""
-        key = (k, tau)
-        got = self._prol.get(key)
-        if got is None:
-            if not any(tau):
-                got = self.reduce(self.rules[k].rhs)
-            else:
-                i = next(j for j, q in enumerate(tau) if q)
-                lower = tuple(q - 1 if j == i else q for j, q in enumerate(tau))
-                got = self.reduce(self.prolonged_rhs(k, lower).total(i))
-            self._prol[key] = got
-        return got
+        zero = (k, (0,) * len(tau))
+        base = self._prol.get(zero)
+        if base is None:
+            base = self._prol[zero] = self.reduce(self.rules[k].rhs)
+        return total_memo(self._prol, k, tau, base, self.reduce)
 
     def reduce(self, p: DiffPoly) -> DiffPoly:
         """Normal form: rewrite the highest reducible jet first, to a fixpoint."""
@@ -214,19 +207,6 @@ class EquationSystem:
         key = self.ranking.key
 
         raw_prol = {}
-
-        def raw(k, tau):
-            got = raw_prol.get((k, tau))
-            if got is None:
-                if not any(tau):
-                    got = self.rules[k].rhs_exact
-                else:
-                    i = next(j for j, q in enumerate(tau) if q)
-                    lower = tuple(q - 1 if j == i else q for j, q in enumerate(tau))
-                    got = raw(k, lower).total(i)
-                raw_prol[(k, tau)] = got
-            return got
-
         rows = []
         for comp, p in enumerate(g):
             while True:
@@ -243,7 +223,9 @@ class EquationSystem:
                     break
                 tau = index_sub(best[1], self.rules[best_k].lead[1])
                 phi = DiffPoly.jet(n, offset + best_k, tau)
-                repl = raw(best_k, tau) + phi * (1 / self.rules[best_k].scale)
+                rule = self.rules[best_k]
+                raw = total_memo(raw_prol, best_k, tau, rule.rhs_exact)
+                repl = raw + phi * (1 / rule.scale)
                 p = p.subst_jet(best, repl)
             rows.append(p)
 

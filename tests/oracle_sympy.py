@@ -1,9 +1,11 @@
-"""Independent oracle for total derivatives and variational derivatives.
+"""Independent oracle for total derivatives and operators in them.
 
 Translates kernel polynomials into sympy expressions over opaque symbols
 and computes the total derivative with sympy's own differentiation (the
 function-substitution trick), so the comparison does not share code with
-the kernel's chain-rule implementation.
+the kernel's chain-rule implementation.  Operators are applied to formal
+arguments with those derivatives: composition against successive
+application, and the adjoint against sympy's product rule.
 """
 
 import sympy
@@ -36,27 +38,75 @@ def from_kernel_equal(p: DiffPoly, expr) -> bool:
     return sympy.expand(to_sympy(p) - expr) == 0
 
 
-def sympy_total_derivative(p: DiffPoly, i: int):
-    """Total derivative computed on the sympy side.
+def _jet_of(symbol):
+    """(dep, idx) of a jet symbol, or None for any other symbol."""
+    parts = symbol.name.split("_")
+    if parts[0] != "j":
+        return None
+    return int(parts[1]), tuple(int(q) for q in parts[2:])
+
+
+def sympy_total(expr, i: int):
+    """Total derivative D_i of a sympy expression in jet and x symbols.
 
     Each jet symbol is temporarily made a function of x_i; sympy's diff
     produces Derivative nodes which are then renamed to the prolonged jet
     symbols.
     """
-    expr = to_sympy(p)
     x = _x_symbol(i)
-    jets = []
-    for (jets_part, _) in p.terms:
-        for (dep, idx), _e in jets_part:
-            jets.append((dep, idx))
-    jets = sorted(set(jets))
+    jets = sorted(
+        (j for j in map(_jet_of, expr.free_symbols) if j is not None)
+    )
     funcs = {_jet_symbol(dep, idx): sympy.Function(f"F_{dep}_" + "_".join(map(str, idx)))(x)
              for dep, idx in jets}
-    expr = expr.subs(funcs)
-    expr = sympy.diff(expr, x)
+    expr = sympy.diff(expr.xreplace(funcs), x)
     back = {}
-    for (dep, idx), _f in zip(jets, funcs.values()):
+    for dep, idx in jets:
+        f = funcs[_jet_symbol(dep, idx)]
         up = tuple(q + 1 if k == i else q for k, q in enumerate(idx))
-        back[sympy.Derivative(funcs[_jet_symbol(dep, idx)], x)] = _jet_symbol(dep, up)
-        back[funcs[_jet_symbol(dep, idx)]] = _jet_symbol(dep, idx)
-    return sympy.expand(expr.subs(back))
+        back[sympy.Derivative(f, x)] = _jet_symbol(dep, up)
+        back[f] = _jet_symbol(dep, idx)
+    return sympy.expand(expr.xreplace(back))
+
+
+def sympy_total_derivative(p: DiffPoly, i: int):
+    """Total derivative of a kernel polynomial, computed on the sympy side."""
+    return sympy_total(to_sympy(p), i)
+
+
+def sympy_total_multi(expr, sigma):
+    for i, k in enumerate(sigma):
+        for _ in range(k):
+            expr = sympy_total(expr, i)
+    return expr
+
+
+def formal_args(n: int, first_dep: int, count: int):
+    """Bare jet symbols of ``count`` fresh dependents, as operator arguments."""
+    return [_jet_symbol(first_dep + k, (0,) * n) for k in range(count)]
+
+
+def sympy_apply(op, args):
+    """An operator in total derivatives applied to sympy expressions:
+    component r is the sum of a * D_sigma(args[c]) over entries (r, c, sigma)."""
+    out = [sympy.Integer(0)] * op.rows
+    for (r, c, sigma), a in op.entries.items():
+        out[r] += to_sympy(a) * sympy_total_multi(args[c], sigma)
+    return [sympy.expand(e) for e in out]
+
+
+def sympy_apply_adjoint(op, args):
+    """The formal adjoint of an operator applied to sympy expressions:
+    component c is the sum of (-D)^sigma (a * args[r]) over entries
+    (r, c, sigma), differentiated as a product by sympy."""
+    out = [sympy.Integer(0)] * op.cols
+    for (r, c, sigma), a in op.entries.items():
+        term = sympy_total_multi(to_sympy(a) * args[r], sigma)
+        out[c] += -term if sum(sigma) % 2 else term
+    return [sympy.expand(e) for e in out]
+
+
+def sympy_equal(exprs1, exprs2) -> bool:
+    return len(exprs1) == len(exprs2) and all(
+        sympy.expand(a - b) == 0 for a, b in zip(exprs1, exprs2)
+    )

@@ -70,6 +70,10 @@ def test_syntax_error_position_and_expectations():
     assert err.value.line == 3
     assert err.value.col == 20
     assert "operand" in err.value.expected
+    with pytest.raises(ParseError) as err:
+        parse_program("independents x, t;\ndependents u;\nvector v = [1/0];\n")
+    assert (err.value.line, err.value.col) == (3, 15)
+    assert "zero denominator" in err.value.msg
 
 
 def test_unknown_identifier_is_positioned():

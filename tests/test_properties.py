@@ -14,7 +14,14 @@ from hamcheck import (
     evolutionary_apply,
     linearize,
 )
-from oracle_sympy import from_kernel_equal, sympy_total_derivative
+from oracle_sympy import (
+    formal_args,
+    from_kernel_equal,
+    sympy_apply,
+    sympy_apply_adjoint,
+    sympy_equal,
+    sympy_total_derivative,
+)
 
 FRAMES = [
     Frame(("x",), ("u",)),
@@ -173,6 +180,27 @@ def test_compose_matches_application(data):
     _, v = data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))
     vec = VectorFunction([v])
     assert a.compose(b).apply(vec) == a.apply(b.apply(vec))
+
+
+@given(st.data())
+def test_compose_matches_sympy_oracle(data):
+    frame = data.draw(frames())
+    rows, inner, cols = (data.draw(st.integers(1, 2)) for _ in range(3))
+    a = data.draw(operators(frame, rows, inner))
+    b = data.draw(operators(frame, inner, cols))
+    phi = formal_args(frame.n, frame.m, cols)
+    assert sympy_equal(
+        sympy_apply(a.compose(b), phi), sympy_apply(a, sympy_apply(b, phi))
+    )
+
+
+@given(st.data())
+def test_adjoint_matches_sympy_oracle(data):
+    frame = data.draw(frames())
+    rows, cols = (data.draw(st.integers(1, 2)) for _ in range(2))
+    op = data.draw(operators(frame, rows, cols, max_order=3))
+    psi = formal_args(frame.n, frame.m, rows)
+    assert sympy_equal(sympy_apply(op.adjoint(), psi), sympy_apply_adjoint(op, psi))
 
 
 @given(st.data())

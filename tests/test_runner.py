@@ -4,8 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hamcheck import brackets, cli
 from hamcheck.parser import parse_program
-from hamcheck.runner import build_report, exit_code, report_json, run_program
+from hamcheck.runner import (
+    RunContext,
+    build_report,
+    exit_code,
+    report_json,
+    run_program,
+)
+from hamcheck.systems import EquationSystem
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -24,9 +32,9 @@ task poisson(kdv, A1, psi1, [u]);
 """
 
 
-def run_source(source, threads=None):
+def run_source(source):
     program = parse_program(source)
-    return program, run_program(program, threads=threads)
+    return program, run_program(program)
 
 
 def test_statuses_and_order():
@@ -51,11 +59,34 @@ def test_exit_code_contract():
     assert exit_code(good) == 0
 
 
-def test_runner_never_aborts_on_task_errors():
+def test_runner_never_aborts_on_task_errors(monkeypatch):
     source = KDV_SOURCE + "task poisson(kdv, A1, [u_x], [u]);\n"
     _, results = run_source(source)
     assert results[-1].status == "fail"
     assert "error" in results[-1].detail
+
+    # a direction where a vector belongs
+    source = KDV_SOURCE + (
+        "task reduce(kdv, 1->2);\n"
+        "task genfn(kdv, 1->2);\n"
+        "task poisson(kdv, A1, 1->2, [u]);\n"
+        "task magri(kdv, A1, A2, psi1, 1->2);\n"
+        "task reduce(kdv, u_t);\n"
+    )
+    _, results = run_source(source)
+    assert [r.status for r in results[5:]] == ["fail"] * 4 + ["ok"]
+    for r in results[5:9]:
+        assert r.detail == {"error": "expected a vector of densities, got Direction"}
+
+    # an unexpected exception inside the kernel fails only its own task
+    def boom(self, v):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(EquationSystem, "reduce_vector", boom)
+    _, results = run_source(KDV_SOURCE)
+    assert results[0].status == "fail"
+    assert results[0].detail == {"error": "internal error: KeyError: 'lost'"}
+    assert results[1].kind == "bivector" and results[1].status == "ok"
 
 
 def test_report_is_byte_deterministic():
@@ -72,13 +103,6 @@ def test_report_is_byte_deterministic():
     assert all("seconds" not in t for t in report["tasks"])
 
 
-def test_threaded_run_matches_serial():
-    program, serial = run_source(KDV_SOURCE)
-    program2, threaded = run_source(KDV_SOURCE, threads=4)
-    assert [r.status for r in serial] == [r.status for r in threaded]
-    assert [r.detail for r in serial] == [r.detail for r in threaded]
-
-
 def test_deform_segment_ordering():
     source = """
 independents x, t;
@@ -92,10 +116,28 @@ task deform(kdv, A1, A2) as sys6;
 task bivector(sys6, sys6_A1);
 task lift(sys6, psi1, psi2);
 """
-    _, results = run_source(source, threads=4)
+    _, results = run_source(source)
     assert [r.status for r in results] == ["ok", "ok", "ok"]
     assert results[2].detail["genfn_certified"] == [True]
     assert results[2].detail["conserved"] == [True]
+
+
+def test_theta_built_once_per_system_and_operator(monkeypatch):
+    calls = []
+    theta = brackets._theta
+
+    def counted(system, op):
+        calls.append((id(system), op.rows, op.cols, tuple(sorted(
+            (key, tuple(sorted(a.terms.items()))) for key, a in op.entries.items()
+        ))))
+        return theta(system, op)
+
+    monkeypatch.setattr(brackets, "_theta", counted)
+    for name in ("kdv.ham", "kdv6.ham"):
+        results = run_program(parse_program((DEMOS / name).read_text()))
+        assert all(r.status == "ok" for r in results)
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def _cli(args):
@@ -144,30 +186,36 @@ def test_cli_text_report(tmp_path):
     assert "normal_form" in proc.stdout
 
 
-def test_cli_threads_env(tmp_path):
-    out = tmp_path / "r.json"
-    env = dict(os.environ)
-    env["HAMCHECK_THREADS"] = "4"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hamcheck.cli", "run", str(DEMOS / "kdv.ham"),
-         "--report", str(out)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    base = _cli(["run", str(DEMOS / "kdv.ham"), "--report", str(out) + "b"])
-    assert base.returncode == 0
-    assert out.read_bytes() == Path(str(out) + "b").read_bytes()
-
-
-def test_cli_passivity_depth_flag(tmp_path):
+def test_cli_passivity_depth_flag(tmp_path, monkeypatch):
     f = tmp_path / "depth.ham"
     f.write_text(
         "independents x, t;\ndependents u;\n"
         "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
+        "equation heat { solve u_t = u_xx; ranking t > x; passivity 3; }\n"
         "task reduce(kdv, u_t);\n"
     )
     proc = _cli(["run", str(f), "--passivity-depth", "2"])
     assert proc.returncode == 0
+
+    seen = {}
+
+    def parse(source):
+        seen["parsed"] = parse_program(source)
+        return seen["parsed"]
+
+    def run(program):
+        seen["systems"] = RunContext(program).systems
+        return run_program(program)
+
+    monkeypatch.setattr(cli, "parse_program", parse)
+    monkeypatch.setattr(cli, "run_program", run)
+    assert cli.main(["run", str(f), "--passivity-depth", "2"]) == 0
+    # the flag fills in only the depths the file leaves open ...
+    assert seen["systems"]["kdv"].passivity_depth == 2
+    assert seen["systems"]["heat"].passivity_depth == 3
+    # ... and leaves the parser's output as it was
+    assert seen["parsed"].systems["kdv"].passivity is None
+    assert seen["parsed"].systems == parse_program(f.read_text()).systems
 
 
 def test_cli_timings_flag_adds_seconds(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hamcheck import (
+    DiffPoly,
     Frame,
     MismatchedSolvedForm,
     NonOrthonomic,
@@ -114,6 +115,15 @@ def test_scaled_solved_form_records_scale(fr_u):
 def test_reduce_examples(kdv, fr_u):
     assert kdv.reduce(P(fr_u, "u_t")) == P(fr_u, "u_xxx + 6*u*u_x")
     assert kdv.reduce(P(fr_u, "u_tx")) == P(fr_u, "u_xxxx + 6*u_x^2 + 6*u*u_xx")
+
+
+def test_reduce_deep_jet_without_recursion(fr_u):
+    # each prolongation step is cached before the next, so the jet order
+    # is not bounded by the interpreter's recursion limit
+    e = make_system(fr_u, [P(fr_u, "u_x - u")], [((0, (1, 0)), P(fr_u, "u"))],
+                    Ranking.of(fr_u, "x", "t"))
+    deep = VectorFunction([DiffPoly.jet(fr_u.n, 0, (1200, 0))])
+    assert e.reduce_vector(deep) == VectorFunction([P(fr_u, "u")])
 
 
 def test_reduce_three_component(kdv3, fr_uvw):
