@@ -106,16 +106,9 @@ class TrivectorRep:
     entries: VectorFunction
 
     def evaluate(self, psi1, psi2) -> VectorFunction:
-        psi1 = as_vector(psi1)
-        psi2 = as_vector(psi2)
-
-        def subst(p: DiffPoly) -> DiffPoly:
-            for ids, vals in ((self.arg1, psi1), (self.arg2, psi2)):
-                for d, val in zip(ids, vals):
-                    p = p.subst_dep(d, val)
-            return p
-
-        return self.entries.map(subst)
+        values = dict(zip(self.arg1, as_vector(psi1)))
+        values.update(zip(self.arg2, as_vector(psi2)))
+        return self.entries.map(lambda p: p.subst_deps(values))
 
 
 @dataclass(frozen=True)
@@ -164,17 +157,13 @@ def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep
     psi2 = formal_vector(n, a2_ids)
 
     a1, a2 = b1.op, b2.op
-
-    def b_star(biv: Bivector, psi_a: VectorFunction, psi_b_ids) -> VectorFunction:
-        return biv.b_star(psi_a, psi_b_ids)
-
     terms = [
         _lin_a_psi(system, a1, a1_ids).apply(a2.apply(psi2)),
         -_lin_a_psi(system, a1, a2_ids).apply(a2.apply(psi1)),
         _lin_a_psi(system, a2, a1_ids).apply(a1.apply(psi2)),
         -_lin_a_psi(system, a2, a2_ids).apply(a1.apply(psi1)),
-        -a1.apply(b_star(b2, psi1, a2_ids)),
-        -a2.apply(b_star(b1, psi1, a2_ids)),
+        -a1.apply(b2.b_star(psi1, a2_ids)),
+        -a2.apply(b1.b_star(psi1, a2_ids)),
     ]
     total = terms[0]
     for t in terms[1:]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .brackets import (
     Bivector,
     TrivialityVerdict,
+    _signed_symmetrization,
     skew_density_verdict,
 )
 from .ops import CDiffOp, DimensionMismatch
@@ -133,13 +134,7 @@ def transport(data: EquivalenceData, a, direction: str) -> CDiffOp:
         m1 = data.e1.frame.m
         if any(d >= m1 for (_, _, _s), c in out.entries.items() for d in c.deps()):
             values = _extra_dependent_values(data)
-
-            def eliminate(p):
-                for dep, value in values.items():
-                    p = p.subst_dep(dep, value)
-                return p
-
-            out = out.map_coeffs(eliminate)
+            out = out.map_coeffs(lambda p: p.subst_deps(values))
         return data.e1.restrict_op(out)
     raise ValueError(f"direction must be '1->2' or '2->1', got {direction!r}")
 
@@ -165,7 +160,6 @@ def equivalent_as_bivectors(system: EquationSystem, a1, a2) -> TrivialityVerdict
     density = DiffPoly.zero(n)
     for k in range(l):
         density = density + DiffPoly.jet(n, b2_ids[k], (0,) * n) * image[k]
-    swap = {a: b for a, b in zip(b1_ids, b2_ids)}
-    swap.update({b: a for a, b in zip(b1_ids, b2_ids)})
-    skew = density - density.relabel_deps(swap)
-    return skew_density_verdict(system, frame_ext, skew, (b1_ids, b2_ids))
+    blocks = (b1_ids, b2_ids)
+    skew = _signed_symmetrization(density, blocks)
+    return skew_density_verdict(system, frame_ext, skew, blocks)

@@ -21,6 +21,10 @@ TASK_KINDS = (
     "poisson", "magri", "equivalence", "transport", "deform", "lift",
 )
 
+# Brackets nested deeper than this are a ParseError; each level costs a
+# few interpreter frames, so the limit stays well inside the recursion limit.
+MAX_NESTING = 100
+
 _PUNCT = {
     ";": "SEMI", ",": "COMMA", "(": "LPAREN", ")": "RPAREN",
     "{": "LBRACE", "}": "RBRACE", "[": "LBRACK", "]": "RBRACK",
@@ -180,6 +184,7 @@ class Parser:
         self.equivalences = {}
         self.tasks = []
         self.pending = {}  # names registered by deform tasks -> kind
+        self.nesting = 0  # open '(' and '[' around the current operand
 
     # -- token helpers --------------------------------------------------
 
@@ -337,10 +342,12 @@ class Parser:
         return left
 
     def parse_unary(self, frame: Frame) -> CDiffOp:
-        if self.peek().kind == "MINUS":
+        negate = False
+        while self.peek().kind == "MINUS":
             self.next()
-            return -1 * self.parse_unary(frame)
-        return self.parse_power(frame)
+            negate = not negate
+        out = self.parse_power(frame)
+        return -1 * out if negate else out
 
     def parse_power(self, frame: Frame) -> CDiffOp:
         base = self.parse_atom(frame)
@@ -372,13 +379,18 @@ class Parser:
         if tok.kind == "INT":
             self.next()
             return CDiffOp.mult(DiffPoly.const(frame.n, self._rational(tok)))
-        if tok.kind == "LPAREN":
-            self.next()
-            inner = self.parse_opexpr(frame)
-            self.expect("RPAREN", "')'")
+        if tok.kind in ("LPAREN", "LBRACK"):
+            if self.nesting >= MAX_NESTING:
+                self.fail(tok, f"brackets nested deeper than {MAX_NESTING} levels")
+            self.nesting += 1
+            if tok.kind == "LBRACK":
+                inner = self.parse_matrix(frame)
+            else:
+                self.next()
+                inner = self.parse_opexpr(frame)
+                self.expect("RPAREN", "')'")
+            self.nesting -= 1
             return inner
-        if tok.kind == "LBRACK":
-            return self.parse_matrix(frame)
         if tok.kind == "IDENT":
             self.next()
             text = tok.text

@@ -293,48 +293,58 @@ class DiffPoly:
 
     # -- substitutions -----------------------------------------------
 
-    def subst_jet(self, jet, value: "DiffPoly") -> "DiffPoly":
-        """Replace every occurrence of one jet variable by a polynomial."""
-        powers = {0: DiffPoly.const(self.n, 1)}
+    def substitute(self, images: dict) -> "DiffPoly":
+        """Replace every jet variable in ``images`` by its polynomial, at once.
 
-        def power(k):
-            if k not in powers:
-                powers[k] = power(k - 1) * value
-            return powers[k]
+        This is the ring homomorphism that fixes every other variable: each
+        term's kept monomial is multiplied by the product of the images of
+        its replaced factors.  Powers and products are memoized per call.
+        """
+        powers = {}
+        products = {}
+
+        def power(v, e):
+            k = e
+            while k and (v, k) not in powers:
+                k -= 1
+            p = powers.get((v, k))
+            for k in range(k + 1, e + 1):
+                p = powers[(v, k)] = images[v] if k == 1 else p * images[v]
+            return p
 
         res = {}
+
+        def put(m, c):
+            s = res.get(m, 0) + c
+            if s:
+                res[m] = s
+            elif m in res:
+                del res[m]
+
         for (jets, xe), c in self.terms.items():
-            hit = None
-            for t, (v, e) in enumerate(jets):
-                if v == jet:
-                    hit = (t, e)
-                    break
-            if hit is None:
-                s = res.get((jets, xe), 0) + c
-                if s:
-                    res[(jets, xe)] = s
-                elif (jets, xe) in res:
-                    del res[(jets, xe)]
+            hits = tuple((v, e) for v, e in jets if v in images)
+            if not hits:
+                put((jets, xe), c)
                 continue
-            t, e = hit
-            rest = (jets[:t] + jets[t + 1:], xe)
-            for m2, c2 in power(e).terms.items():
-                m = mono_mul(rest, m2)
-                s = res.get(m, 0) + c * c2
-                if s:
-                    res[m] = s
-                elif m in res:
-                    del res[m]
+            prod = products.get(hits)
+            if prod is None:
+                prod = power(*hits[0])
+                for v, e in hits[1:]:
+                    prod = prod * power(v, e)
+                products[hits] = prod
+            rest = (tuple((v, e) for v, e in jets if v not in images), xe)
+            for m2, c2 in prod.terms.items():
+                put(mono_mul(rest, m2), c * c2)
         return DiffPoly(self.n, res, _clean=True)
 
-    def subst_dep(self, dep: int, value: "DiffPoly") -> "DiffPoly":
-        """Replace the dependent ``dep`` by a polynomial; jets become D_sigma(value)."""
-        p = self
+    def subst_deps(self, values: dict) -> "DiffPoly":
+        """Replace each dependent in ``values`` by its polynomial, at once;
+        a jet of a replaced dependent becomes D_sigma of its value."""
         cache = {}
-        for v in sorted(self.jetvars()):
-            if v[0] == dep:
-                p = p.subst_jet(v, total_memo(cache, dep, v[1], value))
-        return p
+        return self.substitute({
+            v: total_memo(cache, v[0], v[1], values[v[0]])
+            for v in self.jetvars() if v[0] in values
+        })
 
     def relabel_deps(self, mapping: dict) -> "DiffPoly":
         """Rename dependent indices (used to permute formal argument slots)."""

@@ -103,21 +103,27 @@ class EquationSystem:
             base = self._prol[zero] = self.reduce(self.rules[k].rhs)
         return total_memo(self._prol, k, tau, base, self.reduce)
 
-    def reduce(self, p: DiffPoly) -> DiffPoly:
-        """Normal form: rewrite the highest reducible jet first, to a fixpoint."""
-        key = self.ranking.key
+    def _rewrite(self, p: DiffPoly, image) -> DiffPoly:
+        """Substitute image(k, tau) for every jet u_{lead_k+tau} that has a
+        rule, all at once, until no jet has one.
+
+        Each reducible jet always gets the same image and the ranking makes
+        rewriting terminate, so the result does not depend on the order.
+        """
         while True:
-            best = None
-            best_k = None
+            images = {}
             for jet in p.jetvars():
                 k = self.rule_for(jet)
-                if k is not None and (best is None or key(jet) > key(best)):
-                    best = jet
-                    best_k = k
-            if best is None:
+                if k is not None:
+                    images[jet] = image(k, index_sub(jet[1], self.rules[k].lead[1]))
+            if not images:
                 return p
-            tau = index_sub(best[1], self.rules[best_k].lead[1])
-            p = p.subst_jet(best, self.prolonged_rhs(best_k, tau))
+            p = p.substitute(images)
+
+    def reduce(self, p: DiffPoly) -> DiffPoly:
+        """Normal form.  Every image is already a normal form, so the first
+        substitution is final and the second scan only confirms it."""
+        return self._rewrite(p, self.prolonged_rhs)
 
     def reduce_vector(self, v) -> VectorFunction:
         return as_vector(v).map(self.reduce)
@@ -204,30 +210,15 @@ class EquationSystem:
             deps_used |= rule.rhs.deps()
             deps_used.add(rule.lead[0])
         offset = max(deps_used | {base - 1}) + 1
-        key = self.ranking.key
 
         raw_prol = {}
-        rows = []
-        for comp, p in enumerate(g):
-            while True:
-                best = None
-                best_k = None
-                for jet in p.jetvars():
-                    if jet[0] >= offset:
-                        continue
-                    k = self.rule_for(jet)
-                    if k is not None and (best is None or key(jet) > key(best)):
-                        best = jet
-                        best_k = k
-                if best is None:
-                    break
-                tau = index_sub(best[1], self.rules[best_k].lead[1])
-                phi = DiffPoly.jet(n, offset + best_k, tau)
-                rule = self.rules[best_k]
-                raw = total_memo(raw_prol, best_k, tau, rule.rhs_exact)
-                repl = raw + phi * (1 / rule.scale)
-                p = p.subst_jet(best, repl)
-            rows.append(p)
+
+        def image(k, tau):
+            rule = self.rules[k]
+            raw = total_memo(raw_prol, k, tau, rule.rhs_exact)
+            return raw + DiffPoly.jet(n, offset + k, tau) * (1 / rule.scale)
+
+        rows = [self._rewrite(p, image) for p in g]
 
         entries = {}
         zero_residual = True
@@ -285,13 +276,12 @@ def make_system(frame, originals, solved, ranking, passivity_depth=4) -> Equatio
             )
         rules.append(Rule(lead, rhs, rhs, scale))
 
-    key = ranking.key
     for k, rule in enumerate(rules):
-        for jet in rule.rhs_exact.jetvars():
-            if not key(jet) < key(rule.lead):
-                raise NonOrthonomic(
-                    f"equation {k}: lead is not ranking-maximal in its solved form"
-                )
+        jets = rule.rhs_exact.jetvars()
+        if rule.lead in jets or ranking.max_jet(jets | {rule.lead}) != rule.lead:
+            raise NonOrthonomic(
+                f"equation {k}: lead is not ranking-maximal in its solved form"
+            )
     for a in range(len(rules)):
         for b in range(len(rules)):
             if a != b and rules[a].lead[0] == rules[b].lead[0]:

@@ -3,7 +3,8 @@
 Translates kernel polynomials into sympy expressions over opaque symbols
 and computes the total derivative with sympy's own differentiation (the
 function-substitution trick), so the comparison does not share code with
-the kernel's chain-rule implementation.  Operators are applied to formal
+the kernel's chain-rule implementation.  Jet substitution goes through
+sympy's ``xreplace``.  Operators are applied to formal
 arguments with those derivatives: composition against successive
 application, and the adjoint against sympy's product rule.
 """
@@ -32,6 +33,12 @@ def to_sympy(p: DiffPoly):
             term *= _jet_symbol(dep, idx) ** e
         total += term
     return sympy.expand(total)
+
+
+def sympy_substitute(p: DiffPoly, images: dict):
+    """Replace jets by polynomials with sympy's simultaneous ``xreplace``."""
+    table = {_jet_symbol(dep, idx): to_sympy(q) for (dep, idx), q in images.items()}
+    return sympy.expand(to_sympy(p).xreplace(table))
 
 
 def from_kernel_equal(p: DiffPoly, expr) -> bool:

@@ -167,8 +167,8 @@ def test_criterion_09_kupershmidt_deformation(kdv6, fr_u):
     w = kdv6.w_ids[0]
     n = system.frame.n
     flip = -DiffPoly.jet(n, w, (0, 0))
-    first = system.originals[0].subst_dep(w, flip)
-    second = system.originals[1].subst_dep(w, flip)
+    first = system.originals[0].subst_deps({w: flip})
+    second = system.originals[1].subst_deps({w: flip})
 
     def jet(dep, ix, it):
         return DiffPoly.jet(n, dep, (ix, it))

@@ -32,8 +32,8 @@ def test_deform_reproduces_kdv6_modulo_sign_flip(kdv6, fr_u):
     assert frame.dependents == ("u", "w")
     w = kdv6.w_ids[0]
     flip = -DiffPoly.jet(frame.n, w, (0, 0))
-    g = system.originals[0].subst_dep(w, flip)
-    h = system.originals[1].subst_dep(w, flip)
+    g = system.originals[0].subst_deps({w: flip})
+    h = system.originals[1].subst_deps({w: flip})
     u_t = DiffPoly.jet(frame.n, 0, (0, 1))
     u_x = DiffPoly.jet(frame.n, 0, (1, 0))
     u_xxx = DiffPoly.jet(frame.n, 0, (3, 0))

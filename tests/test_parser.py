@@ -3,13 +3,17 @@ from fractions import Fraction
 import pytest
 
 from hamcheck import CDiffOp, DiffPoly
-from hamcheck.parser import ParseError, parse_op, parse_poly, parse_program
+from hamcheck.parser import MAX_NESTING, ParseError, parse_op, parse_poly, parse_program
 from hamcheck.render import op_text, poly_text
 
 
 def test_simple_operator(fr_u):
     assert parse_op(fr_u, "Dx") == CDiffOp.d(fr_u.n, 0)
     assert parse_op(fr_u, "Dt") == CDiffOp.d(fr_u.n, 1)
+    assert parse_op(fr_u, "-" * 3000 + "Dx") == CDiffOp.d(fr_u.n, 0)
+    assert parse_op(fr_u, "-" * 3001 + "Dx") == -1 * CDiffOp.d(fr_u.n, 0)
+    inner = "(" * (MAX_NESTING - 1) + "Dx" + ")" * (MAX_NESTING - 1)
+    assert parse_op(fr_u, "[[" + inner + "]]") == CDiffOp.d(fr_u.n, 0)
 
 
 def test_operator_arithmetic(fr_u):
@@ -74,6 +78,18 @@ def test_syntax_error_position_and_expectations():
         parse_program("independents x, t;\ndependents u;\nvector v = [1/0];\n")
     assert (err.value.line, err.value.col) == (3, 15)
     assert "zero denominator" in err.value.msg
+    # Deep nesting stops at the first bracket past the limit, not in the
+    # interpreter's recursion limit.
+    deep = "(" * 2000 + "Dx" + ")" * 2000
+    with pytest.raises(ParseError) as err:
+        parse_program(f"independents x, t;\ndependents u;\noperator A = {deep};\n")
+    assert (err.value.line, err.value.col) == (3, 14 + MAX_NESTING)
+    assert "nested" in err.value.msg
+    # A long run of signs is folded, so the missing operand is reported.
+    with pytest.raises(ParseError) as err:
+        parse_program("independents x, t;\ndependents u;\noperator A = " + "-" * 3000 + ";\n")
+    assert (err.value.line, err.value.col) == (3, 3014)
+    assert "operand" in err.value.expected
 
 
 def test_unknown_identifier_is_positioned():

@@ -88,18 +88,22 @@ def test_evolutionary_apply_length_check(fr_uvw):
         evolutionary_apply(fr_uvw, phi, DiffPoly.jet(2, 0, (0, 0)))
 
 
-def test_subst_jet_expands_powers(fr_u):
+def test_substitute_expands_powers(fr_u):
     p = P(fr_u, "u_x^2 + u*u_x")
-    out = p.subst_jet((0, (1, 0)), P(fr_u, "u + 1"))
+    out = p.substitute({(0, (1, 0)): P(fr_u, "u + 1")})
     assert out == P(fr_u, "u^2 + 2*u + 1 + u*u + u") - P(fr_u, "u^2") + P(fr_u, "u^2")
     assert out == P(fr_u, "(u+1)^2 + u*(u+1)")
+    # every jet is replaced at once, never inside another jet's image
+    u, u_x = (0, (0, 0)), (0, (1, 0))
+    out = P(fr_u, "u*u_x^2").substitute({u: P(fr_u, "u_x"), u_x: P(fr_u, "u")})
+    assert out == P(fr_u, "u_x*u^2")
 
 
 def test_subst_dep_prolongs(fr_u):
     fr, (w,) = fr_u.extend(("w1",), formal=False)
     p = DiffPoly.jet(fr.n, w, (2, 0)) + DiffPoly.jet(fr.n, w, (0, 0))
     val = P(fr_u, "u*u_x")
-    out = p.subst_dep(w, val)
+    out = p.subst_deps({w: val})
     assert out == val.total(0).total(0) + val
 
 

@@ -20,6 +20,7 @@ from oracle_sympy import (
     sympy_apply,
     sympy_apply_adjoint,
     sympy_equal,
+    sympy_substitute,
     sympy_total_derivative,
 )
 
@@ -98,6 +99,18 @@ def test_total_derivative_matches_sympy_oracle(fp):
     frame, p = fp
     for i in range(frame.n):
         assert from_kernel_equal(p.total(i), sympy_total_derivative(p, i))
+
+
+@given(polys(), st.data())
+def test_substitute_matches_sympy_xreplace(fp, data):
+    frame, p = fp
+    jets = sorted(p.jetvars())
+    chosen = data.draw(st.lists(st.sampled_from(jets), unique=True)) if jets else []
+    images = {
+        v: data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1]
+        for v in chosen
+    }
+    assert from_kernel_equal(p.substitute(images), sympy_substitute(p, images))
 
 
 @given(polys())

@@ -166,6 +166,12 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "3:20" in proc.stderr
     assert "expected" in proc.stderr
+    deep = "(" * 2000 + "Dx" + ")" * 2000
+    bad.write_text(f"independents x, t;\ndependents u;\noperator A = {deep};\n")
+    proc = _cli(["run", str(bad)])
+    assert proc.returncode == 2
+    assert "3:114" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_task_failure_exit_1(tmp_path):
