@@ -49,7 +49,6 @@ from .poly import (
     euler,
     evolutionary_apply,
     formal_vector,
-    total_derivative,
 )
 from .systems import (
     ConservedCurrent,

@@ -8,16 +8,19 @@ signed symmetrization, so the whole kernel stays commutative.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .frame import Frame
 from .ops import CDiffOp, DimensionMismatch, linearize
 from .poly import DiffPoly, VectorFunction, as_vector, euler, evolutionary_apply, formal_vector
+from .render import poly_text
 from .systems import (
     EquationSystem,
     GenFn,
     HamcheckError,
     NonOrthonomic,
+    genfn_vector,
     make_genfn,
     make_system,
 )
@@ -174,8 +177,6 @@ def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep
 
 def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
     """Sum of sgn(pi) * density with argument blocks permuted by pi."""
-    import itertools
-
     k = len(blocks)
     out = DiffPoly.zero(density.n)
     for perm in itertools.permutations(range(k)):
@@ -233,16 +234,13 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
         raise ConstraintNotOrthonomic(str(exc)) from exc
 
 
-def _euler_residuals(frame: Frame, density: DiffPoly):
+def euler_residuals(frame: Frame, density: DiffPoly) -> VectorFunction:
     """Euler derivatives with respect to every dependent, physical and formal."""
-    all_deps = tuple(range(frame.m))
-    return euler(frame, density, deps=all_deps)
+    return euler(frame, density, deps=tuple(range(frame.m)))
 
 
 def _pick_residual(frame: Frame, residuals: VectorFunction):
     """Deterministic choice of the smallest nonzero component."""
-    from .render import poly_text
-
     nonzero = [
         (len(p.terms), poly_text(frame, p), dep, p)
         for dep, p in enumerate(residuals)
@@ -267,18 +265,31 @@ def skew_density_verdict(
     """
     e = system.is_evolution()
     if e is not None and not density.involves_direction(e):
-        residuals = _euler_residuals(frame_ext, density)
+        residuals = euler_residuals(frame_ext, density)
         picked = _pick_residual(frame_ext, residuals)
         if picked is None:
             return TrivialityVerdict(True, True, frame=frame_ext)
         return TrivialityVerdict(False, True, picked[1], picked[0], frame_ext)
     joint = constraint_system(system, frame_ext, blocks)
     reduced = joint.reduce(density)
-    residuals = _euler_residuals(frame_ext, reduced)
+    residuals = euler_residuals(frame_ext, reduced)
     picked = _pick_residual(frame_ext, residuals)
     if picked is None:
         return TrivialityVerdict(True, False, frame=frame_ext)
     return TrivialityVerdict(False, False, picked[1], picked[0], frame_ext)
+
+
+def skew_pairing_verdict(
+    system: EquationSystem, frame_ext: Frame, image: VectorFunction, blocks
+) -> TrivialityVerdict:
+    """Triviality test of the pairing sum_k q_k * image[k], where q is the
+    last argument block, signed-symmetrized over all the blocks."""
+    n = system.frame.n
+    density = DiffPoly.zero(n)
+    for k, q in enumerate(blocks[-1]):
+        density = density + DiffPoly.jet(n, q, (0,) * n) * image[k]
+    skew = _signed_symmetrization(density, blocks)
+    return skew_density_verdict(system, frame_ext, skew, blocks)
 
 
 def is_zero_trivector(system: EquationSystem, tri: TrivectorRep) -> TrivialityVerdict:
@@ -287,15 +298,11 @@ def is_zero_trivector(system: EquationSystem, tri: TrivectorRep) -> TrivialityVe
     l = len(system.rules)
     if len(tri.entries) != l:
         raise DimensionMismatch("trivector arity does not match the system")
-    n = system.frame.n
     names = tri.frame.fresh_names("r", l)
     frame3, ids3 = tri.frame.extend(names, formal=True)
-    density = DiffPoly.zero(n)
-    for k in range(l):
-        density = density + DiffPoly.jet(n, ids3[k], (0,) * n) * tri.entries[k]
-    blocks = (tri.arg1, tri.arg2, ids3)
-    skew = _signed_symmetrization(density, blocks)
-    return skew_density_verdict(system, frame3, skew, blocks)
+    return skew_pairing_verdict(
+        system, frame3, tri.entries, (tri.arg1, tri.arg2, ids3)
+    )
 
 
 def is_hamiltonian(system: EquationSystem, op: CDiffOp) -> bool:
@@ -309,8 +316,8 @@ def is_hamiltonian(system: EquationSystem, op: CDiffOp) -> bool:
 
 def poisson(system: EquationSystem, biv: Bivector, psi1, psi2) -> VectorFunction:
     """Poisson bracket of two generating functions under a Hamiltonian operator."""
-    psi1 = psi1.psi if isinstance(psi1, GenFn) else as_vector(psi1)
-    psi2 = psi2.psi if isinstance(psi2, GenFn) else as_vector(psi2)
+    psi1 = genfn_vector(psi1)
+    psi2 = genfn_vector(psi2)
     for psi in (psi1, psi2):
         residual = system.genfn_residual(psi)
         if not residual.is_zero():
@@ -336,7 +343,7 @@ class MagriChain:
 
 def magri_defects(system, b1: Bivector, b2: Bivector, chain) -> list:
     """Reduced defects A1(psi_i) - A2(psi_{i+1}) for adjacent entries."""
-    vecs = [g.psi if isinstance(g, GenFn) else as_vector(g) for g in chain]
+    vecs = [genfn_vector(g) for g in chain]
     out = []
     for a, b in zip(vecs, vecs[1:]):
         diff = b1.op.apply(a) - b2.op.apply(b)
@@ -349,7 +356,7 @@ def verify_magri(system, b1, b2, chain, check_poisson=False) -> bool:
     if any(not d.is_zero() for d in magri_defects(system, b1, b2, chain)):
         return False
     if check_poisson:
-        vecs = [g.psi if isinstance(g, GenFn) else as_vector(g) for g in chain]
+        vecs = [genfn_vector(g) for g in chain]
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
                 for biv in (b1, b2):

@@ -11,14 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brackets import Bivector, MagriChain, certify_bivector, magri_defects
+from .brackets import (
+    Bivector,
+    MagriChain,
+    certify_bivector,
+    euler_residuals,
+    magri_defects,
+)
 from .frame import Ranking
 from .ops import CDiffOp, linearize
-from .poly import DiffPoly, VectorFunction, as_vector, euler, formal_vector
+from .poly import DiffPoly, VectorFunction, as_vector, formal_vector
 from .systems import (
     EquationSystem,
-    GenFn,
     HamcheckError,
+    genfn_vector,
     make_genfn,
     solve_orthonomic,
 )
@@ -126,7 +132,7 @@ def lift_hierarchy(deformed: DeformedSystem, chain: MagriChain) -> LiftedChain:
     """
     if chain.home is not deformed.base:
         raise HamcheckError("chain must live on the base system")
-    vecs = [g.psi if isinstance(g, GenFn) else as_vector(g) for g in chain.entries]
+    vecs = [genfn_vector(g) for g in chain.entries]
     if not vecs:
         return LiftedChain(MagriChain(deformed.system, ()), (), ())
     if len(vecs) == 1:
@@ -159,8 +165,8 @@ def check_conserved(deformed: DeformedSystem, psi_i, psi_next) -> bool:
     pairing is a total divergence there.
     """
     base = deformed.base
-    psi_i = psi_i.psi if isinstance(psi_i, GenFn) else as_vector(psi_i)
-    psi_next = psi_next.psi if isinstance(psi_next, GenFn) else as_vector(psi_next)
+    psi_i = genfn_vector(psi_i)
+    psi_next = genfn_vector(psi_next)
     defect = base.reduce_vector(
         deformed.a1.op.apply(psi_i) - deformed.a2.op.apply(psi_next)
     )
@@ -189,5 +195,4 @@ def check_conserved(deformed: DeformedSystem, psi_i, psi_next) -> bool:
         density = density + p * f
     for p, c in zip(psi_next, constraint):
         density = density + p * c
-    residuals = euler(system.frame, density, deps=tuple(range(system.frame.m)))
-    return residuals.is_zero()
+    return euler_residuals(system.frame, density).is_zero()

@@ -9,14 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brackets import (
-    Bivector,
-    TrivialityVerdict,
-    _signed_symmetrization,
-    skew_density_verdict,
-)
+from .brackets import Bivector, TrivialityVerdict, skew_pairing_verdict
 from .ops import CDiffOp, DimensionMismatch
-from .poly import DiffPoly, formal_vector
+from .poly import formal_vector
 from .systems import EquationSystem, HamcheckError
 
 
@@ -157,9 +152,4 @@ def equivalent_as_bivectors(system: EquationSystem, a1, a2) -> TrivialityVerdict
     frame_ext, ids = system.frame.extend(names, formal=True)
     b1_ids, b2_ids = ids[:l], ids[l:]
     image = diff.apply(formal_vector(n, b1_ids))
-    density = DiffPoly.zero(n)
-    for k in range(l):
-        density = density + DiffPoly.jet(n, b2_ids[k], (0,) * n) * image[k]
-    blocks = (b1_ids, b2_ids)
-    skew = _signed_symmetrization(density, blocks)
-    return skew_density_verdict(system, frame_ext, skew, blocks)
+    return skew_pairing_verdict(system, frame_ext, image, (b1_ids, b2_ids))

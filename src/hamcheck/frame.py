@@ -15,22 +15,6 @@ MultiIndex = tuple
 JetVar = tuple
 
 
-def zero_index(n: int) -> MultiIndex:
-    return (0,) * n
-
-
-def unit_index(n: int, i: int) -> MultiIndex:
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def index_order(idx: MultiIndex) -> int:
-    return sum(idx)
-
-
-def index_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def index_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -94,9 +78,6 @@ class Frame:
             return self.dependents.index(name)
         except ValueError:
             raise ValueError(f"unknown dependent variable {name!r}") from None
-
-    def is_formal(self, dep: int) -> bool:
-        return dep in self.formal
 
     def fresh_names(self, stem: str, count: int) -> tuple:
         """Generate ``count`` dependent names based on ``stem`` avoiding clashes."""

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .poly import DiffPoly, VectorFunction, as_vector, total_memo
+from .poly import DiffPoly, VectorFunction, accumulate, as_vector, total_memo
 
 
 class DimensionMismatch(ValueError):
@@ -113,12 +113,7 @@ class CDiffOp:
         self._check_same_shape(other)
         res = dict(self.entries)
         for key, a in other.entries.items():
-            s = res.get(key)
-            s = a if s is None else s + a
-            if s:
-                res[key] = s
-            elif key in res:
-                del res[key]
+            accumulate(res, key, a)
         return CDiffOp(self.n, self.rows, self.cols, res, _clean=True)
 
     def __sub__(self, other):
@@ -163,12 +158,6 @@ class CDiffOp:
     def order(self) -> int:
         return max((sum(s) for (_, _, s) in self.entries), default=0)
 
-    def involves_direction(self, i: int) -> bool:
-        for (_, _, sigma), a in self.entries.items():
-            if sigma[i] or a.involves_direction(i):
-                return True
-        return False
-
     def entry_terms(self, r, c):
         """All (sigma, coefficient) pairs of one matrix entry."""
         return [
@@ -176,13 +165,8 @@ class CDiffOp:
         ]
 
     def map_coeffs(self, fn) -> "CDiffOp":
-        res = {}
-        for (r, c, sigma), a in self.entries.items():
-            b = fn(a)
-            if b:
-                key = (r, c, sigma)
-                s = res.get(key)
-                res[key] = b if s is None else s + b
+        # keys stay distinct, so there is nothing to merge: drop zero images
+        res = {key: b for key, a in self.entries.items() if (b := fn(a))}
         return CDiffOp(self.n, self.rows, self.cols, res, _clean=True)
 
     # -- action, composition, adjoint ----------------------------------
@@ -219,13 +203,7 @@ class CDiffOp:
                     if coeff != 1:
                         part = part * coeff
                     out_sigma = tuple(p + q for p, q in zip(rho, tau))
-                    key = (r, c, out_sigma)
-                    s = res.get(key)
-                    s = part if s is None else s + part
-                    if s:
-                        res[key] = s
-                    elif key in res:
-                        del res[key]
+                    accumulate(res, (r, c, out_sigma), part)
         return CDiffOp(self.n, self.rows, other.cols, res, _clean=True)
 
     def adjoint(self) -> "CDiffOp":
@@ -240,14 +218,7 @@ class CDiffOp:
                 da = total_memo(dcache, (r, c, sigma), delta, a)
                 if da.is_zero():
                     continue
-                part = da * coeff
-                key = (c, r, rho)
-                s = res.get(key)
-                s = part if s is None else s + part
-                if s:
-                    res[key] = s
-                elif key in res:
-                    del res[key]
+                accumulate(res, (c, r, rho), da * coeff)
         return CDiffOp(self.n, self.cols, self.rows, res, _clean=True)
 
 

@@ -4,6 +4,12 @@ A monomial is a pair ``(jets, xexp)``: a sorted tuple of
 ``((dep, idx), exponent)`` jet factors and a tuple of exponents of the
 explicit independent variables.  Coefficients are arbitrary-precision
 rationals; there is no floating point anywhere in the kernel.
+
+Two invariants hold for every value the kernel builds: no zero
+coefficient is ever stored (every sparse sum goes through
+``accumulate``), and jet factors stay sorted (every product of
+monomials goes through ``jets_mul``).  Equality is therefore
+structural.
 """
 
 from __future__ import annotations
@@ -21,19 +27,50 @@ def mono_one(n: int) -> Mono:
     return ((), (0,) * n)
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    ja, xa = a
-    jb, xb = b
-    if not ja:
-        jets = jb
-    elif not jb:
-        jets = ja
+def accumulate(res: dict, key, value) -> None:
+    """Add the nonzero ``value`` into ``res[key]``; drop the key if the sum is 0.
+
+    The one merge rule of every sparse builder, for rational coefficients
+    and for polynomial operator entries alike.
+    """
+    old = res.get(key)
+    if old is None:
+        res[key] = value
     else:
-        acc = dict(ja)
-        for v, e in jb:
-            acc[v] = acc.get(v, 0) + e
-        jets = tuple(sorted(acc.items()))
-    return (jets, tuple(p + q for p, q in zip(xa, xb)))
+        value = old + value
+        if value:
+            res[key] = value
+        else:
+            del res[key]
+
+
+def jets_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two sorted jet-factor tuples: a linear merge that adds
+    the exponents of shared jets."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def mono_mul(a: Mono, b: Mono) -> Mono:
+    return (jets_mul(a[0], b[0]), tuple(p + q for p, q in zip(a[1], b[1])))
 
 
 def mono_degree(m: Mono) -> int:
@@ -104,11 +141,7 @@ class DiffPoly:
             return NotImplemented
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
+            accumulate(res, m, c)
         return DiffPoly(self.n, res, _clean=True)
 
     __radd__ = __add__
@@ -138,12 +171,7 @@ class DiffPoly:
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = res.get(m, 0) + c1 * c2
-                if s:
-                    res[m] = s
-                elif m in res:
-                    del res[m]
+                accumulate(res, mono_mul(m1, m2), c1 * c2)
         return DiffPoly(self.n, res, _clean=True)
 
     __rmul__ = __mul__
@@ -210,12 +238,6 @@ class DiffPoly:
                 return c
         return None
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def max_jet_order(self) -> int:
-        return max((sum(v[1]) for v in self.jetvars()), default=0)
-
     def involves_direction(self, i: int) -> bool:
         for jets, xe in self.terms:
             if xe[i]:
@@ -234,53 +256,24 @@ class DiffPoly:
             for t, (v, e) in enumerate(jets):
                 if v == jet:
                     rest = jets[:t] + ((v, e - 1),) + jets[t + 1:] if e > 1 else jets[:t] + jets[t + 1:]
-                    m = (rest, xe)
-                    s = res.get(m, 0) + c * e
-                    if s:
-                        res[m] = s
-                    elif m in res:
-                        del res[m]
+                    accumulate(res, (rest, xe), c * e)
                     break
-        return DiffPoly(self.n, res, _clean=True)
-
-    def partial_x(self, i: int) -> "DiffPoly":
-        """Partial derivative with respect to the explicit variable x_i."""
-        res = {}
-        for (jets, xe), c in self.terms.items():
-            if xe[i]:
-                nxe = tuple(q - 1 if k == i else q for k, q in enumerate(xe))
-                m = (jets, nxe)
-                s = res.get(m, 0) + c * xe[i]
-                if s:
-                    res[m] = s
-                elif m in res:
-                    del res[m]
         return DiffPoly(self.n, res, _clean=True)
 
     def total(self, i: int) -> "DiffPoly":
         """Total derivative D_i: d/dx_i plus the chain rule over all jets."""
         res = {}
-
-        def put(m, c):
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-
         for (jets, xe), c in self.terms.items():
             if xe[i]:
                 nxe = tuple(q - 1 if k == i else q for k, q in enumerate(xe))
-                put((jets, nxe), c * xe[i])
+                accumulate(res, (jets, nxe), c * xe[i])
             for t, ((dep, idx), e) in enumerate(jets):
                 up = (dep, tuple(q + 1 if k == i else q for k, q in enumerate(idx)))
                 if e > 1:
                     rest = jets[:t] + (((dep, idx), e - 1),) + jets[t + 1:]
                 else:
                     rest = jets[:t] + jets[t + 1:]
-                acc = dict(rest)
-                acc[up] = acc.get(up, 0) + 1
-                put((tuple(sorted(acc.items())), xe), c * e)
+                accumulate(res, (jets_mul(rest, ((up, 1),)), xe), c * e)
         return DiffPoly(self.n, res, _clean=True)
 
     def total_multi(self, idx) -> "DiffPoly":
@@ -313,18 +306,10 @@ class DiffPoly:
             return p
 
         res = {}
-
-        def put(m, c):
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-
         for (jets, xe), c in self.terms.items():
             hits = tuple((v, e) for v, e in jets if v in images)
             if not hits:
-                put((jets, xe), c)
+                accumulate(res, (jets, xe), c)
                 continue
             prod = products.get(hits)
             if prod is None:
@@ -334,7 +319,7 @@ class DiffPoly:
                 products[hits] = prod
             rest = (tuple((v, e) for v, e in jets if v not in images), xe)
             for m2, c2 in prod.terms.items():
-                put(mono_mul(rest, m2), c * c2)
+                accumulate(res, mono_mul(rest, m2), c * c2)
         return DiffPoly(self.n, res, _clean=True)
 
     def subst_deps(self, values: dict) -> "DiffPoly":
@@ -353,12 +338,7 @@ class DiffPoly:
             nj = tuple(
                 sorted(((mapping.get(dep, dep), idx), e) for (dep, idx), e in jets)
             )
-            m = (nj, xe)
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
+            accumulate(res, (nj, xe), c)
         return DiffPoly(self.n, res, _clean=True)
 
 
@@ -453,11 +433,6 @@ def total_memo(cache: dict, key, sigma, base: DiffPoly, step=None) -> DiffPoly:
         p = p.total(i) if step is None else step(p.total(i))
         cache[(key, up)] = p
     return p
-
-
-def total_derivative(i: int, p: DiffPoly) -> DiffPoly:
-    """Total derivative D_i; linear and Leibniz over products."""
-    return p.total(i)
 
 
 def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:

@@ -7,8 +7,6 @@ to identical bytes; golden files and report determinism rely on this.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .frame import Frame
 from .ops import CDiffOp
 from .poly import DiffPoly, VectorFunction, mono_sort_key
@@ -36,10 +34,6 @@ def _factor_texts(frame: Frame, mono) -> list:
     return out
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_text(frame: Frame, p: DiffPoly) -> str:
     if p.is_zero():
         return "0"
@@ -51,9 +45,9 @@ def poly_text(frame: Frame, p: DiffPoly) -> str:
         if factors:
             body = "*".join(factors)
             if mag != 1:
-                body = f"{_coeff_text(mag)}*{body}"
+                body = f"{mag}*{body}"
         else:
-            body = _coeff_text(mag)
+            body = str(mag)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

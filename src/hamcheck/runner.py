@@ -19,10 +19,17 @@ from .brackets import (
     certify_bivector,
     is_zero_trivector,
     magri_defects,
+    make_chain,
     poisson,
     schouten,
 )
-from .deform import MagriPrecondition, check_conserved, deform, lift_hierarchy
+from .deform import (
+    DeformedSystem,
+    MagriPrecondition,
+    check_conserved,
+    deform,
+    lift_hierarchy,
+)
 from .equivalence import (
     EquivalenceData,
     equivalence_residuals,
@@ -34,7 +41,7 @@ from .ops import CDiffOp
 from .parser import Direction, NameRef, Program, TaskDecl
 from .poly import DiffPoly, VectorFunction, as_vector
 from .render import op_text, poly_text, vector_text
-from .systems import HamcheckError, make_system
+from .systems import EquationSystem, HamcheckError, genfn_vector, make_system
 
 OK = "ok"
 FAIL = "fail"
@@ -116,9 +123,6 @@ class RunContext:
         return arg
 
     def need_system(self, value, what="system"):
-        from .deform import DeformedSystem
-        from .systems import EquationSystem
-
         if isinstance(value, DeformedSystem):
             return value.system
         if isinstance(value, EquationSystem):
@@ -380,21 +384,16 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
     if kind == "lift":
         args = _args(task, 3, 64)
         deformed = ctx.resolve(args[0])
-        from .deform import DeformedSystem
-
         if not isinstance(deformed, DeformedSystem):
             raise HamcheckError("lift needs the name of a deform task result")
         base = deformed.base
         vecs = [ctx.need_vector(ctx.resolve(a), base) for a in args[1:]]
-        from .brackets import make_chain
-
         chain = make_chain(base, deformed.a1, deformed.a2, vecs)
         lifted = lift_hierarchy(deformed, chain)
         frame = deformed.system.frame
         detail = {
             "entries": [
-                vector_text(frame, g.psi if hasattr(g, "psi") else g)
-                for g in lifted.chain.entries
+                vector_text(frame, genfn_vector(g)) for g in lifted.chain.entries
             ],
             "genfn_certified": [r.is_zero() for r in lifted.genfn_residuals],
             "magri_certified": [d.is_zero() for d in lifted.magri_defects],

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .frame import index_le, index_sub
 from .ops import CDiffOp, DimensionMismatch, linearize
-from .poly import DiffPoly, VectorFunction, as_vector, total_memo
+from .poly import DiffPoly, VectorFunction, accumulate, as_vector, total_memo
 
 
 class HamcheckError(Exception):
@@ -220,7 +220,7 @@ class EquationSystem:
 
         rows = [self._rewrite(p, image) for p in g]
 
-        entries = {}
+        terms = {}
         zero_residual = True
         for comp, p in enumerate(rows):
             for (jets, xe), c in p.terms.items():
@@ -231,17 +231,16 @@ class EquationSystem:
                 elif deg == 1:
                     (dep, tau), _ = phis[0]
                     rest = tuple((v, e) for (v, e) in jets if v[0] < offset)
-                    mono = (rest, xe)
-                    k = dep - offset
-                    ekey = (comp, k, tau)
-                    add = DiffPoly(n, {mono: c}, _clean=True)
-                    got = entries.get(ekey)
-                    entries[ekey] = add if got is None else got + add
+                    entry = terms.setdefault((comp, dep - offset, tau), {})
+                    accumulate(entry, (rest, xe), c)
                 # degree >= 2 in F-jets is dropped: the defining identity is
                 # only needed to first order off the equation.
         if not zero_residual:
             raise NotOnEquation("expression does not vanish on the equation")
-        entries = {k: self.reduce(a) for k, a in entries.items() if a}
+        entries = {
+            key: self.reduce(DiffPoly(n, t, _clean=True))
+            for key, t in terms.items() if t
+        }
         return CDiffOp(n, len(g), len(self.rules), entries)
 
 
@@ -382,6 +381,11 @@ class GenFn:
 
     home: EquationSystem
     psi: VectorFunction
+
+
+def genfn_vector(g) -> VectorFunction:
+    """The vector of a generating function, or of a bare candidate."""
+    return g.psi if isinstance(g, GenFn) else as_vector(g)
 
 
 def make_genfn(system: EquationSystem, psi) -> GenFn:

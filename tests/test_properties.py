@@ -14,6 +14,7 @@ from hamcheck import (
     evolutionary_apply,
     linearize,
 )
+from hamcheck.poly import jets_mul
 from oracle_sympy import (
     formal_args,
     from_kernel_equal,
@@ -227,6 +228,84 @@ def test_divergence_pairing(data):
     )[0]
     deps = tuple(range(frame.m))
     assert euler(frame, pairing, deps=deps).is_zero()
+
+
+# -- sparse invariant ----------------------------------------------------------
+
+
+def _sparse(x) -> bool:
+    """No stored zero coefficient or entry, and every monomial's jet
+    factors strictly sorted."""
+    if isinstance(x, CDiffOp):
+        return all(a and _sparse(a) for a in x.entries.values())
+    for (jets, _xe), c in x.terms.items():
+        if not c or any(v >= w for (v, _), (w, _) in zip(jets, jets[1:])):
+            return False
+    return True
+
+
+def _jets_mul_reference(a, b):
+    acc = dict(a)
+    for v, e in b:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two sorted jet-factor tuples that share some jets and not others."""
+    frame = draw(frames())
+    jets = draw(st.lists(
+        st.tuples(st.integers(0, frame.m - 1),
+                  st.sampled_from(_multi_indices(frame.n, 3))),
+        unique=True, max_size=6,
+    ))
+    a, b = [], []
+    for v in jets:
+        side = draw(st.sampled_from(("a", "b", "both")))
+        if side != "b":
+            a.append((v, draw(st.integers(1, 3))))
+        if side != "a":
+            b.append((v, draw(st.integers(1, 3))))
+    return tuple(sorted(a)), tuple(sorted(b))
+
+
+@given(factor_pairs())
+def test_jets_mul_matches_dict_and_sort(ab):
+    a, b = ab
+    assert jets_mul(a, b) == _jets_mul_reference(a, b)
+    assert jets_mul(b, a) == _jets_mul_reference(a, b)
+
+
+@given(polys(), st.data())
+def test_poly_results_store_no_zero(fp, data):
+    frame, p = fp
+    _, q = data.draw(polys(frame))
+    assert (p - p).terms == {}
+    results = [p + q, p - q, p + (q - p), p * q, (p + q) * (p - q) - p * p]
+    results += [p.total(i) for i in range(frame.n)]
+    results += [p.partial(v) for v in p.jetvars()]
+    jets = sorted(p.jetvars())
+    chosen = data.draw(st.lists(st.sampled_from(jets), unique=True)) if jets else []
+    images = {
+        v: data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1]
+        for v in chosen
+    }
+    results.append(p.substitute(images))
+    results.append(p.relabel_deps(dict(zip(range(frame.m), reversed(range(frame.m))))))
+    assert all(_sparse(r) for r in results)
+
+
+@given(st.data())
+def test_operator_results_store_no_zero(data):
+    frame = data.draw(frames())
+    a = data.draw(operators(frame))
+    b = data.draw(operators(frame))
+    assert (a - a).entries == {}
+    results = [a + b, a - b, a + (b - a), a.compose(b), a.adjoint()]
+    results.append(a.map_coeffs(lambda p: p.total(0)))
+    results.append(a.compose(b) - b.adjoint().compose(a.adjoint()).adjoint())
+    assert all(_sparse(r) for r in results)
 
 
 # -- reduction on the KdV system -------------------------------------------

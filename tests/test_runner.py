@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -124,9 +125,11 @@ task lift(sys6, psi1, psi2);
 
 def test_theta_built_once_per_system_and_operator(monkeypatch):
     calls = []
+    systems = []  # kept alive, so that no two systems share an id()
     theta = brackets._theta
 
     def counted(system, op):
+        systems.append(system)
         calls.append((id(system), op.rows, op.cols, tuple(sorted(
             (key, tuple(sorted(a.terms.items()))) for key, a in op.entries.items()
         ))))
@@ -157,6 +160,41 @@ def test_cli_demo_files(tmp_path):
     assert report["summary"]["fail"] == 0
     proc2 = _cli(["run", str(DEMOS / "kdv.ham"), "--report", str(out) + "2"])
     assert (tmp_path / "report.json").read_bytes() == Path(str(out) + "2").read_bytes()
+
+
+# sha256 of each demo's JSON report and of its --text output; a kernel
+# change that keeps every verdict and rendering must keep these bytes.
+DEMO_DIGESTS = {
+    "camassa_holm": (
+        "d3f26f00b8532ca92d7f3098354c7d0c903d6072cb05d207dcbe3ebdbac5e4a6",
+        "780ee01e72057e7e5a07012755f6072db6444a594a949dda829b4e5ca89da201",
+    ),
+    "kdv": (
+        "4e9a396476eee238267c623c455873efa5d80594170f257743960d335fb4a800",
+        "bfa9a33c2a5dfb280d5ff87797df3dcdde18cb3a5e767f184e586b2bb9889e6b",
+    ),
+    "kdv6": (
+        "00a6a1e38a86f8562616454f7bcbb0c746dae5e3e38b41e774f1cd05821eceb4",
+        "7eb71d9a79ebb34e2ea4e194f59e6927d855b584dfab3356c12b1bbce710ffbb",
+    ),
+    "kdv_three_component": (
+        "ce47a81f88e4f5a4ab1152cb4c1ec664b708d5a99a88f153fbde12e13206a4ba",
+        "27087d88fde11a44902aa43e79f5873fee6f66cc25776b50bac20dbf45fc1a9e",
+    ),
+}
+
+
+def test_demo_reports_match_pinned_digests(tmp_path, capsys):
+    assert sorted(DEMO_DIGESTS) == sorted(p.stem for p in DEMOS.glob("*.ham"))
+    for name, (json_digest, text_digest) in DEMO_DIGESTS.items():
+        demo = str(DEMOS / f"{name}.ham")
+        out = tmp_path / f"{name}.json"
+        cli.main(["run", demo, "--report", str(out)])
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest, name
+        cli.main(["run", demo, "--text"])
+        text = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == text_digest, name
 
 
 def test_cli_parse_error_exit_2(tmp_path):
