@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .frame import Frame
 from .ops import CDiffOp, DimensionMismatch, linearize
@@ -223,7 +224,7 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
                 raise ConstraintNotOrthonomic(
                     "constraint cannot be solved for its maximal argument jet"
                 )
-            rhs = DiffPoly.jet(n, lead[0], lead[1]) - row * (1 / scale)
+            rhs = DiffPoly.jet(n, lead[0], lead[1]) - row * Fraction(1, scale)
             originals.append(row)
             solved.append((lead, rhs))
     try:

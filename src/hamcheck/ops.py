@@ -7,11 +7,10 @@ derivative monomials.  Equality of canonical forms is structural.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .poly import DiffPoly, VectorFunction, accumulate, as_vector, total_memo
+from .poly import DiffPoly, VectorFunction, accumulate, as_vector, exact, total_memo
 
 
 class DimensionMismatch(ValueError):
@@ -129,7 +128,7 @@ class CDiffOp:
         )
 
     def __rmul__(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return CDiffOp.zero(self.n, self.rows, self.cols)
         return CDiffOp(

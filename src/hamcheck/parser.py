@@ -281,23 +281,25 @@ class Parser:
                 raise ParseError(
                     f"independent {nm!r} must be a single letter "
                     "(jet suffixes are letter sequences)", tok.line, tok.col)
-        self._maybe_build_frame()
+        self._maybe_build_frame(tok)
 
     def parse_dependents(self):
         tok = self.next()
         if self.dependents is not None:
             self.fail(tok, "dependents already declared")
         self.dependents = tuple(self._name_list())
-        self._maybe_build_frame()
+        self._maybe_build_frame(tok)
 
-    def _maybe_build_frame(self):
+    def _maybe_build_frame(self, tok: Token):
         if self.independents is None or self.dependents is None:
             return
         for nm in self.dependents:
             if len(nm) == 2 and nm[0] == "D" and nm[1] in self.independents:
-                raise ParseError(
-                    f"dependent {nm!r} collides with the derivative token", 1, 1)
-        self.frame = Frame(self.independents, self.dependents)
+                self.fail(tok, f"dependent {nm!r} collides with the derivative token")
+        try:
+            self.frame = Frame(self.independents, self.dependents)
+        except ValueError as exc:
+            self.fail(tok, str(exc))
 
     # -- jet variables -------------------------------------------------------
 

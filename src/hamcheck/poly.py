@@ -2,13 +2,16 @@
 
 A monomial is a pair ``(jets, xexp)``: a sorted tuple of
 ``((dep, idx), exponent)`` jet factors and a tuple of exponents of the
-explicit independent variables.  Coefficients are arbitrary-precision
-rationals; there is no floating point anywhere in the kernel.
+explicit independent variables.  Coefficients are exact rationals;
+there is no floating point anywhere in the kernel.
 
-Two invariants hold for every value the kernel builds: no zero
+Three invariants hold for every value the kernel builds: no zero
 coefficient is ever stored (every sparse sum goes through
-``accumulate``), and jet factors stay sorted (every product of
-monomials goes through ``jets_mul``).  Equality is therefore
+``accumulate``); jet factors stay sorted (every product of monomials
+goes through ``jets_mul``); and a coefficient is an ``int`` when it is
+integral and otherwise a ``Fraction`` with denominator greater than 1,
+never a ``float`` (``exact`` and ``accumulate`` store only that form),
+so integer work never reaches ``fractions``.  Equality is therefore
 structural.
 """
 
@@ -20,7 +23,17 @@ from .frame import Frame
 
 Mono = tuple
 
-ONE = Fraction(1)
+ONE = 1
+
+
+def exact(c):
+    """The canonical coefficient of the rational ``c``: an ``int`` when it is
+    integral, else a ``Fraction`` (whose denominator is then greater than 1)."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def mono_one(n: int) -> Mono:
@@ -31,17 +44,19 @@ def accumulate(res: dict, key, value) -> None:
     """Add the nonzero ``value`` into ``res[key]``; drop the key if the sum is 0.
 
     The one merge rule of every sparse builder, for rational coefficients
-    and for polynomial operator entries alike.
+    and for polynomial operator entries alike.  A coefficient is stored in
+    the canonical form of ``exact``: an integral ``Fraction`` becomes its
+    numerator.
     """
     old = res.get(key)
-    if old is None:
-        res[key] = value
-    else:
+    if old is not None:
         value = old + value
-        if value:
-            res[key] = value
-        else:
+        if not value:
             del res[key]
+            return
+    if type(value) is Fraction and value.denominator == 1:
+        value = value.numerator
+    res[key] = value
 
 
 def jets_mul(a: tuple, b: tuple) -> tuple:
@@ -101,7 +116,7 @@ class DiffPoly:
         else:
             clean = {}
             for m, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     clean[m] = c
             self.terms = clean
@@ -114,7 +129,7 @@ class DiffPoly:
 
     @classmethod
     def const(cls, n: int, c) -> "DiffPoly":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return cls.zero(n)
         return cls(n, {mono_one(n): c}, _clean=True)
@@ -160,11 +175,11 @@ class DiffPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = exact(other)
             if not c:
                 return DiffPoly.zero(self.n)
             return DiffPoly(
-                self.n, {m: q * c for m, q in self.terms.items()}, _clean=True
+                self.n, {m: exact(q * c) for m, q in self.terms.items()}, _clean=True
             )
         if not isinstance(other, DiffPoly):
             return NotImplemented
@@ -229,9 +244,9 @@ class DiffPoly:
         return {v[0] for v in self.jetvars()}
 
     def const_value(self):
-        """Return the rational value if the polynomial is constant, else None."""
+        """Return the coefficient if the polynomial is constant, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
             if m == mono_one(self.n):
@@ -332,12 +347,16 @@ class DiffPoly:
         })
 
     def relabel_deps(self, mapping: dict) -> "DiffPoly":
-        """Rename dependent indices (used to permute formal argument slots)."""
+        """Rename dependent indices (used to permute formal argument slots).
+
+        The renamed factors are multiplied back together with ``jets_mul``,
+        so two that land on the same jet merge into one power.
+        """
         res = {}
         for (jets, xe), c in self.terms.items():
-            nj = tuple(
-                sorted(((mapping.get(dep, dep), idx), e) for (dep, idx), e in jets)
-            )
+            nj = ()
+            for (dep, idx), e in jets:
+                nj = jets_mul(nj, (((mapping.get(dep, dep), idx), e),))
             accumulate(res, (nj, xe), c)
         return DiffPoly(self.n, res, _clean=True)
 

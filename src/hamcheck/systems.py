@@ -62,7 +62,7 @@ class Rule:
     lead: tuple
     rhs: DiffPoly
     rhs_exact: DiffPoly
-    scale: Fraction
+    scale: int | Fraction
 
 
 class EquationSystem:
@@ -216,7 +216,7 @@ class EquationSystem:
         def image(k, tau):
             rule = self.rules[k]
             raw = total_memo(raw_prol, k, tau, rule.rhs_exact)
-            return raw + DiffPoly.jet(n, offset + k, tau) * (1 / rule.scale)
+            return raw + DiffPoly.jet(n, offset + k, tau) * Fraction(1, rule.scale)
 
         rows = [self._rewrite(p, image) for p in g]
 
@@ -367,7 +367,7 @@ def solve_orthonomic(frame, originals, ranking, passivity_depth=4) -> EquationSy
                 f"equation {k}: maximal jet occurs nonlinearly or with "
                 "non-constant coefficient"
             )
-        rhs = DiffPoly.jet(n, lead[0], lead[1]) - f_k * (1 / scale)
+        rhs = DiffPoly.jet(n, lead[0], lead[1]) - f_k * Fraction(1, scale)
         solved.append((lead, rhs))
     return make_system(frame, originals, solved, ranking, passivity_depth)
 

@@ -6,7 +6,9 @@ function-substitution trick), so the comparison does not share code with
 the kernel's chain-rule implementation.  Jet substitution goes through
 sympy's ``xreplace``.  Operators are applied to formal
 arguments with those derivatives: composition against successive
-application, and the adjoint against sympy's product rule.
+application, and the adjoint against sympy's product rule.  The Euler
+operator and the linearization are built from sympy's partial
+derivatives and the same total derivative.
 """
 
 import sympy
@@ -86,6 +88,34 @@ def sympy_total_multi(expr, sigma):
         for _ in range(k):
             expr = sympy_total(expr, i)
     return expr
+
+
+def sympy_euler(expr, deps):
+    """Variational derivative of a sympy density: component j is the sum of
+    (-D)^sigma of d expr / d u^j_sigma over the jets of dependent j."""
+    out = []
+    for j in deps:
+        acc = sympy.Integer(0)
+        for sym in expr.free_symbols:
+            jet = _jet_of(sym)
+            if jet is not None and jet[0] == j:
+                term = sympy_total_multi(sympy.diff(expr, sym), jet[1])
+                acc += -term if sum(jet[1]) % 2 else term
+        out.append(sympy.expand(acc))
+    return out
+
+
+def sympy_linearize(expr, phis: dict):
+    """Linearization of a sympy expression in the direction ``phis``
+    (dependent -> sympy expression): d/de of expr with every jet u^j_sigma
+    replaced by u^j_sigma + e*D_sigma(phi_j), at e = 0."""
+    eps = sympy.Symbol("eps")
+    table = {}
+    for sym in expr.free_symbols:
+        jet = _jet_of(sym)
+        if jet is not None and jet[0] in phis:
+            table[sym] = sym + eps * sympy_total_multi(phis[jet[0]], jet[1])
+    return sympy.expand(sympy.diff(expr.xreplace(table), eps).subs(eps, 0))
 
 
 def formal_args(n: int, first_dep: int, count: int):

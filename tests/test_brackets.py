@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hamcheck import (
@@ -5,6 +7,7 @@ from hamcheck import (
     DiffPoly,
     HamcheckError,
     NotABivector,
+    Ranking,
     TrivectorRep,
     VectorFunction,
     bivector_residual,
@@ -14,9 +17,10 @@ from hamcheck import (
     make_chain,
     poisson,
     schouten,
+    solve_orthonomic,
     verify_magri,
 )
-from hamcheck.brackets import _lin_a_psi
+from hamcheck.brackets import _lin_a_psi, constraint_system
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.poly import formal_vector
 
@@ -282,3 +286,26 @@ def test_poisson_on_non_evolution_system(ch, fr_u):
     assert poisson(ch, c1, u, one).is_zero()
     assert poisson(ch, c2, u, one).is_zero()
     assert poisson(ch, c2, u, u).is_zero()
+
+
+def test_constraint_system_non_unit_scale_stays_exact(fr_u):
+    # L* of 3*u_t - u_xxx - 6*u*u_x on a slot p is -3*p_t + p_xxx + 6*u*p_x;
+    # solving it for p_t divides by the scale -3.
+    system = solve_orthonomic(
+        fr_u, [parse_poly(fr_u, "3*u_t - u_xxx - 6*u*u_x")], Ranking.of(fr_u, "t", "x")
+    )
+    frame, ids = system.frame.extend(system.frame.fresh_names("p", 1))
+    joint = constraint_system(system, frame, [ids])
+    rule = joint.rules[1]
+    assert rule.lead == (ids[0], (0, 1))
+    assert type(rule.scale) is int and rule.scale == -3
+    n = frame.n
+    p_x, p_xxx = (DiffPoly.jet(n, ids[0], (k, 0)) for k in (1, 3))
+    expected = Fraction(1, 3) * p_xxx + 2 * parse_poly(fr_u, "u") * p_x
+    for rhs in (rule.rhs, rule.rhs_exact):
+        assert rhs == expected
+        assert rhs.terms[next(iter(p_xxx.terms))] == Fraction(1, 3)
+        assert all(
+            type(c) is int or (type(c) is Fraction and c.denominator > 1)
+            for c in rhs.terms.values()
+        )

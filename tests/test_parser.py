@@ -1,9 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcheck import CDiffOp, DiffPoly
-from hamcheck.parser import MAX_NESTING, ParseError, parse_op, parse_poly, parse_program
+from hamcheck.parser import (
+    MAX_NESTING,
+    TASK_KINDS,
+    ParseError,
+    Program,
+    parse_op,
+    parse_poly,
+    parse_program,
+)
 from hamcheck.render import op_text, poly_text
 
 
@@ -90,6 +100,16 @@ def test_syntax_error_position_and_expectations():
         parse_program("independents x, t;\ndependents u;\noperator A = " + "-" * 3000 + ";\n")
     assert (err.value.line, err.value.col) == (3, 3014)
     assert "operand" in err.value.expected
+    # A frame the declarations cannot build is reported at the statement
+    # that completes it.
+    for decls in ("dependents u, x;", "dependents u, u;", "dependents Dx;"):
+        with pytest.raises(ParseError) as err:
+            parse_program("independents x, t;\n" + decls + "\n")
+        assert (err.value.line, err.value.col) == (2, 1)
+    with pytest.raises(ParseError) as err:
+        parse_program("dependents u, t;\n  independents x, t;\n")
+    assert (err.value.line, err.value.col) == (2, 3)
+    assert "unique" in err.value.msg
 
 
 def test_unknown_identifier_is_positioned():
@@ -193,3 +213,51 @@ def test_direction_token():
     )
     direction = program.tasks[0].args[2]
     assert direction.text == "1->2"
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+_VALID = """
+independents x , t ; dependents u , v ;
+equation kdv { solve u_t = u_xxx + 6 * u * u_x ; ranking t > x ; passivity 2 ; }
+operator A = Dx ^ 3 + 4 * u * Dx + 2 * u_x ;
+operator M = [ [ Dx , - 1 ] , [ 0 , Dt ] ] ;
+vector psi = [ 3 * u ^ 2 + u_xx , 1 / 2 ] ;
+equivalence e { systems kdv , kdv ; alpha = 1 ; alpha ' = 0 ; beta = 1 ;
+  beta ' = 0 ; s1 = 0 ; s2 = 0 ; }
+task deform ( kdv , A , A ) as d ; task transport ( e , Dx , 1 -> 2 ) ;
+task bivector ( kdv , A ) ; task poisson ( kdv , A , psi , [ u ] ) ;
+""".split()
+
+# Integer literals stay at 3 or less: an operator power ``A^k`` is
+# evaluated by k compositions, with no bound yet on k or on the result.
+_TOKENS = sorted(set(_VALID) | set(TASK_KINDS) | {
+    "independents", "dependents", "u_q", "u_tx", "w", "Dz", "xi", "d_A1", "@", "\n",
+}) + [str(k) for k in range(4)] + [f"{a} / {b}" for a in range(4) for b in range(4)]
+
+
+@st.composite
+def token_soups(draw):
+    """A valid program with a few random slices replaced by runs of its
+    grammar's tokens and rational literals."""
+    tokens = list(_VALID)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens)))
+        j = draw(st.integers(i, min(len(tokens), i + 3)))
+        tokens[i:j] = draw(st.lists(st.sampled_from(_TOKENS), max_size=4))
+    return " ".join(tokens)
+
+
+def test_fuzz_base_program_parses():
+    program = parse_program(" ".join(_VALID))
+    assert set(program.operators) == {"A", "M"} and len(program.tasks) == 4
+
+
+@settings(max_examples=400)
+@given(token_soups())
+def test_parser_fuzz_returns_program_or_parse_error(source):
+    try:
+        program = parse_program(source)
+    except ParseError:
+        return
+    assert isinstance(program, Program)

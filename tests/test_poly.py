@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamcheck import DiffPoly, VectorFunction, euler, evolutionary_apply
+from hamcheck import DiffPoly, Frame, VectorFunction, euler, evolutionary_apply
 from hamcheck.parser import parse_poly
 from hamcheck.render import poly_text
 
@@ -105,6 +105,16 @@ def test_subst_dep_prolongs(fr_u):
     val = P(fr_u, "u*u_x")
     out = p.subst_deps({w: val})
     assert out == val.total(0).total(0) + val
+
+
+def test_relabel_deps_merges_factors_on_one_jet():
+    fr = Frame(("x", "t"), ("u", "v"))
+    uv = parse_poly(fr, "u*v + u_x*v_x + u^2*v")
+    out = uv.relabel_deps({1: 0})
+    assert out == parse_poly(fr, "u^2 + u_x^2 + u^3")
+    assert out.terms[((((0, (0, 0)), 2),), (0, 0))] == 1
+    # an injective mapping only renames
+    assert uv.relabel_deps({0: 1, 1: 0}) == parse_poly(fr, "v*u + v_x*u_x + v^2*u")
 
 
 def test_canonical_rendering_order(fr_u):

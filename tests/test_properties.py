@@ -21,8 +21,11 @@ from oracle_sympy import (
     sympy_apply,
     sympy_apply_adjoint,
     sympy_equal,
+    sympy_euler,
+    sympy_linearize,
     sympy_substitute,
     sympy_total_derivative,
+    to_sympy,
 )
 
 FRAMES = [
@@ -123,11 +126,22 @@ def test_euler_annihilates_total_derivatives(fp):
 
 
 @given(polys())
-def test_coefficients_stay_rational(fp):
+def test_euler_matches_sympy_oracle(fp):
     frame, p = fp
-    q = (p * p - 2 * p).total(0)
-    assert all(isinstance(c, Fraction) for c in q.terms.values())
-    assert all(c != 0 for c in q.terms.values())
+    deps = tuple(range(frame.m))
+    expected = sympy_euler(to_sympy(p), deps)
+    assert all(from_kernel_equal(q, e) for q, e in zip(euler(frame, p, deps=deps), expected))
+
+
+@given(polys(), st.data())
+def test_linearize_matches_sympy_oracle(fp, data):
+    frame, f = fp
+    deps = data.draw(st.sampled_from([(0,), tuple(range(frame.m))]))
+    phis = [data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1]
+            for _ in deps]
+    out = linearize(VectorFunction([f]), deps).apply(VectorFunction(phis))[0]
+    expected = sympy_linearize(to_sympy(f), {d: to_sympy(q) for d, q in zip(deps, phis)})
+    assert from_kernel_equal(out, expected)
 
 
 @given(polys())
@@ -233,15 +247,40 @@ def test_divergence_pairing(data):
 # -- sparse invariant ----------------------------------------------------------
 
 
+def _canonical(c) -> bool:
+    """A nonzero ``int``, or a ``Fraction`` that is not integral: never a
+    ``float``, a ``bool``, zero or an integral ``Fraction``."""
+    if type(c) is int:
+        return c != 0
+    return type(c) is Fraction and c.denominator > 1
+
+
 def _sparse(x) -> bool:
-    """No stored zero coefficient or entry, and every monomial's jet
-    factors strictly sorted."""
+    """No stored zero coefficient or entry, every coefficient canonical, and
+    every monomial's jet factors strictly sorted."""
     if isinstance(x, CDiffOp):
         return all(a and _sparse(a) for a in x.entries.values())
     for (jets, _xe), c in x.terms.items():
-        if not c or any(v >= w for (v, _), (w, _) in zip(jets, jets[1:])):
+        if not _canonical(c) or any(v >= w for (v, _), (w, _) in zip(jets, jets[1:])):
             return False
     return True
+
+
+@given(polys())
+def test_coefficients_are_canonical(fp):
+    frame, p = fp
+    n = frame.n
+    assert _sparse(p) and _sparse((p * p - 2 * p).total(0))
+    half = p * Fraction(1, 2)
+    # integral products and sums of fractions come back as int
+    for q in (half * 2, 2 * half, half + half, half * DiffPoly.const(n, 2)):
+        assert q == p and _sparse(q)
+    one = DiffPoly.const(n, Fraction(1, 2)) * DiffPoly.const(n, 2)
+    assert [type(c) for c in one.terms.values()] == [int]
+    assert type(DiffPoly.const(n, Fraction(4, 2)).const_value()) is int
+    assert type(DiffPoly.zero(n).const_value()) is int
+    op = CDiffOp.mult(p)
+    assert _sparse(2 * (Fraction(1, 2) * op)) and 2 * (Fraction(1, 2) * op) == op
 
 
 def _jets_mul_reference(a, b):
@@ -283,6 +322,7 @@ def test_poly_results_store_no_zero(fp, data):
     _, q = data.draw(polys(frame))
     assert (p - p).terms == {}
     results = [p + q, p - q, p + (q - p), p * q, (p + q) * (p - q) - p * p]
+    results += [p * Fraction(2, 3), q * 3, (p * Fraction(1, 3)) * 3]
     results += [p.total(i) for i in range(frame.n)]
     results += [p.partial(v) for v in p.jetvars()]
     jets = sorted(p.jetvars())
@@ -293,6 +333,7 @@ def test_poly_results_store_no_zero(fp, data):
     }
     results.append(p.substitute(images))
     results.append(p.relabel_deps(dict(zip(range(frame.m), reversed(range(frame.m))))))
+    results.append(p.relabel_deps({d: 0 for d in range(frame.m)}))
     assert all(_sparse(r) for r in results)
 
 
@@ -305,6 +346,7 @@ def test_operator_results_store_no_zero(data):
     results = [a + b, a - b, a + (b - a), a.compose(b), a.adjoint()]
     results.append(a.map_coeffs(lambda p: p.total(0)))
     results.append(a.compose(b) - b.adjoint().compose(a.adjoint()).adjoint())
+    results += [Fraction(1, 2) * a, 2 * (Fraction(1, 2) * a), Fraction(3, 2) * a.adjoint()]
     assert all(_sparse(r) for r in results)
 
 
