@@ -44,6 +44,7 @@ from .frame import Frame, Ranking
 from .ops import CDiffOp, DimensionMismatch, linearize, transpose_conjugation_check
 from .poly import (
     DiffPoly,
+    ExponentOverflow,
     VectorFunction,
     as_vector,
     euler,

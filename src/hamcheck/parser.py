@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .frame import Frame
 from .ops import CDiffOp, DimensionMismatch
-from .poly import DiffPoly, VectorFunction
+from .poly import DiffPoly, ExponentOverflow, VectorFunction
 
 TASK_KINDS = (
     "reduce", "symmetry", "genfn", "bivector", "schouten", "hamiltonian",
@@ -341,6 +341,8 @@ class Parser:
                 left = left.compose(right)
             except DimensionMismatch as exc:
                 self.fail(star, f"dimension mismatch: {exc}")
+            except ExponentOverflow as exc:
+                self.fail(star, str(exc))
         return left
 
     def parse_unary(self, frame: Frame) -> CDiffOp:
@@ -360,8 +362,11 @@ class Parser:
             if base.rows != base.cols:
                 self.fail(caret, "power of a non-square operator")
             out = CDiffOp.identity(base.n, base.rows)
-            for _ in range(k):
-                out = out.compose(base)
+            try:
+                for _ in range(k):
+                    out = out.compose(base)
+            except ExponentOverflow as exc:
+                self.fail(caret, str(exc))
             return out
         return base
 

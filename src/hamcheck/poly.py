@@ -1,29 +1,123 @@
 """Exact sparse differential polynomials in jet variables.
 
-A monomial is a pair ``(jets, xexp)``: a sorted tuple of
-``((dep, idx), exponent)`` jet factors and a tuple of exponents of the
-explicit independent variables.  Coefficients are exact rationals;
-there is no floating point anywhere in the kernel.
+A monomial is one Python ``int``.  Every variable, a jet ``(dep, idx)``
+or an explicit independent ``x_i`` (keyed by the ``int`` ``i``), has a
+small id in one kernel-wide table, and the monomial keeps the exponent
+of the variable with id ``k`` in the ``W``-bit field at bit ``W*k``.  The
+empty monomial is ``0`` and the product of two monomials is their sum.
+The top bit of each field is a guard bit: every stored exponent stays
+below ``LIMIT = 2**(W - 1)``, so a sum of two stored monomials cannot
+carry into the next field, and a result with a guard bit set raises
+``ExponentOverflow`` instead of being stored.  Only this module knows
+the encoding.
+
+Everyone else sees the decoded view: ``decode`` gives a monomial as a
+pair ``(jets, xexp)`` of a sorted tuple of ``((dep, idx), exponent)``
+jet factors and a tuple of exponents of the explicit independent
+variables, ``DiffPoly.items`` yields terms in that form and the
+constructor without ``_clean`` takes keys in it.  Canonical orders sort
+decoded monomials with ``mono_sort_key``, never the ints, whose order
+depends on the order in which ids were given.
 
 Three invariants hold for every value the kernel builds: no zero
 coefficient is ever stored (every sparse sum goes through
-``accumulate``); jet factors stay sorted (every product of monomials
-goes through ``jets_mul``); and a coefficient is an ``int`` when it is
-integral and otherwise a ``Fraction`` with denominator greater than 1,
-never a ``float`` (``exact`` and ``accumulate`` store only that form),
-so integer work never reaches ``fractions``.  Equality is therefore
-structural.
+``accumulate``); no stored exponent reaches ``LIMIT``; and a coefficient
+is an ``int`` when it is integral and otherwise a ``Fraction`` with
+denominator greater than 1, never a ``float`` (``exact`` and
+``accumulate`` store only that form), so integer work never reaches
+``fractions``.  Ids never change meaning, so equality is structural.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul, or_
 
 from .frame import Frame
 
-Mono = tuple
-
 ONE = 1
+
+W = 16
+LIMIT = 1 << (W - 1)
+_FIELD = (1 << W) - 1
+
+# The kernel-wide variable table: _VARS[k] is the variable with id k,
+# _IDS maps it back, and _GUARD holds the guard bit of every field given
+# out.  It is only appended to and an id never changes meaning, so a
+# monomial means the same everywhere in the process; this is the one
+# piece of module state.
+_VARS = []
+_IDS = {}
+_GUARD = 0
+
+
+class HamcheckError(Exception):
+    """Base class for kernel errors."""
+
+
+class ExponentOverflow(HamcheckError):
+    def __init__(self):
+        super().__init__(
+            f"exponent limit exceeded: every exponent must stay below {LIMIT} (2^{W - 1})"
+        )
+
+
+def _id(v) -> int:
+    """The id of the variable ``v``, given now if it has none."""
+    global _GUARD
+    k = _IDS.get(v)
+    if k is None:
+        k = _IDS[v] = len(_VARS)
+        _VARS.append(v)
+        _GUARD |= 1 << (W * k + W - 1)
+    return k
+
+
+def _fields(m: int):
+    """(id, exponent) of every factor of the monomial ``m``, lowest id first."""
+    while m:
+        k = ((m & -m).bit_length() - 1) // W
+        e = (m >> (W * k)) & _FIELD
+        m -= e << (W * k)
+        yield k, e
+
+
+def _guarded(n: int, res: dict) -> "DiffPoly":
+    """The polynomial of the clean terms ``res``, whose monomials are sums of
+    stored ones; ExponentOverflow if an exponent reached ``LIMIT``."""
+    if reduce(or_, res, 0) & _GUARD:
+        raise ExponentOverflow()
+    return DiffPoly(n, res, _clean=True)
+
+
+def encode(mono) -> int:
+    """The packed form of the decoded monomial ``(jets, xexp)``.  Factors on
+    one variable merge; the guard is checked after each one, so no field
+    ever carries into the next."""
+    jets, xe = mono
+    m = 0
+    for v, e in list(jets) + [(i, e) for i, e in enumerate(xe) if e]:
+        if e >= LIMIT:
+            raise ExponentOverflow()
+        m += e << (W * _id(v))
+        if m & _GUARD:
+            raise ExponentOverflow()
+    return m
+
+
+def decode(n: int, m: int):
+    """The decoded form ``(jets, xexp)`` of the packed monomial ``m``."""
+    jets = []
+    xe = [0] * n
+    for k, e in _fields(m):
+        v = _VARS[k]
+        if type(v) is int:
+            xe[v] = e
+        else:
+            jets.append((v, e))
+    jets.sort()
+    return tuple(jets), tuple(xe)
 
 
 def exact(c):
@@ -34,10 +128,6 @@ def exact(c):
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
-
-
-def mono_one(n: int) -> Mono:
-    return ((), (0,) * n)
 
 
 def accumulate(res: dict, key, value) -> None:
@@ -59,55 +149,26 @@ def accumulate(res: dict, key, value) -> None:
     res[key] = value
 
 
-def jets_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two sorted jet-factor tuples: a linear merge that adds
-    the exponents of shared jets."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif vb < va:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-    return tuple(out) + a[i:] + b[j:]
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return (jets_mul(a[0], b[0]), tuple(p + q for p, q in zip(a[1], b[1])))
-
-
-def mono_degree(m: Mono) -> int:
+def mono_sort_key(m):
+    """Canonical order of decoded monomials: graded, then by jet factors,
+    then x exponents."""
     jets, xe = m
-    return sum(e for _, e in jets) + sum(xe)
-
-
-def mono_sort_key(m: Mono):
-    """Canonical term order: graded, then by jet factors, then x exponents."""
-    return (mono_degree(m), m[0], m[1])
+    return (sum(e for _, e in jets) + sum(xe), jets, xe)
 
 
 class DiffPoly:
     """Differential polynomial with exact rational coefficients.
 
     Instances are immutable by convention; all operations return new
-    values, so polynomials can be shared freely.
+    values, so polynomials can be shared freely.  ``terms`` maps packed
+    monomials to coefficients.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None, _clean: bool = False):
+        """``terms`` maps decoded monomials to rationals, or, with ``_clean``,
+        packed monomials to canonical nonzero coefficients."""
         self.n = n
         if not terms:
             self.terms = {}
@@ -118,7 +179,7 @@ class DiffPoly:
             for m, c in terms.items():
                 c = exact(c)
                 if c:
-                    clean[m] = c
+                    accumulate(clean, encode(m), c)
             self.terms = clean
 
     # -- constructors ------------------------------------------------
@@ -132,21 +193,24 @@ class DiffPoly:
         c = exact(c)
         if not c:
             return cls.zero(n)
-        return cls(n, {mono_one(n): c}, _clean=True)
+        return cls(n, {0: c}, _clean=True)
 
     @classmethod
     def coord(cls, n: int, i: int) -> "DiffPoly":
         """The explicit independent variable x_i."""
-        xe = tuple(1 if k == i else 0 for k in range(n))
-        return cls(n, {((), xe): ONE}, _clean=True)
+        return cls(n, {1 << (W * _id(i)): ONE}, _clean=True)
 
     @classmethod
     def jet(cls, n: int, dep: int, idx) -> "DiffPoly":
         idx = tuple(idx)
         if len(idx) != n or any(k < 0 for k in idx):
             raise ValueError(f"bad multi-index {idx!r}")
-        mono = ((((dep, idx), 1),), (0,) * n)
-        return cls(n, {mono: ONE}, _clean=True)
+        return cls(n, {1 << (W * _id((dep, idx))): ONE}, _clean=True)
+
+    def items(self):
+        """The terms as (decoded monomial, coefficient) pairs."""
+        n = self.n
+        return ((decode(n, m), c) for m, c in self.terms.items())
 
     # -- ring structure ----------------------------------------------
 
@@ -186,8 +250,8 @@ class DiffPoly:
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                accumulate(res, mono_mul(m1, m2), c1 * c2)
-        return DiffPoly(self.n, res, _clean=True)
+                accumulate(res, m1 + m2, c1 * c2)
+        return _guarded(self.n, res)
 
     __rmul__ = __mul__
 
@@ -226,19 +290,17 @@ class DiffPoly:
     def __repr__(self):
         if not self.terms:
             return "DiffPoly(0)"
-        parts = []
-        for m in sorted(self.terms, key=mono_sort_key, reverse=True):
-            parts.append(f"{self.terms[m]}*{m!r}")
-        return "DiffPoly(" + " + ".join(parts) + ")"
+        terms = sorted(self.items(), key=lambda mc: mono_sort_key(mc[0]), reverse=True)
+        return "DiffPoly(" + " + ".join(f"{c}*{m!r}" for m, c in terms) + ")"
 
     # -- structure queries -------------------------------------------
 
+    def _vars(self):
+        """Every variable that occurs in some term."""
+        return [_VARS[k] for k, _ in _fields(reduce(or_, self.terms, 0))]
+
     def jetvars(self) -> set:
-        out = set()
-        for jets, _ in self.terms:
-            for v, _e in jets:
-                out.add(v)
-        return out
+        return {v for v in self._vars() if type(v) is not int}
 
     def deps(self) -> set:
         return {v[0] for v in self.jetvars()}
@@ -249,55 +311,54 @@ class DiffPoly:
             return 0
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
-            if m == mono_one(self.n):
+            if m == 0:
                 return c
         return None
 
     def involves_direction(self, i: int) -> bool:
-        for jets, xe in self.terms:
-            if xe[i]:
-                return True
-            for (_, idx), _e in jets:
-                if idx[i]:
-                    return True
-        return False
+        return any(
+            v == i if type(v) is int else v[1][i] for v in self._vars()
+        )
 
     # -- calculus ----------------------------------------------------
 
     def partial(self, jet) -> "DiffPoly":
         """Partial derivative with respect to one jet variable."""
         res = {}
-        for (jets, xe), c in self.terms.items():
-            for t, (v, e) in enumerate(jets):
-                if v == jet:
-                    rest = jets[:t] + ((v, e - 1),) + jets[t + 1:] if e > 1 else jets[:t] + jets[t + 1:]
-                    accumulate(res, (rest, xe), c * e)
-                    break
+        k = _IDS.get(jet)
+        if k is not None:
+            shift = W * k
+            for m, c in self.terms.items():
+                e = (m >> shift) & _FIELD
+                if e:
+                    accumulate(res, m - (1 << shift), c * e)
         return DiffPoly(self.n, res, _clean=True)
 
     def total(self, i: int) -> "DiffPoly":
-        """Total derivative D_i: d/dx_i plus the chain rule over all jets."""
-        res = {}
-        for (jets, xe), c in self.terms.items():
-            if xe[i]:
-                nxe = tuple(q - 1 if k == i else q for k, q in enumerate(xe))
-                accumulate(res, (jets, nxe), c * xe[i])
-            for t, ((dep, idx), e) in enumerate(jets):
-                up = (dep, tuple(q + 1 if k == i else q for k, q in enumerate(idx)))
-                if e > 1:
-                    rest = jets[:t] + (((dep, idx), e - 1),) + jets[t + 1:]
-                else:
-                    rest = jets[:t] + jets[t + 1:]
-                accumulate(res, (jets_mul(rest, ((up, 1),)), xe), c * e)
-        return DiffPoly(self.n, res, _clean=True)
+        """Total derivative D_i: d/dx_i plus the chain rule over all jets.
 
-    def total_multi(self, idx) -> "DiffPoly":
-        """Iterated total derivative D_sigma."""
-        p = self
-        for i, k in enumerate(idx):
-            for _ in range(k):
-                p = p.total(i)
-        return p
+        The factor with id k and exponent e of the term ``c*m`` contributes
+        ``c*e`` times the monomial ``m + steps[k]``: x_i loses one power, a
+        jet trades one power for its D_i-raised jet, and any other x_j
+        contributes nothing (step 0).
+        """
+        steps = {}
+        res = {}
+        for m, c in self.terms.items():
+            for k, e in _fields(m):
+                step = steps.get(k)
+                if step is None:
+                    v = _VARS[k]
+                    if type(v) is not int:
+                        dep, idx = v
+                        up = (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
+                        step = (1 << (W * _id(up))) - (1 << (W * k))
+                    else:
+                        step = -(1 << (W * k)) if v == i else 0
+                    steps[k] = step
+                if step:
+                    accumulate(res, m + step, c * e)
+        return _guarded(self.n, res)
 
     # -- substitutions -----------------------------------------------
 
@@ -305,37 +366,43 @@ class DiffPoly:
         """Replace every jet variable in ``images`` by its polynomial, at once.
 
         This is the ring homomorphism that fixes every other variable: each
-        term's kept monomial is multiplied by the product of the images of
-        its replaced factors.  Powers and products are memoized per call.
+        term splits into its replaced factors ``hit = m & mask`` and the kept
+        monomial ``m - hit``, which is multiplied by the product of the
+        images of the factors in ``hit``.  Powers and products are memoized
+        per call.
         """
+        by_id = {}
+        mask = 0
+        for v, q in images.items():
+            k = _IDS.get(v)
+            if k is not None:
+                by_id[k] = q
+                mask |= _FIELD << (W * k)
         powers = {}
         products = {}
 
-        def power(v, e):
-            k = e
-            while k and (v, k) not in powers:
-                k -= 1
-            p = powers.get((v, k))
-            for k in range(k + 1, e + 1):
-                p = powers[(v, k)] = images[v] if k == 1 else p * images[v]
+        def power(k, e):
+            j = e
+            while j and (k, j) not in powers:
+                j -= 1
+            p = powers.get((k, j))
+            for j in range(j + 1, e + 1):
+                p = powers[(k, j)] = by_id[k] if j == 1 else p * by_id[k]
             return p
 
         res = {}
-        for (jets, xe), c in self.terms.items():
-            hits = tuple((v, e) for v, e in jets if v in images)
-            if not hits:
-                accumulate(res, (jets, xe), c)
+        for m, c in self.terms.items():
+            hit = m & mask
+            if not hit:
+                accumulate(res, m, c)
                 continue
-            prod = products.get(hits)
+            prod = products.get(hit)
             if prod is None:
-                prod = power(*hits[0])
-                for v, e in hits[1:]:
-                    prod = prod * power(v, e)
-                products[hits] = prod
-            rest = (tuple((v, e) for v, e in jets if v not in images), xe)
+                prod = products[hit] = reduce(mul, [power(k, e) for k, e in _fields(hit)])
+            kept = m - hit
             for m2, c2 in prod.terms.items():
-                accumulate(res, mono_mul(rest, m2), c * c2)
-        return DiffPoly(self.n, res, _clean=True)
+                accumulate(res, kept + m2, c * c2)
+        return _guarded(self.n, res)
 
     def subst_deps(self, values: dict) -> "DiffPoly":
         """Replace each dependent in ``values`` by its polynomial, at once;
@@ -349,15 +416,13 @@ class DiffPoly:
     def relabel_deps(self, mapping: dict) -> "DiffPoly":
         """Rename dependent indices (used to permute formal argument slots).
 
-        The renamed factors are multiplied back together with ``jets_mul``,
-        so two that land on the same jet merge into one power.
+        Each monomial is re-encoded, so two factors that land on the same
+        jet merge into one power.
         """
         res = {}
-        for (jets, xe), c in self.terms.items():
-            nj = ()
-            for (dep, idx), e in jets:
-                nj = jets_mul(nj, (((mapping.get(dep, dep), idx), e),))
-            accumulate(res, (nj, xe), c)
+        for (jets, xe), c in self.items():
+            renamed = [((mapping.get(dep, dep), idx), e) for (dep, idx), e in jets]
+            accumulate(res, encode((renamed, xe)), c)
         return DiffPoly(self.n, res, _clean=True)
 
 
@@ -469,6 +534,7 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
                 f"density involves non-physical dependents ({names}); "
                 "pass deps explicitly to vary them"
             )
+    cache = {}
     out = []
     for j in deps:
         acc = DiffPoly.zero(frame.n)
@@ -476,7 +542,7 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
             if v[0] != j:
                 continue
             idx = v[1]
-            term = density.partial(v).total_multi(idx)
+            term = total_memo(cache, v, idx, density.partial(v))
             if sum(idx) % 2:
                 term = -term
             acc = acc + term

@@ -38,8 +38,7 @@ def poly_text(frame: Frame, p: DiffPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for mono in sorted(p.terms, key=mono_sort_key, reverse=True):
-        c = p.terms[mono]
+    for mono, c in sorted(p.items(), key=lambda mc: mono_sort_key(mc[0]), reverse=True):
         factors = _factor_texts(frame, mono)
         mag = abs(c)
         if factors:

@@ -14,11 +14,7 @@ from fractions import Fraction
 
 from .frame import index_le, index_sub
 from .ops import CDiffOp, DimensionMismatch, linearize
-from .poly import DiffPoly, VectorFunction, accumulate, as_vector, total_memo
-
-
-class HamcheckError(Exception):
-    """Base class for kernel errors."""
+from .poly import DiffPoly, HamcheckError, VectorFunction, accumulate, as_vector, total_memo
 
 
 class NonOrthonomic(HamcheckError):
@@ -164,10 +160,7 @@ class EquationSystem:
             idx = rule.lead[1]
             if sum(idx) != 1 or not idx[e]:
                 return None
-            for (_, jdx) in rule.rhs.jetvars():
-                if jdx[e]:
-                    return None
-            if any(xe[e] for (_, xe) in rule.rhs.terms):
+            if rule.rhs.involves_direction(e):
                 return None
         return e
 
@@ -223,7 +216,7 @@ class EquationSystem:
         terms = {}
         zero_residual = True
         for comp, p in enumerate(rows):
-            for (jets, xe), c in p.terms.items():
+            for (jets, xe), c in p.items():
                 phis = [(v, e) for (v, e) in jets if v[0] >= offset]
                 deg = sum(e for _, e in phis)
                 if deg == 0:
@@ -238,7 +231,7 @@ class EquationSystem:
         if not zero_residual:
             raise NotOnEquation("expression does not vanish on the equation")
         entries = {
-            key: self.reduce(DiffPoly(n, t, _clean=True))
+            key: self.reduce(DiffPoly(n, t))
             for key, t in terms.items() if t
         }
         return CDiffOp(n, len(g), len(self.rules), entries)
@@ -328,6 +321,7 @@ def _check_passivity(system: EquationSystem, depth: int):
     """Cross-derivative compatibility of overlapping rules, to finite depth."""
     rules = system.rules
     n = system.frame.n
+    cache = {}
     for a in range(len(rules)):
         for b in range(a + 1, len(rules)):
             if rules[a].lead[0] != rules[b].lead[0]:
@@ -337,10 +331,10 @@ def _check_passivity(system: EquationSystem, depth: int):
             ta = index_sub(lcm, la)
             tb = index_sub(lcm, lb)
             for nu in _multi_indices_upto(n, depth):
-                da = system.reduce(system.rules[a].rhs.total_multi(
-                    tuple(p + q for p, q in zip(ta, nu))))
-                db = system.reduce(system.rules[b].rhs.total_multi(
-                    tuple(p + q for p, q in zip(tb, nu))))
+                da = system.reduce(total_memo(
+                    cache, a, tuple(p + q for p, q in zip(ta, nu)), rules[a].rhs))
+                db = system.reduce(total_memo(
+                    cache, b, tuple(p + q for p, q in zip(tb, nu)), rules[b].rhs))
                 residual = da - db
                 if not residual.is_zero():
                     raise PassivityFailure(sum(nu), residual)

@@ -26,7 +26,7 @@ def _x_symbol(i):
 
 def to_sympy(p: DiffPoly):
     total = sympy.Integer(0)
-    for (jets, xe), c in p.terms.items():
+    for (jets, xe), c in p.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for i, e in enumerate(xe):
             if e:

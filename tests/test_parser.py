@@ -100,6 +100,13 @@ def test_syntax_error_position_and_expectations():
         parse_program("independents x, t;\ndependents u;\noperator A = " + "-" * 3000 + ";\n")
     assert (err.value.line, err.value.col) == (3, 3014)
     assert "operand" in err.value.expected
+    # An exponent past the kernel's limit is reported at the operator that
+    # builds it.
+    for vec, col in (("u^40000", 14), ("u^20000*u^20000", 20)):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"independents x, t;\ndependents u;\nvector v = [{vec}];\n")
+        assert (err.value.line, err.value.col) == (3, col)
+        assert "32768" in err.value.msg
     # A frame the declarations cannot build is reported at the statement
     # that completes it.
     for decls in ("dependents u, x;", "dependents u, u;", "dependents Dx;"):

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from hamcheck import DiffPoly, Frame, VectorFunction, euler, evolutionary_apply
+from hamcheck import (
+    DiffPoly,
+    ExponentOverflow,
+    Frame,
+    VectorFunction,
+    euler,
+    evolutionary_apply,
+)
 from hamcheck.parser import parse_poly
 from hamcheck.render import poly_text
 
@@ -112,9 +119,30 @@ def test_relabel_deps_merges_factors_on_one_jet():
     uv = parse_poly(fr, "u*v + u_x*v_x + u^2*v")
     out = uv.relabel_deps({1: 0})
     assert out == parse_poly(fr, "u^2 + u_x^2 + u^3")
-    assert out.terms[((((0, (0, 0)), 2),), (0, 0))] == 1
+    assert dict(out.items())[((((0, (0, 0)), 2),), (0, 0))] == 1
     # an injective mapping only renames
     assert uv.relabel_deps({0: 1, 1: 0}) == parse_poly(fr, "v*u + v_x*u_x + v^2*u")
+
+
+def test_exponent_limit_fails_cleanly_where_exponents_grow():
+    fr = Frame(("x", "t"), ("u", "v", "w"))
+    u, v, w, u_x = (P(fr, s) for s in ("u", "v", "w", "u_x"))
+    top = u ** (2**15 - 1)
+    assert dict(top.items()) == {((((0, (0, 0)), 2**15 - 1),), (0, 0)): 1}
+    with pytest.raises(ExponentOverflow) as err:
+        top * u
+    assert "32768" in str(err.value)
+    with pytest.raises(ExponentOverflow):
+        DiffPoly(fr.n, {((((0, (0, 0)), 2**15),), (0, 0)): 1})
+    with pytest.raises(ExponentOverflow):
+        (u * u_x ** (2**15 - 1)).total(0)
+    with pytest.raises(ExponentOverflow):
+        (top * u_x).substitute({(0, (1, 0)): u})
+    with pytest.raises(ExponentOverflow):
+        (top * v).relabel_deps({1: 0})
+    # three factors merging onto one jet would carry past a 16-bit field
+    with pytest.raises(ExponentOverflow):
+        (u**30000 * v**30000 * w**30000).relabel_deps({1: 0, 2: 0})
 
 
 def test_canonical_rendering_order(fr_u):

@@ -14,7 +14,7 @@ from hamcheck import (
     evolutionary_apply,
     linearize,
 )
-from hamcheck.poly import jets_mul
+from hamcheck.poly import decode, encode
 from oracle_sympy import (
     formal_args,
     from_kernel_equal,
@@ -260,7 +260,7 @@ def _sparse(x) -> bool:
     every monomial's jet factors strictly sorted."""
     if isinstance(x, CDiffOp):
         return all(a and _sparse(a) for a in x.entries.values())
-    for (jets, _xe), c in x.terms.items():
+    for (jets, _xe), c in x.items():
         if not _canonical(c) or any(v >= w for (v, _), (w, _) in zip(jets, jets[1:])):
             return False
     return True
@@ -291,8 +291,8 @@ def _jets_mul_reference(a, b):
 
 
 @st.composite
-def factor_pairs(draw):
-    """Two sorted jet-factor tuples that share some jets and not others."""
+def mono_pairs(draw):
+    """Two decoded monomials whose jet factors share some jets and not others."""
     frame = draw(frames())
     jets = draw(st.lists(
         st.tuples(st.integers(0, frame.m - 1),
@@ -306,14 +306,24 @@ def factor_pairs(draw):
             a.append((v, draw(st.integers(1, 3))))
         if side != "a":
             b.append((v, draw(st.integers(1, 3))))
-    return tuple(sorted(a)), tuple(sorted(b))
+    xa, xb = (tuple(draw(st.integers(0, 2)) for _ in range(frame.n)) for _ in "ab")
+    return frame.n, (tuple(sorted(a)), xa), (tuple(sorted(b)), xb)
 
 
-@given(factor_pairs())
-def test_jets_mul_matches_dict_and_sort(ab):
-    a, b = ab
-    assert jets_mul(a, b) == _jets_mul_reference(a, b)
-    assert jets_mul(b, a) == _jets_mul_reference(a, b)
+@given(mono_pairs())
+def test_packed_product_matches_dict_and_sort(nab):
+    n, (a, xa), (b, xb) = nab
+    expected = (_jets_mul_reference(a, b), tuple(p + q for p, q in zip(xa, xb)))
+    assert decode(n, encode((a, xa)) + encode((b, xb))) == expected
+    assert decode(n, encode((b, xb)) + encode((a, xa))) == expected
+
+
+@given(mono_pairs(), polys())
+def test_packed_encoding_round_trips(nab, fp):
+    n, a, b = nab
+    assert decode(n, encode(a)) == a and decode(n, encode(b)) == b
+    frame, p = fp
+    assert all(encode(decode(frame.n, m)) == m for m in p.terms)
 
 
 @given(polys(), st.data())

@@ -79,6 +79,17 @@ def test_runner_never_aborts_on_task_errors(monkeypatch):
     for r in results[5:9]:
         assert r.detail == {"error": "expected a vector of densities, got Direction"}
 
+    # an exponent past the kernel's limit fails only its own task, naming it
+    source = KDV_SOURCE + (
+        "equation big { solve u_t = u^20000; ranking t > x; }\n"
+        "task reduce(big, u_t^2);\n"
+        "task reduce(big, u_t);\n"
+    )
+    _, results = run_source(source)
+    assert [r.status for r in results[5:]] == ["fail", "ok"]
+    assert "32768" in results[5].detail["error"]
+    assert "internal error" not in results[5].detail["error"]
+
     # an unexpected exception inside the kernel fails only its own task
     def boom(self, v):
         raise KeyError("lost")
@@ -209,6 +220,11 @@ def test_cli_parse_error_exit_2(tmp_path):
     proc = _cli(["run", str(bad)])
     assert proc.returncode == 2
     assert "3:114" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    bad.write_text("independents x, t;\ndependents u;\nvector v = [u^40000];\n")
+    proc = _cli(["run", str(bad)])
+    assert proc.returncode == 2
+    assert "3:14" in proc.stderr and "32768" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
