@@ -15,9 +15,13 @@ Everyone else sees the decoded view: ``decode`` gives a monomial as a
 pair ``(jets, xexp)`` of a sorted tuple of ``((dep, idx), exponent)``
 jet factors and a tuple of exponents of the explicit independent
 variables, ``DiffPoly.items`` yields terms in that form and the
-constructor without ``_clean`` takes keys in it.  Canonical orders sort
-decoded monomials with ``mono_sort_key``, never the ints, whose order
-depends on the order in which ids were given.
+constructor without ``_clean`` takes keys in it.  The canonical order
+of terms is graded, then by jet factors, then by x exponents, highest
+first; ``DiffPoly.canonical_terms`` walks the terms in it, giving each
+term's factors in order (x factors by index, then jets ascending).  It
+ranks the variables that occur once per call and sorts by those ranks,
+never by the ints, whose order depends on the order in which ids were
+given.
 
 Three invariants hold for every value the kernel builds: no zero
 coefficient is ever stored (every sparse sum goes through
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 
 from .frame import Frame
 
@@ -149,13 +153,6 @@ def accumulate(res: dict, key, value) -> None:
     res[key] = value
 
 
-def mono_sort_key(m):
-    """Canonical order of decoded monomials: graded, then by jet factors,
-    then x exponents."""
-    jets, xe = m
-    return (sum(e for _, e in jets) + sum(xe), jets, xe)
-
-
 class DiffPoly:
     """Differential polynomial with exact rational coefficients.
 
@@ -211,6 +208,51 @@ class DiffPoly:
         """The terms as (decoded monomial, coefficient) pairs."""
         n = self.n
         return ((decode(n, m), c) for m, c in self.terms.items())
+
+    def canonical_terms(self, factor) -> list:
+        """The terms in canonical order, highest first, as ``(factors, c)``.
+
+        ``factors`` lists ``factor(v, e)`` for each factor ``v^e`` of the
+        term: the explicit variables by index (``v`` is the ``int`` i), then
+        the jets in ascending order.  ``factor`` is called once per distinct
+        factor.  The jets that occur are ranked once; each term's sort key
+        is its degree, its jets' (rank, exponent) pairs and its x
+        exponents, which orders terms as the decoded ``(jets, xexp)`` would.
+        """
+        n = self.n
+        jets = sorted(v for v in self._vars() if type(v) is not int)
+        rank = {v: r for r, v in enumerate(jets)}
+        # field -> (place, e, factor(v, e)); x_i has place i - n < 0, so x
+        # factors sort first and xe[place] is xe[i]; a jet has its rank
+        memo = {}
+        rows = []
+        for m, c in self.terms.items():
+            fs = []
+            while m:
+                k = ((m & -m).bit_length() - 1) // W
+                f = m & (_FIELD << (W * k))
+                m -= f
+                t = memo.get(f)
+                if t is None:
+                    v, e = _VARS[k], f >> (W * k)
+                    t = memo[f] = (v - n if type(v) is int else rank[v], e, factor(v, e))
+                fs.append(t)
+            fs.sort()
+            # the -1 ends the (rank, e) pairs, so a term whose jet factors
+            # begin another's sorts below it
+            key = [0]
+            xe = [0] * n
+            for place, e, _ in fs:
+                key[0] += e
+                if place < 0:
+                    xe[place] = e
+                else:
+                    key += (place, e)
+            key.append(-1)
+            key += xe
+            rows.append((key, [t[2] for t in fs], c))
+        rows.sort(key=itemgetter(0), reverse=True)
+        return [(fs, c) for _, fs, c in rows]
 
     # -- ring structure ----------------------------------------------
 
@@ -290,8 +332,8 @@ class DiffPoly:
     def __repr__(self):
         if not self.terms:
             return "DiffPoly(0)"
-        terms = sorted(self.items(), key=lambda mc: mono_sort_key(mc[0]), reverse=True)
-        return "DiffPoly(" + " + ".join(f"{c}*{m!r}" for m, c in terms) + ")"
+        terms = self.canonical_terms(lambda v, e: (v, e))
+        return "DiffPoly(" + " + ".join(f"{c}*{fs!r}" for fs, c in terms) + ")"
 
     # -- structure queries -------------------------------------------
 
@@ -416,13 +458,36 @@ class DiffPoly:
     def relabel_deps(self, mapping: dict) -> "DiffPoly":
         """Rename dependent indices (used to permute formal argument slots).
 
-        Each monomial is re-encoded, so two factors that land on the same
-        jet merge into one power.
+        Each term keeps its factors on jets that are not renamed and adds
+        the renamed fields of the others, which are worked out once per
+        call for each distinct part ``hit = m & mask``.  Two factors that
+        land on the same jet merge into one power; the guard is checked
+        after each addition, as in ``encode``.
         """
+        mask = 0
+        for k, _ in _fields(reduce(or_, self.terms, 0)):
+            v = _VARS[k]
+            if type(v) is not int and mapping.get(v[0], v[0]) != v[0]:
+                mask |= _FIELD << (W * k)
+        if not mask:
+            return self
+        moved = {}
         res = {}
-        for (jets, xe), c in self.items():
-            renamed = [((mapping.get(dep, dep), idx), e) for (dep, idx), e in jets]
-            accumulate(res, encode((renamed, xe)), c)
+        for m, c in self.terms.items():
+            hit = m & mask
+            out = moved.get(hit)
+            if out is None:
+                out = 0
+                for k, e in _fields(hit):
+                    dep, idx = _VARS[k]
+                    out += e << (W * _id((mapping[dep], idx)))
+                    if out & _GUARD:
+                        raise ExponentOverflow()
+                moved[hit] = out
+            out += m - hit
+            if out & _GUARD:
+                raise ExponentOverflow()
+            accumulate(res, out, c)
         return DiffPoly(self.n, res, _clean=True)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .frame import Frame
 from .ops import CDiffOp
-from .poly import DiffPoly, VectorFunction, mono_sort_key
+from .poly import DiffPoly, VectorFunction
 
 
 def jet_text(frame: Frame, jet) -> str:
@@ -21,25 +21,21 @@ def jet_text(frame: Frame, jet) -> str:
     return f"{name}_{letters}"
 
 
-def _factor_texts(frame: Frame, mono) -> list:
-    jets, xe = mono
-    out = []
-    for i, e in enumerate(xe):
-        if e:
-            base = frame.independents[i]
-            out.append(base if e == 1 else f"{base}^{e}")
-    for v, e in jets:
-        base = jet_text(frame, v)
-        out.append(base if e == 1 else f"{base}^{e}")
-    return out
-
-
 def poly_text(frame: Frame, p: DiffPoly) -> str:
     if p.is_zero():
         return "0"
+    names = {}
+
+    def factor(v, e):
+        base = names.get(v)
+        if base is None:
+            base = names[v] = (
+                frame.independents[v] if type(v) is int else jet_text(frame, v)
+            )
+        return base if e == 1 else f"{base}^{e}"
+
     parts = []
-    for mono, c in sorted(p.items(), key=lambda mc: mono_sort_key(mc[0]), reverse=True):
-        factors = _factor_texts(frame, mono)
+    for factors, c in p.canonical_terms(factor):
         mag = abs(c)
         if factors:
             body = "*".join(factors)
@@ -67,25 +63,27 @@ def _dmono_text(frame: Frame, sigma) -> str:
     return "*".join(out)
 
 
-def entry_text(frame: Frame, op: CDiffOp, r: int, c: int) -> str:
-    terms = op.entry_terms(r, c)
+def entry_text(frame: Frame, terms: list) -> str:
+    """One operator entry, given as its (sigma, coefficient) pairs."""
     if not terms:
         return "0"
     terms.sort(key=lambda t: (sum(t[0]), t[0]))
     parts = []
     for sigma, a in terms:
         dmono = _dmono_text(frame, sigma)
-        atext = poly_text(frame, a)
-        if not dmono:
-            body = atext
-        elif a == DiffPoly.const(op.n, 1):
+        unit = a.const_value()
+        if dmono and unit == 1:
             body = dmono
-        elif a == DiffPoly.const(op.n, -1):
+        elif dmono and unit == -1:
             body = f"-{dmono}"
-        elif " " in atext or atext.startswith("-"):
-            body = f"({atext})*{dmono}"
         else:
-            body = f"{atext}*{dmono}"
+            atext = poly_text(frame, a)
+            if not dmono:
+                body = atext
+            elif " " in atext or atext.startswith("-"):
+                body = f"({atext})*{dmono}"
+            else:
+                body = f"{atext}*{dmono}"
         if not parts:
             parts.append(body)
         elif body.startswith("-"):
@@ -96,11 +94,13 @@ def entry_text(frame: Frame, op: CDiffOp, r: int, c: int) -> str:
 
 
 def op_text(frame: Frame, op: CDiffOp) -> str:
+    cells = {}
+    for (r, c, sigma), a in op.entries.items():
+        cells.setdefault((r, c), []).append((sigma, a))
     if op.rows == 1 and op.cols == 1:
-        return entry_text(frame, op, 0, 0)
+        return entry_text(frame, cells.get((0, 0), []))
     rows = []
     for r in range(op.rows):
-        rows.append(
-            "[" + ", ".join(entry_text(frame, op, r, c) for c in range(op.cols)) + "]"
-        )
+        row = (entry_text(frame, cells.get((r, c), [])) for c in range(op.cols))
+        rows.append("[" + ", ".join(row) + "]")
     return "[" + ", ".join(rows) + "]"

@@ -124,6 +124,12 @@ def test_relabel_deps_merges_factors_on_one_jet():
     assert uv.relabel_deps({0: 1, 1: 0}) == parse_poly(fr, "v*u + v_x*u_x + v^2*u")
 
 
+def test_relabel_deps_merges_terms_and_keeps_the_rest():
+    fr = Frame(("x", "t"), ("u", "v", "w"))
+    p = parse_poly(fr, "x*u_x*w + x*v_x*w - t*v^2 + w_t")
+    assert p.relabel_deps({1: 0}) == parse_poly(fr, "2*x*u_x*w - t*u^2 + w_t")
+
+
 def test_exponent_limit_fails_cleanly_where_exponents_grow():
     fr = Frame(("x", "t"), ("u", "v", "w"))
     u, v, w, u_x = (P(fr, s) for s in ("u", "v", "w", "u_x"))

@@ -1,6 +1,7 @@
 """Randomized invariant suites for the kernel (at least 100 cases each)."""
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hamcheck import (
     linearize,
 )
 from hamcheck.poly import decode, encode
+from hamcheck.render import jet_text, poly_text
 from oracle_sympy import (
     formal_args,
     from_kernel_equal,
@@ -36,13 +38,7 @@ FRAMES = [
 
 
 def _multi_indices(n, max_order):
-    if n == 1:
-        return [(k,) for k in range(max_order + 1)]
-    out = []
-    for a in range(max_order + 1):
-        for b in range(max_order + 1 - a):
-            out.append((a, b))
-    return out
+    return [idx for idx in product(range(max_order + 1), repeat=n) if sum(idx) <= max_order]
 
 
 @st.composite
@@ -324,6 +320,73 @@ def test_packed_encoding_round_trips(nab, fp):
     assert decode(n, encode(a)) == a and decode(n, encode(b)) == b
     frame, p = fp
     assert all(encode(decode(frame.n, m)) == m for m in p.terms)
+
+
+def _poly_text_reference(frame, p):
+    """Rendering by decoded monomials: sorted by (degree, jets, x exponents),
+    highest first, x factors before jet factors."""
+    def key(mc):
+        jets, xe = mc[0]
+        return (sum(e for _, e in jets) + sum(xe), jets, xe)
+
+    if p.is_zero():
+        return "0"
+    parts = []
+    for (jets, xe), c in sorted(p.items(), key=key, reverse=True):
+        factors = [frame.independents[i] + ("" if e == 1 else f"^{e}")
+                   for i, e in enumerate(xe) if e]
+        factors += [jet_text(frame, v) + ("" if e == 1 else f"^{e}") for v, e in jets]
+        mag = abs(c)
+        body = str(mag) if not factors else "*".join(factors)
+        if factors and mag != 1:
+            body = f"{mag}*{body}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+# A sort by packed ints orders x exponents correctly only if the ids of
+# x_0, x_1, ... decrease with the index; x_2 gets its id here, after x_0.
+RENDER_FRAMES = FRAMES + [
+    Frame(("x", "t"), ("u", "v", "w")),
+    Frame(("x", "y", "t"), ("u", "v")),
+]
+
+
+@st.composite
+def render_polys(draw):
+    """Polynomials over a few jets, so that terms often share their jet
+    factors and differ only in exponents or in x and t."""
+    frame = draw(st.sampled_from(RENDER_FRAMES))
+    pool = draw(st.lists(
+        st.tuples(st.integers(0, frame.m - 1),
+                  st.sampled_from(_multi_indices(frame.n, 2))),
+        unique=True, min_size=1, max_size=4,
+    ))
+    constant = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+    terms = {((), (0,) * frame.n): constant}
+    for _ in range(draw(st.integers(0, 8))):
+        jets = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+        mono = (
+            tuple(sorted((v, draw(st.integers(1, 3))) for v in jets)),
+            tuple(draw(st.integers(0, 3)) for _ in range(frame.n)),
+        )
+        terms[mono] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    return frame, DiffPoly(frame.n, terms)
+
+
+@given(render_polys())
+def test_poly_text_matches_decoded_reference(fp):
+    frame, p = fp
+    assert poly_text(frame, p) == _poly_text_reference(frame, p)
+
+
+def test_poly_text_matches_reference_on_a_deep_reduction(kdv, fr_u):
+    p = kdv.reduce(DiffPoly.jet(fr_u.n, 0, (0, 8)))
+    assert len(p.terms) > 400
+    assert poly_text(fr_u, p) == _poly_text_reference(fr_u, p)
 
 
 @given(polys(), st.data())
