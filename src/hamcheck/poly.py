@@ -376,13 +376,17 @@ class DiffPoly:
                     accumulate(res, m - (1 << shift), c * e)
         return DiffPoly(self.n, res, _clean=True)
 
-    def total(self, i: int) -> "DiffPoly":
+    def total(self, i: int, image=None) -> "DiffPoly":
         """Total derivative D_i: d/dx_i plus the chain rule over all jets.
 
         The factor with id k and exponent e of the term ``c*m`` contributes
-        ``c*e`` times the monomial ``m + steps[k]``: x_i loses one power, a
+        ``c*e`` times ``m`` with ``steps[k]`` applied: x_i loses one power, a
         jet trades one power for its D_i-raised jet, and any other x_j
-        contributes nothing (step 0).
+        contributes nothing.  ``image(jet)``, when given, returns the
+        polynomial that stands for a raised jet, or None to keep the jet; a
+        jet with an image trades its power for that polynomial in the same
+        pass.  On a normal form, with normal forms as images, this gives the
+        normal form of D_i: the total derivative restricted to the equation.
         """
         steps = {}
         res = {}
@@ -390,16 +394,22 @@ class DiffPoly:
             for k, e in _fields(m):
                 step = steps.get(k)
                 if step is None:
-                    v = _VARS[k]
-                    if type(v) is not int:
+                    v, one = _VARS[k], 1 << (W * k)
+                    if type(v) is int:
+                        step = -one if v == i else 0
+                    else:
                         dep, idx = v
                         up = (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
-                        step = (1 << (W * _id(up))) - (1 << (W * k))
-                    else:
-                        step = -(1 << (W * k)) if v == i else 0
+                        q = image(up) if image else None
+                        step = (1 << (W * _id(up))) - one if q is None else (one, q.terms)
                     steps[k] = step
-                if step:
-                    accumulate(res, m + step, c * e)
+                if type(step) is int:
+                    if step:
+                        accumulate(res, m + step, c * e)
+                else:
+                    low, ce = m - step[0], c * e
+                    for m2, c2 in step[1].items():
+                        accumulate(res, low + m2, ce * c2)
         return _guarded(self.n, res)
 
     # -- substitutions -----------------------------------------------
@@ -563,13 +573,13 @@ def formal_vector(n: int, dep_ids) -> VectorFunction:
 # -- operations of the jet algebra ------------------------------------
 
 
-def total_memo(cache: dict, key, sigma, base: DiffPoly, step=None) -> DiffPoly:
+def total_memo(cache: dict, key, sigma, base: DiffPoly, image=None) -> DiffPoly:
     """D_sigma(base), memoized in ``cache`` under ``(key, sigma)``.
 
     ``sigma`` is lowered in its first nonzero direction until it meets a
-    cached index or zero; the path is then climbed back with ``total``,
-    followed by ``step`` when given, caching every index on the way.
-    Iterative, so the jet order is not limited by the recursion depth.
+    cached index or zero; the path is then climbed back with
+    ``total(i, image)``, caching every index on the way.  Iterative, so
+    the jet order is not limited by the recursion depth.
     """
     path = []
     while any(sigma) and (key, sigma) not in cache:
@@ -578,9 +588,7 @@ def total_memo(cache: dict, key, sigma, base: DiffPoly, step=None) -> DiffPoly:
         sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
     p = cache[(key, sigma)] if any(sigma) else base
     for up, i in reversed(path):
-        # no name keeps D_i(p) alive while step runs, so step can free it early
-        p = p.total(i) if step is None else step(p.total(i))
-        cache[(key, up)] = p
+        p = cache[(key, up)] = p.total(i, image)
     return p
 
 

@@ -92,12 +92,24 @@ class EquationSystem:
         return None
 
     def prolonged_rhs(self, k: int, tau) -> DiffPoly:
-        """Normal form of D_tau applied to rule k's right-hand side."""
+        """Normal form of D_tau applied to rule k's right-hand side.
+
+        It climbs from the normal form of the right-hand side one restricted
+        total derivative D̄_i = ``total(i, self._image)`` at a time: D_i of a
+        normal form whose raised reducible jets are replaced by their own
+        normal forms, in one pass, is again a normal form.
+        """
         zero = (k, (0,) * len(tau))
         base = self._prol.get(zero)
         if base is None:
             base = self._prol[zero] = self.reduce(self.rules[k].rhs)
-        return total_memo(self._prol, k, tau, base, self.reduce)
+        return total_memo(self._prol, k, tau, base, self._image)
+
+    def _image(self, jet):
+        """Normal form of a reducible jet, or None if no rule reduces it."""
+        k = self.rule_for(jet)
+        if k is not None:
+            return self.prolonged_rhs(k, index_sub(jet[1], self.rules[k].lead[1]))
 
     def _rewrite(self, p: DiffPoly, image) -> DiffPoly:
         """Substitute image(k, tau) for every jet u_{lead_k+tau} that has a

@@ -142,6 +142,10 @@ def test_exponent_limit_fails_cleanly_where_exponents_grow():
         DiffPoly(fr.n, {((((0, (0, 0)), 2**15),), (0, 0)): 1})
     with pytest.raises(ExponentOverflow):
         (u * u_x ** (2**15 - 1)).total(0)
+    # D_x(u^32767) = 32767*u^32766*u_x, and the image u^2 of u_x takes u
+    # past the limit inside the one pass of the restricted total derivative
+    with pytest.raises(ExponentOverflow):
+        top.total(0, {(0, (1, 0)): u * u}.get)
     with pytest.raises(ExponentOverflow):
         (top * u_x).substitute({(0, (1, 0)): u})
     with pytest.raises(ExponentOverflow):

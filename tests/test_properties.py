@@ -15,7 +15,7 @@ from hamcheck import (
     evolutionary_apply,
     linearize,
 )
-from hamcheck.poly import decode, encode
+from hamcheck.poly import decode, encode, total_memo
 from hamcheck.render import jet_text, poly_text
 from oracle_sympy import (
     formal_args,
@@ -452,6 +452,33 @@ def test_factor_soundness_on_f_linear_input(kdv, fr_u, data):
     delta = kdv.factor_through_f(g)
     back = delta.apply(VectorFunction([f]))[0]
     assert kdv.reduce(g - back).is_zero()
+
+
+# -- restricted total derivatives -------------------------------------------
+
+
+@given(st.sampled_from(["kdv", "ch", "ch2", "kdv3"]), st.data())
+def test_restricted_total_is_reduced_total(kdv, ch, ch2, kdv3, name, data):
+    system = {"kdv": kdv, "ch": ch, "ch2": ch2, "kdv3": kdv3}[name]
+    _, raw = data.draw(polys(system.frame, max_terms=3, max_degree=2, max_order=4))
+    p = system.reduce(raw)
+    for i in range(system.frame.n):
+        assert p.total(i, system._image) == system.reduce(p.total(i))
+        assert p.total(i, lambda v: None) == p.total(i)
+
+
+def test_prolonged_rhs_is_reduced_raw_prolongation(kdv, ch, ch2, kdv3, fr_u):
+    # on ch, D_x raises u_tx to the reducible u_txx and u_t to the
+    # irreducible u_tx, so a restricted D_x takes both branches of total
+    assert ch._image((0, (2, 1))) is not None and ch._image((0, (1, 1))) is None
+    p = ch.reduce(DiffPoly.jet(fr_u.n, 0, (1, 1)) * DiffPoly.jet(fr_u.n, 0, (0, 1)))
+    assert p.total(0, ch._image) == ch.reduce(p.total(0))
+    for system in (kdv, ch, ch2, kdv3):
+        raw = {}
+        for k, rule in enumerate(system.rules):
+            for tau in _multi_indices(system.frame.n, 4):
+                expect = system.reduce(total_memo(raw, k, tau, rule.rhs))
+                assert system.prolonged_rhs(k, tau) == expect
 
 
 # -- brackets -----------------------------------------------------------------

@@ -163,6 +163,26 @@ def _cli(args):
     return proc
 
 
+def test_cli_exponent_overflow_in_a_prolongation_fails_its_task(tmp_path):
+    # reducing u_tt climbs D_t(u^32767) = 32767*u^32766*u_t with the image
+    # u^32767 of u_t, which takes u past the exponent limit
+    src = tmp_path / "big.ham"
+    src.write_text(
+        "independents x, t;\ndependents u;\n"
+        "equation e { solve u_t = u^32767; ranking t > x; }\n"
+        "task reduce(e, u_tt);\ntask reduce(e, u_t);\n"
+    )
+    out = tmp_path / "report.json"
+    proc = _cli(["run", str(src), "--report", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [t["status"] for t in tasks] == ["fail", "ok"]
+    assert tasks[0]["detail"] == {
+        "error": "exponent limit exceeded: every exponent must stay below 32768 (2^15)"
+    }
+
+
 def test_cli_demo_files(tmp_path):
     out = tmp_path / "report.json"
     proc = _cli(["run", str(DEMOS / "kdv.ham"), "--report", str(out)])

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hamcheck import (
     solve_orthonomic,
 )
 from hamcheck.parser import parse_op, parse_poly, parse_vector
+from hamcheck.render import poly_text
 
 
 def P(fr, s):
@@ -153,6 +155,22 @@ def test_reduce_deep_jet_without_recursion(fr_u):
 def test_reduce_three_component(kdv3, fr_uvw):
     assert kdv3.reduce(P(fr_uvw, "u_xx")) == P(fr_uvw, "w")
     assert kdv3.reduce(P(fr_uvw, "u_xxx")) == P(fr_uvw, "u_t - 6*u*v")
+
+
+# sha256 of the rendered normal forms of two deep jets; a change to the
+# prolongation path that keeps every normal form must keep these bytes.
+DEEP_NORMAL_FORMS = {
+    ("kdv", (0, 10)): (1466, "38600cabb26b580961236db902f2c18ffdba8871e1e3a52bdd72afe100774b10"),
+    ("ch", (2, 6)): (215, "17e88250cc97c272468c6b56272f4e39c1646d07adf5a1f8d9224e96d936845b"),
+}
+
+
+def test_deep_normal_forms_match_pinned_digests(kdv, ch, fr_u):
+    systems = {"kdv": kdv, "ch": ch}
+    for (name, idx), (size, digest) in DEEP_NORMAL_FORMS.items():
+        p = systems[name].reduce(DiffPoly.jet(fr_u.n, 0, idx))
+        text = poly_text(fr_u, p).encode("utf-8")
+        assert (len(p.terms), hashlib.sha256(text).hexdigest()) == (size, digest), name
 
 
 def test_reduce_idempotent_and_morphism(kdv, fr_u):
