@@ -144,11 +144,13 @@ def _lin_a_psi(system: EquationSystem, op: CDiffOp, arg_ids) -> CDiffOp:
 def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep:
     """Variational Schouten bracket of two certified bivectors.
 
-    Evaluates the six-term formula on two fresh formal argument blocks.
-    The remainder terms always come from the certified factorization: on
-    evolution systems with skew operators this agrees with taking the
-    adjoint of the argument-linearization directly, but the factorization
-    stays correct for non-skew representatives as well.
+    Evaluates the six-term formula on two fresh formal argument blocks;
+    when ``b1 is b2`` the six terms are three equal pairs, so three are
+    evaluated and their sum doubled.  The remainder terms always come from
+    the certified factorization: on evolution systems with skew operators
+    this agrees with taking the adjoint of the argument-linearization
+    directly, but the factorization stays correct for non-skew
+    representatives as well.
     """
     if b1.home is not system or b2.home is not system:
         raise HamcheckError("bivectors must be certified on the given system")
@@ -164,14 +166,19 @@ def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep
     terms = [
         _lin_a_psi(system, a1, a1_ids).apply(a2.apply(psi2)),
         -_lin_a_psi(system, a1, a2_ids).apply(a2.apply(psi1)),
-        _lin_a_psi(system, a2, a1_ids).apply(a1.apply(psi2)),
-        -_lin_a_psi(system, a2, a2_ids).apply(a1.apply(psi1)),
         -a1.apply(b2.b_star(psi1, a2_ids)),
-        -a2.apply(b1.b_star(psi1, a2_ids)),
     ]
+    if b1 is not b2:
+        terms += [
+            _lin_a_psi(system, a2, a1_ids).apply(a1.apply(psi2)),
+            -_lin_a_psi(system, a2, a2_ids).apply(a1.apply(psi1)),
+            -a2.apply(b1.b_star(psi1, a2_ids)),
+        ]
     total = terms[0]
     for t in terms[1:]:
         total = total + t
+    if b1 is b2:
+        total = 2 * total
     total = system.reduce_vector(total)
     return TrivectorRep(system, frame_ext, a1_ids, a2_ids, total)
 

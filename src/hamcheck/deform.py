@@ -23,9 +23,9 @@ from .ops import CDiffOp, linearize
 from .poly import DiffPoly, VectorFunction, as_vector, formal_vector
 from .systems import (
     EquationSystem,
+    GenFn,
     HamcheckError,
     genfn_vector,
-    make_genfn,
     solve_orthonomic,
 )
 
@@ -47,6 +47,7 @@ class DeformedSystem:
     a2: Bivector
     system: EquationSystem
     w_ids: tuple
+    constraint: VectorFunction  # A2*(w), the added equations
     lin_block: CDiffOp
     a1_til: Bivector
     a2_til: Bivector
@@ -105,7 +106,7 @@ def deform(
     a1_til = certify_bivector(system, a1_til_op)
     a2_til = certify_bivector(system, a2_til_op)
     return DeformedSystem(
-        base, a1, a2, system, w_ids, lin_block, a1_til, a2_til
+        base, a1, a2, system, w_ids, h, lin_block, a1_til, a2_til
     )
 
 
@@ -144,8 +145,9 @@ def lift_hierarchy(deformed: DeformedSystem, chain: MagriChain) -> LiftedChain:
         pair = VectorFunction(list(a) + [-p for p in b])
         lifted_vecs.append(pair)
         residuals.append(system.genfn_residual(pair))
+    # a zero residual is the certificate, so the GenFn is built directly
     entries = tuple(
-        make_genfn(system, v) if r.is_zero() else v
+        GenFn(system, v) if r.is_zero() else v
         for v, r in zip(lifted_vecs, residuals)
     )
     defects = tuple(
@@ -188,11 +190,9 @@ def check_conserved(deformed: DeformedSystem, psi_i, psi_next) -> bool:
             raise HamcheckError("deformed system lost its evolution rules")
     flow = VectorFunction(flow)
 
-    wvec = formal_vector(n, deformed.w_ids)
-    constraint = deformed.a2.op.adjoint().apply(wvec)
     density = DiffPoly.zero(n)
     for p, f in zip(psi_i, flow):
         density = density + p * f
-    for p, c in zip(psi_next, constraint):
+    for p, c in zip(psi_next, deformed.constraint):
         density = density + p * c
     return euler_residuals(system.frame, density).is_zero()

@@ -10,7 +10,16 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .poly import DiffPoly, VectorFunction, accumulate, as_vector, exact, total_memo
+from .poly import (
+    DiffPoly,
+    VectorFunction,
+    _guarded,
+    accumulate,
+    as_vector,
+    exact,
+    mul_into,
+    total_memo,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -175,10 +184,10 @@ class CDiffOp:
         if len(v) != self.cols:
             raise DimensionMismatch(f"operator has {self.cols} columns, vector {len(v)}")
         cache = {}
-        out = [DiffPoly.zero(self.n) for _ in range(self.rows)]
+        out = [{} for _ in range(self.rows)]
         for (r, c, sigma), a in self.entries.items():
-            out[r] = out[r] + a * total_memo(cache, c, sigma, v[c])
-        return VectorFunction(out)
+            mul_into(out[r], a, total_memo(cache, c, sigma, v[c]))
+        return VectorFunction(_guarded(self.n, terms) for terms in out)
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
         """Canonical form of self o other via the multinomial Leibniz rule."""
@@ -193,17 +202,15 @@ class CDiffOp:
                 if k2 != k:
                     continue
                 for rho in _sub_indices(sigma):
-                    coeff = _binom(sigma, rho)
                     delta = tuple(s - q for s, q in zip(sigma, rho))
                     db = total_memo(dcache, (k, c, tau), delta, b)
-                    if db.is_zero():
-                        continue
-                    part = a * db
-                    if coeff != 1:
-                        part = part * coeff
                     out_sigma = tuple(p + q for p, q in zip(rho, tau))
-                    accumulate(res, (r, c, out_sigma), part)
-        return CDiffOp(self.n, self.rows, other.cols, res, _clean=True)
+                    terms = res.setdefault((r, c, out_sigma), {})
+                    mul_into(terms, a, db, _binom(sigma, rho))
+        # an entry whose products cancel is dropped
+        n = self.n
+        res = {key: _guarded(n, terms) for key, terms in res.items() if terms}
+        return CDiffOp(n, self.rows, other.cols, res, _clean=True)
 
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: entry (i,j) becomes sum (-1)^|s| D_s o a_(j,i,s)."""
@@ -215,10 +222,13 @@ class CDiffOp:
                 coeff = sign * _binom(sigma, rho)
                 delta = tuple(s - q for s, q in zip(sigma, rho))
                 da = total_memo(dcache, (r, c, sigma), delta, a)
-                if da.is_zero():
-                    continue
-                accumulate(res, (c, r, rho), da * coeff)
-        return CDiffOp(self.n, self.cols, self.rows, res, _clean=True)
+                terms = res.setdefault((c, r, rho), {})
+                for m, q in da.terms.items():
+                    accumulate(terms, m, q * coeff)
+        # scaling adds no exponents, so no guard; cancelled entries are dropped
+        n = self.n
+        res = {key: DiffPoly(n, terms, _clean=True) for key, terms in res.items() if terms}
+        return CDiffOp(n, self.cols, self.rows, res, _clean=True)
 
 
 def linearize(f, deps) -> CDiffOp:

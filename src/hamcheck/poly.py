@@ -30,6 +30,11 @@ is an ``int`` when it is integral and otherwise a ``Fraction`` with
 denominator greater than 1, never a ``float`` (``exact`` and
 ``accumulate`` store only that form), so integer work never reaches
 ``fractions``.  Ids never change meaning, so equality is structural.
+
+``mul_into`` is the one product loop.  It adds a scaled product into a
+term dict, so a sum of products, such as an operator applied to a
+vector, fills one dict per result and builds one ``DiffPoly`` at the
+end; the exponent guard then runs once on that result (``_guarded``).
 """
 
 from __future__ import annotations
@@ -151,6 +156,24 @@ def accumulate(res: dict, key, value) -> None:
     if type(value) is Fraction and value.denominator == 1:
         value = value.numerator
     res[key] = value
+
+
+def mul_into(res: dict, a: "DiffPoly", b: "DiffPoly", c=1) -> dict:
+    """Add ``c*a*b`` into the clean term dict ``res`` and return it.
+
+    The one product loop of the kernel: ``DiffPoly.__mul__`` and every
+    builder that sums products call it, so a sum of products fills one
+    dict with no polynomial built per product.  ``c`` is a nonzero
+    canonical rational.  The monomials added are sums of two stored ones,
+    so the caller builds its result with ``_guarded``.
+    """
+    bt = b.terms.items()
+    for m1, c1 in a.terms.items():
+        if c != 1:
+            c1 *= c
+        for m2, c2 in bt:
+            accumulate(res, m1 + m2, c1 * c2)
+    return res
 
 
 class DiffPoly:
@@ -289,11 +312,7 @@ class DiffPoly:
             )
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                accumulate(res, m1 + m2, c1 * c2)
-        return _guarded(self.n, res)
+        return _guarded(self.n, mul_into({}, self, other))
 
     __rmul__ = __mul__
 
@@ -608,18 +627,18 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
                 "pass deps explicitly to vary them"
             )
     cache = {}
+    jets = density.jetvars()
     out = []
     for j in deps:
-        acc = DiffPoly.zero(frame.n)
-        for v in density.jetvars():
+        acc = {}
+        for v in jets:
             if v[0] != j:
                 continue
             idx = v[1]
-            term = total_memo(cache, v, idx, density.partial(v))
-            if sum(idx) % 2:
-                term = -term
-            acc = acc + term
-        out.append(acc)
+            sign = -1 if sum(idx) % 2 else 1
+            for m, c in total_memo(cache, v, idx, density.partial(v)).terms.items():
+                accumulate(acc, m, sign * c)
+        out.append(DiffPoly(frame.n, acc, _clean=True))
     return VectorFunction(out)
 
 
@@ -638,9 +657,9 @@ def evolutionary_apply(frame: Frame, phi: VectorFunction, f):
         return VectorFunction([evolutionary_apply(frame, phi, p) for p in f])
     slot = {d: k for k, d in enumerate(phys)}
     cache = {}
-    acc = DiffPoly.zero(frame.n)
+    acc = {}
     for v in f.jetvars():
         dep, idx = v
         if dep in slot:
-            acc = acc + f.partial(v) * total_memo(cache, dep, idx, phi[slot[dep]])
-    return acc
+            mul_into(acc, f.partial(v), total_memo(cache, dep, idx, phi[slot[dep]]))
+    return _guarded(frame.n, acc)

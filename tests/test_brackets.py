@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hamcheck import (
     is_hamiltonian,
     is_zero_trivector,
     make_chain,
+    make_system,
     poisson,
     schouten,
     solve_orthonomic,
@@ -88,6 +90,28 @@ def test_schouten_symmetric_in_slots(kdv, kdv_bivectors):
     t12 = schouten(kdv, b1, b2)
     t21 = schouten(kdv, b2, b1)
     assert t12.entries == t21.entries
+
+
+def test_schouten_of_one_bivector_matches_six_term_path(
+    kdv, kdv3, kdv_bivectors, kdv3_ops, fr_u
+):
+    # schouten(b, b) evaluates three terms and doubles them; an equal copy
+    # that is another object takes the six-term path.  The KdV brackets
+    # vanish, so a skew operator that is a bivector of u_t = u_x but not
+    # Poisson gives a bracket that does not.
+    transport = make_system(
+        fr_u,
+        [parse_poly(fr_u, "u_t - u_x")],
+        [((0, (0, 1)), parse_poly(fr_u, "u_x"))],
+        Ranking.of(fr_u, "t", "x"),
+    )
+    cases = [(kdv, b) for b in kdv_bivectors]
+    cases += [(kdv3, certify_bivector(kdv3, op)) for op in kdv3_ops]
+    cases.append((transport, certify_bivector(transport, parse_op(fr_u, "u*Dx^3 + Dx^3*u"))))
+    for system, b in cases:
+        same = schouten(system, b, b).entries
+        assert same == schouten(system, b, dataclasses.replace(b)).entries
+    assert not same.is_zero()
 
 
 def test_schouten_requires_same_home(kdv, kdv3, kdv_bivectors, kdv3_ops):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hamcheck import (
+    CDiffOp,
     DiffPoly,
     ExponentOverflow,
     Frame,
@@ -146,6 +147,15 @@ def test_exponent_limit_fails_cleanly_where_exponents_grow():
     # past the limit inside the one pass of the restricted total derivative
     with pytest.raises(ExponentOverflow):
         top.total(0, {(0, (1, 0)): u * u}.get)
+    # u^32767*D_x applied to u^2 gives 2*u^32768*u_x: each fused sum of
+    # products (apply, compose, evolutionary_apply) checks the guard on
+    # its result
+    with pytest.raises(ExponentOverflow):
+        CDiffOp(fr.n, 1, 1, {(0, 0, (1, 0)): top}).apply(VectorFunction([u * u]))
+    with pytest.raises(ExponentOverflow):
+        CDiffOp.mult(top).compose(CDiffOp.mult(u))
+    with pytest.raises(ExponentOverflow):
+        evolutionary_apply(fr, VectorFunction([u * u, v, w]), top * u_x)
     with pytest.raises(ExponentOverflow):
         (top * u_x).substitute({(0, (1, 0)): u})
     with pytest.raises(ExponentOverflow):

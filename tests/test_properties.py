@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +241,122 @@ def test_divergence_pairing(data):
     assert euler(frame, pairing, deps=deps).is_zero()
 
 
+# -- fused builders against the unfused loops ---------------------------------
+# The loops the fused builders replaced: each product is built as a
+# polynomial and then added to a copy of the accumulator.  Every builder
+# must give exactly what its loop gives, on entries that cancel too.
+
+
+def _apply_reference(op, vec):
+    cache = {}
+    out = [DiffPoly.zero(op.n) for _ in range(op.rows)]
+    for (r, c, sigma), a in op.entries.items():
+        out[r] = out[r] + a * total_memo(cache, c, sigma, vec[c])
+    return VectorFunction(out)
+
+
+def _leibniz(sigma):
+    """(rho, binomial(sigma, rho), sigma - rho) for every rho <= sigma."""
+    for rho in product(*(range(s + 1) for s in sigma)):
+        coeff = 1
+        for s, q in zip(sigma, rho):
+            coeff *= comb(s, q)
+        yield rho, coeff, tuple(s - q for s, q in zip(sigma, rho))
+
+
+def _compose_reference(a, b):
+    cache = {}
+    res = {}
+    for (r, k, sigma), x in a.entries.items():
+        for (k2, c, tau), y in b.entries.items():
+            if k2 != k:
+                continue
+            for rho, coeff, delta in _leibniz(sigma):
+                key = (r, c, tuple(p + q for p, q in zip(rho, tau)))
+                part = x * total_memo(cache, (k, c, tau), delta, y) * coeff
+                res[key] = res.get(key, DiffPoly.zero(a.n)) + part
+    # the constructor without _clean drops the entries that cancelled
+    return CDiffOp(a.n, a.rows, b.cols, res)
+
+
+def _adjoint_reference(op):
+    cache = {}
+    res = {}
+    for (r, c, sigma), x in op.entries.items():
+        sign = (-1) ** sum(sigma)
+        for rho, coeff, delta in _leibniz(sigma):
+            part = total_memo(cache, (r, c, sigma), delta, x) * (sign * coeff)
+            res[(c, r, rho)] = res.get((c, r, rho), DiffPoly.zero(op.n)) + part
+    return CDiffOp(op.n, op.cols, op.rows, res)
+
+
+def _euler_reference(frame, density, deps):
+    out = []
+    for j in deps:
+        acc = DiffPoly.zero(frame.n)
+        for (dep, idx) in density.jetvars():
+            if dep == j:
+                term = total_memo({}, dep, idx, density.partial((dep, idx)))
+                acc = acc + (-term if sum(idx) % 2 else term)
+        out.append(acc)
+    return VectorFunction(out)
+
+
+def _evolutionary_reference(frame, phi, f):
+    # every dependent of the test frames is physical, in slot order
+    acc = DiffPoly.zero(frame.n)
+    for (dep, idx) in f.jetvars():
+        acc = acc + f.partial((dep, idx)) * total_memo({}, dep, idx, phi[dep])
+    return acc
+
+
+@given(st.data())
+def test_fused_operator_builders_match_unfused_loops(data):
+    frame = data.draw(frames())
+    rows, inner, cols = (data.draw(st.integers(1, 2)) for _ in range(3))
+    a = data.draw(operators(frame, rows, inner))
+    b = data.draw(operators(frame, inner, cols))
+    vec = VectorFunction(
+        data.draw(polys(frame, max_terms=3, max_degree=2, max_order=2))[1]
+        for _ in range(inner)
+    )
+    assert a.apply(vec) == _apply_reference(a, vec)
+    assert a.compose(b) == _compose_reference(a, b)
+    assert a.adjoint() == _adjoint_reference(a)
+    # entries that cancel: [x, -y] o [y, x] is the commutator of two scalar
+    # operators, whose top-order products cancel; [x, -x] applied to
+    # (v, v) is zero; x + x* is self-adjoint, so the lower-order terms
+    # that its adjoint builds cancel
+    x = data.draw(operators(frame))
+    y = data.draw(operators(frame))
+    left, right = CDiffOp.block([[x, -y]]), CDiffOp.block([[y], [x]])
+    assert left.compose(right) == _compose_reference(left, right)
+    assert CDiffOp.block([[x, -x]]).apply(VectorFunction([vec[0], vec[0]])).is_zero()
+    sym = x + x.adjoint()
+    assert sym.adjoint() == _adjoint_reference(sym) == sym
+
+
+@given(polys(), st.data())
+def test_fused_poly_builders_match_unfused_loops(fp, data):
+    frame, p = fp
+    _, q = data.draw(polys(frame))
+    deps = tuple(range(frame.m))
+    # the euler terms of the total derivative cancel
+    density = p + q.total(0)
+    assert euler(frame, density, deps=deps) == _euler_reference(frame, density, deps)
+    phi = VectorFunction(
+        data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1] for _ in deps
+    )
+    assert evolutionary_apply(frame, phi, p) == _evolutionary_reference(frame, phi, p)
+    # the evolutionary field of u_x on u_x^2 - 2*u*u_xx is -2*u*u_xxx: the
+    # two u_x*u_xx products cancel
+    u, u_x, u_xx = (DiffPoly.jet(frame.n, 0, (k,) + (0,) * (frame.n - 1)) for k in range(3))
+    f = u_x * u_x - 2 * u * u_xx
+    shift = VectorFunction(DiffPoly.jet(frame.n, d, (1,) + (0,) * (frame.n - 1)) for d in deps)
+    out = evolutionary_apply(frame, shift, f)
+    assert out == _evolutionary_reference(frame, shift, f) == -2 * u * u_xx.total(0)
+
+
 # -- sparse invariant ----------------------------------------------------------
 
 
@@ -407,6 +524,12 @@ def test_poly_results_store_no_zero(fp, data):
     results.append(p.substitute(images))
     results.append(p.relabel_deps(dict(zip(range(frame.m), reversed(range(frame.m))))))
     results.append(p.relabel_deps({d: 0 for d in range(frame.m)}))
+    phi = VectorFunction(
+        data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1]
+        for _ in range(frame.m)
+    )
+    results.append(evolutionary_apply(frame, phi, p))
+    results.append(evolutionary_apply(frame, phi, p - q.total(0)))
     assert all(_sparse(r) for r in results)
 
 
@@ -420,6 +543,12 @@ def test_operator_results_store_no_zero(data):
     results.append(a.map_coeffs(lambda p: p.total(0)))
     results.append(a.compose(b) - b.adjoint().compose(a.adjoint()).adjoint())
     results += [Fraction(1, 2) * a, 2 * (Fraction(1, 2) * a), Fraction(3, 2) * a.adjoint()]
+    results.append(CDiffOp.block([[a, -b]]).compose(CDiffOp.block([[b], [a]])))
+    _, v = data.draw(polys(frame, max_terms=3, max_degree=2, max_order=2))
+    _, w = data.draw(polys(frame, max_terms=3, max_degree=2, max_order=2))
+    results += a.apply(VectorFunction([v]))
+    results += CDiffOp.block([[a, -b]]).apply(VectorFunction([v, w]))
+    results += CDiffOp.block([[a, -a]]).apply(VectorFunction([v, v]))
     assert all(_sparse(r) for r in results)
 
 

@@ -215,17 +215,52 @@ DEMO_DIGESTS = {
 }
 
 
+def _check_report_digests(path, json_digest, text_digest, tmp_path, capsys):
+    out = tmp_path / f"{path.stem}.json"
+    cli.main(["run", str(path), "--report", str(out)])
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest, path.name
+    cli.main(["run", str(path), "--text"])
+    text = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == text_digest, path.name
+
+
 def test_demo_reports_match_pinned_digests(tmp_path, capsys):
     assert sorted(DEMO_DIGESTS) == sorted(p.stem for p in DEMOS.glob("*.ham"))
     for name, (json_digest, text_digest) in DEMO_DIGESTS.items():
-        demo = str(DEMOS / f"{name}.ham")
-        out = tmp_path / f"{name}.json"
-        cli.main(["run", demo, "--report", str(out)])
-        capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest, name
-        cli.main(["run", demo, "--text"])
-        text = capsys.readouterr().out.encode("utf-8")
-        assert hashlib.sha256(text).hexdigest() == text_digest, name
+        _check_report_digests(DEMOS / f"{name}.ham", json_digest, text_digest, tmp_path, capsys)
+
+
+# The same for the benchmark's workload inputs other than the deep
+# reduction, which has its own pinned normal forms in test_systems; the
+# JSON digests are the benchmark's own, in bench/digests.json.
+BENCH = DEMOS.parent / "bench"
+WORKLOAD_DIGESTS = {
+    "constrained_reduce": (
+        "22875c536261ade24b6b40e0f818fb77fedccec3c88dc28ef25a4912c25659cc",
+        "f5a34458ea9c2fd1f0b21b81a10d974e1124dbce89385abff9780458f5e7aeac",
+    ),
+    "kdv3_transport": (
+        "72be5828c0f7e576658eebfe0c00e15e785216d088261f75f6d39441fdc923e0",
+        "8313eec96bc072792c4d0dbebdb4baf056f83f25aa38dca8fb9783863474d828",
+    ),
+    "kdv5_suite": (
+        "e50b3c11a12f24ef82307221836e5e905909e68ab62a7d644e902be78e22e4f5",
+        "766cc9e4f075b8564e3ac4d42a59e5157385b86d58567b9d2ae6116bbe111892",
+    ),
+    "kdv7_suite": (
+        "9fca1a499c38342dd1dcbc4e498d4427a713a91c953e44f79be8052fab3d09c7",
+        "45013f14a0f7c33efae6e7ba81dce8d4c4cd8b4a529a70d45fc73596b6e1a708",
+    ),
+}
+
+
+def test_workload_reports_match_pinned_digests(tmp_path, capsys):
+    pinned = json.loads((BENCH / "digests.json").read_text())
+    for name, (json_digest, text_digest) in WORKLOAD_DIGESTS.items():
+        assert pinned[f"bench/inputs/{name}.ham"] == f"sha256:{json_digest}", name
+        path = BENCH / "inputs" / f"{name}.ham"
+        _check_report_digests(path, json_digest, text_digest, tmp_path, capsys)
 
 
 def test_cli_parse_error_exit_2(tmp_path):
