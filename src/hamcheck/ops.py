@@ -125,7 +125,23 @@ class CDiffOp:
         return CDiffOp(self.n, self.rows, self.cols, res, _clean=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        # each entry of other is subtracted from a copy of the terms of the
+        # same entry of self; an entry that cancels is dropped
+        self._check_same_shape(other)
+        n = self.n
+        res = dict(self.entries)
+        for key, b in other.entries.items():
+            a = res.get(key)
+            terms = dict(a.terms) if a is not None else {}
+            get = terms.get
+            for m, c in b.terms.items():
+                terms[m] = get(m, 0) - c
+            p = _guarded(n, terms)
+            if p:
+                res[key] = p
+            else:
+                del res[key]
+        return CDiffOp(n, self.rows, self.cols, res, _clean=True)
 
     def __neg__(self):
         return CDiffOp(
@@ -198,18 +214,21 @@ class CDiffOp:
         dcache = {}
         res = {}
         for (r, k, sigma), a in self.entries.items():
+            leibniz = [
+                (rho, tuple(s - q for s, q in zip(sigma, rho)), _binom(sigma, rho))
+                for rho in _sub_indices(sigma)
+            ]
             for (k2, c, tau), b in other.entries.items():
                 if k2 != k:
                     continue
-                for rho in _sub_indices(sigma):
-                    delta = tuple(s - q for s, q in zip(sigma, rho))
+                for rho, delta, coeff in leibniz:
                     db = total_memo(dcache, (k, c, tau), delta, b)
                     out_sigma = tuple(p + q for p, q in zip(rho, tau))
                     terms = res.setdefault((r, c, out_sigma), {})
-                    mul_into(terms, a, db, _binom(sigma, rho))
+                    mul_into(terms, a, db, coeff)
         # an entry whose products cancel is dropped
         n = self.n
-        res = {key: _guarded(n, terms) for key, terms in res.items() if terms}
+        res = {key: p for key, terms in res.items() if (p := _guarded(n, terms))}
         return CDiffOp(n, self.rows, other.cols, res, _clean=True)
 
     def adjoint(self) -> "CDiffOp":
@@ -223,11 +242,12 @@ class CDiffOp:
                 delta = tuple(s - q for s, q in zip(sigma, rho))
                 da = total_memo(dcache, (r, c, sigma), delta, a)
                 terms = res.setdefault((c, r, rho), {})
+                get = terms.get
                 for m, q in da.terms.items():
-                    accumulate(terms, m, q * coeff)
-        # scaling adds no exponents, so no guard; cancelled entries are dropped
+                    terms[m] = get(m, 0) + q * coeff
+        # an entry whose terms cancel is dropped
         n = self.n
-        res = {key: DiffPoly(n, terms, _clean=True) for key, terms in res.items() if terms}
+        res = {key: p for key, terms in res.items() if (p := _guarded(n, terms))}
         return CDiffOp(n, self.cols, self.rows, res, _clean=True)
 
 

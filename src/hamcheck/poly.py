@@ -24,17 +24,23 @@ never by the ints, whose order depends on the order in which ids were
 given.
 
 Three invariants hold for every value the kernel builds: no zero
-coefficient is ever stored (every sparse sum goes through
-``accumulate``); no stored exponent reaches ``LIMIT``; and a coefficient
-is an ``int`` when it is integral and otherwise a ``Fraction`` with
-denominator greater than 1, never a ``float`` (``exact`` and
-``accumulate`` store only that form), so integer work never reaches
-``fractions``.  Ids never change meaning, so equality is structural.
+coefficient is stored; no stored exponent reaches ``LIMIT``; and a
+coefficient is an ``int`` when it is integral and otherwise a
+``Fraction`` with denominator greater than 1, never a ``float``, so
+integer work never reaches ``fractions``.  Ids never change meaning, so
+equality is structural.
 
-``mul_into`` is the one product loop.  It adds a scaled product into a
-term dict, so a sum of products, such as an operator applied to a
-vector, fills one dict per result and builds one ``DiffPoly`` at the
-end; the exponent guard then runs once on that result (``_guarded``).
+Every builder of coefficients sets these up once per result, in
+``_guarded``.  Its loops merge with no checks: ``get = res.get`` is bound
+once, and each term is added by ``res[m] = get(m, 0) + c``.  A sum that
+cancels so leaves a zero, and a ``Fraction`` sum may be integral.
+``_guarded`` then drops the zeros in place, turns integral ``Fraction``s
+into ``int``s, checks the exponent guard on the monomials that are left
+and builds the ``DiffPoly``; a monomial past the limit whose terms cancel
+does not raise.  ``mul_into`` is the one product loop: a sum of
+products, such as an operator applied to a vector, fills one dict per
+result.  ``accumulate``, which cleans at each merge, is kept where the
+values are polynomials (operator entries) and for decoded keys.
 """
 
 from __future__ import annotations
@@ -93,8 +99,26 @@ def _fields(m: int):
 
 
 def _guarded(n: int, res: dict) -> "DiffPoly":
-    """The polynomial of the clean terms ``res``, whose monomials are sums of
-    stored ones; ExponentOverflow if an exponent reached ``LIMIT``."""
+    """The polynomial of the term dict ``res``, which it cleans in place.
+
+    Every coefficient builder ends here, once per result.  ``res`` maps
+    sums of stored monomials to sums of coefficients.  In this order, zero
+    coefficients are dropped, integral ``Fraction``s become ``int``s, and
+    the exponent guard is checked on the monomials that are left
+    (ExponentOverflow if an exponent reached ``LIMIT``), so a monomial past
+    the limit whose terms cancel does not raise.
+    """
+    values = res.values()
+    # one pass over ints finds the first zero or Fraction, if any
+    for c in values:
+        if not c or type(c) is not int:
+            if 0 in values:
+                for m in [m for m, c in res.items() if not c]:
+                    del res[m]
+            for m, c in res.items():
+                if type(c) is Fraction and c.denominator == 1:
+                    res[m] = c.numerator
+            break
     if reduce(or_, res, 0) & _GUARD:
         raise ExponentOverflow()
     return DiffPoly(n, res, _clean=True)
@@ -142,10 +166,10 @@ def exact(c):
 def accumulate(res: dict, key, value) -> None:
     """Add the nonzero ``value`` into ``res[key]``; drop the key if the sum is 0.
 
-    The one merge rule of every sparse builder, for rational coefficients
-    and for polynomial operator entries alike.  A coefficient is stored in
-    the canonical form of ``exact``: an integral ``Fraction`` becomes its
-    numerator.
+    The merge rule where each merge must leave ``res`` clean: operator
+    entries, whose values are polynomials, and decoded keys.  A
+    coefficient is stored in the canonical form of ``exact``: an integral
+    ``Fraction`` becomes its numerator.
     """
     old = res.get(key)
     if old is not None:
@@ -159,20 +183,21 @@ def accumulate(res: dict, key, value) -> None:
 
 
 def mul_into(res: dict, a: "DiffPoly", b: "DiffPoly", c=1) -> dict:
-    """Add ``c*a*b`` into the clean term dict ``res`` and return it.
+    """Add ``c*a*b`` into the term dict ``res`` and return it.
 
     The one product loop of the kernel: ``DiffPoly.__mul__`` and every
     builder that sums products call it, so a sum of products fills one
     dict with no polynomial built per product.  ``c`` is a nonzero
-    canonical rational.  The monomials added are sums of two stored ones,
-    so the caller builds its result with ``_guarded``.
+    rational.  The caller builds its result with ``_guarded``.
     """
+    get = res.get
     bt = b.terms.items()
     for m1, c1 in a.terms.items():
         if c != 1:
             c1 *= c
         for m2, c2 in bt:
-            accumulate(res, m1 + m2, c1 * c2)
+            m = m1 + m2
+            res[m] = get(m, 0) + c1 * c2
     return res
 
 
@@ -284,9 +309,10 @@ class DiffPoly:
         if other is NotImplemented:
             return NotImplemented
         res = dict(self.terms)
+        get = res.get
         for m, c in other.terms.items():
-            accumulate(res, m, c)
-        return DiffPoly(self.n, res, _clean=True)
+            res[m] = get(m, 0) + c
+        return _guarded(self.n, res)
 
     __radd__ = __add__
 
@@ -389,11 +415,12 @@ class DiffPoly:
         k = _IDS.get(jet)
         if k is not None:
             shift = W * k
+            # distinct monomials stay distinct, so there is nothing to add
             for m, c in self.terms.items():
                 e = (m >> shift) & _FIELD
                 if e:
-                    accumulate(res, m - (1 << shift), c * e)
-        return DiffPoly(self.n, res, _clean=True)
+                    res[m - (1 << shift)] = c * e
+        return _guarded(self.n, res)
 
     def total(self, i: int, image=None) -> "DiffPoly":
         """Total derivative D_i: d/dx_i plus the chain rule over all jets.
@@ -409,8 +436,13 @@ class DiffPoly:
         """
         steps = {}
         res = {}
+        get = res.get
         for m, c in self.terms.items():
-            for k, e in _fields(m):
+            rest = m
+            while rest:
+                k = ((rest & -rest).bit_length() - 1) // W
+                f = rest & (_FIELD << (W * k))
+                rest -= f
                 step = steps.get(k)
                 if step is None:
                     v, one = _VARS[k], 1 << (W * k)
@@ -420,15 +452,20 @@ class DiffPoly:
                         dep, idx = v
                         up = (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
                         q = image(up) if image else None
-                        step = (1 << (W * _id(up))) - one if q is None else (one, q.terms)
+                        step = (
+                            (1 << (W * _id(up))) - one if q is None
+                            else (one, tuple(q.terms.items()))
+                        )
                     steps[k] = step
                 if type(step) is int:
                     if step:
-                        accumulate(res, m + step, c * e)
+                        key = m + step
+                        res[key] = get(key, 0) + c * (f >> (W * k))
                 else:
-                    low, ce = m - step[0], c * e
-                    for m2, c2 in step[1].items():
-                        accumulate(res, low + m2, ce * c2)
+                    low, ce = m - step[0], c * (f >> (W * k))
+                    for m2, c2 in step[1]:
+                        key = low + m2
+                        res[key] = get(key, 0) + ce * c2
         return _guarded(self.n, res)
 
     # -- substitutions -----------------------------------------------
@@ -461,18 +498,29 @@ class DiffPoly:
                 p = powers[(k, j)] = by_id[k] if j == 1 else p * by_id[k]
             return p
 
-        res = {}
-        for m, c in self.terms.items():
-            hit = m & mask
-            if not hit:
-                accumulate(res, m, c)
-                continue
+        def product(hit):
             prod = products.get(hit)
             if prod is None:
                 prod = products[hit] = reduce(mul, [power(k, e) for k, e in _fields(hit)])
+            return prod
+
+        if len(self.terms) == 1:
+            # 1*m with every factor of m replaced, such as one reducible
+            # jet: the product of the images is the result, not a copy
+            (m, c), = self.terms.items()
+            if c == 1 and m and (m & mask) == m:
+                return product(m)
+        res = {}
+        get = res.get
+        for m, c in self.terms.items():
+            hit = m & mask
+            if not hit:
+                res[m] = get(m, 0) + c
+                continue
             kept = m - hit
-            for m2, c2 in prod.terms.items():
-                accumulate(res, kept + m2, c * c2)
+            for m2, c2 in product(hit).terms.items():
+                key = kept + m2
+                res[key] = get(key, 0) + c * c2
         return _guarded(self.n, res)
 
     def subst_deps(self, values: dict) -> "DiffPoly":
@@ -502,6 +550,7 @@ class DiffPoly:
             return self
         moved = {}
         res = {}
+        get = res.get
         for m, c in self.terms.items():
             hit = m & mask
             out = moved.get(hit)
@@ -516,8 +565,8 @@ class DiffPoly:
             out += m - hit
             if out & _GUARD:
                 raise ExponentOverflow()
-            accumulate(res, out, c)
-        return DiffPoly(self.n, res, _clean=True)
+            res[out] = get(out, 0) + c
+        return _guarded(self.n, res)
 
 
 class VectorFunction:
@@ -631,14 +680,15 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
     out = []
     for j in deps:
         acc = {}
+        get = acc.get
         for v in jets:
             if v[0] != j:
                 continue
             idx = v[1]
             sign = -1 if sum(idx) % 2 else 1
             for m, c in total_memo(cache, v, idx, density.partial(v)).terms.items():
-                accumulate(acc, m, sign * c)
-        out.append(DiffPoly(frame.n, acc, _clean=True))
+                acc[m] = get(m, 0) + sign * c
+        out.append(_guarded(frame.n, acc))
     return VectorFunction(out)
 
 

@@ -165,6 +165,66 @@ def test_exponent_limit_fails_cleanly_where_exponents_grow():
         (u**30000 * v**30000 * w**30000).relabel_deps({1: 0, 2: 0})
 
 
+def test_exponent_guard_runs_after_cancelled_terms_are_dropped(fr_u):
+    # [a, -a] applied to (v, v) with a = v = u^20000 sums u^40000 - u^40000:
+    # the monomial is past the limit, but it cancels, so nothing overflows
+    a = P(fr_u, "u") ** 20000
+    v = VectorFunction([a, a])
+    row = CDiffOp.block([[CDiffOp.mult(a), -CDiffOp.mult(a)]])
+    assert row.apply(v).is_zero()
+
+
+def _clean(p) -> bool:
+    """No zero coefficient is stored, and each one is an int or a
+    non-integral Fraction."""
+    return all(
+        (type(c) is int and c) or (type(c) is Fraction and c.denominator > 1)
+        for c in p.terms.values()
+    )
+
+
+def test_builders_clean_each_result_once(fr_u):
+    # each builder sums 1/2 + 1/2 into a term, which must be stored as the
+    # int 1, and 1/2 - 1/2 into another, which must not be stored at all
+    half = Fraction(1, 2)
+    u, u_x = P(fr_u, "u"), P(fr_u, "u_x")
+    u_xx = (0, (2, 0))
+    polys = [
+        (P(fr_u, "1/2*x*u_x + 1/2*u").total(0), P(fr_u, "u_x + 1/2*x*u_xx")),
+        (P(fr_u, "1/2*x*u_x - 1/2*u").total(0), P(fr_u, "1/2*x*u_xx")),
+        (P(fr_u, "1/2*u*u_x + 1/2*u_xx").substitute({u_xx: u * u_x}), u * u_x),
+        (P(fr_u, "1/2*u*u_x - 1/2*u_xx").substitute({u_xx: u * u_x}), 0),
+        ((half * u + half * u_x) * (u + u_x), P(fr_u, "1/2*u^2 + u*u_x + 1/2*u_x^2")),
+        ((half * u + half * u_x) * (u - u_x), P(fr_u, "1/2*u^2 - 1/2*u_x^2")),
+        (euler(fr_u, P(fr_u, "1/2*u*u_xx"))[0], P(fr_u, "u_xx")),
+        (euler(fr_u, P(fr_u, "1/2*u_x^2 + 1/2*u*u_xx"))[0], 0),
+    ]
+    a, b = CDiffOp.mult(half * u), CDiffOp.mult(u)
+    pair = VectorFunction([u, u])
+    polys += [
+        (CDiffOp.block([[a, a]]).apply(pair)[0], u * u),
+        (CDiffOp.block([[a, -a]]).apply(pair)[0], 0),
+    ]
+    for got, expected in polys:
+        assert got == expected and _clean(got)
+    column = CDiffOp.block([[b], [b]])
+    d = CDiffOp(fr_u.n, 1, 1, {(0, 0, (1, 0)): half * u, (0, 0, (0, 0)): -half * u_x})
+    d_plus = CDiffOp(fr_u.n, 1, 1, {(0, 0, (1, 0)): half * u, (0, 0, (0, 0)): half * u_x})
+    ops = [
+        (CDiffOp.block([[a, a]]).compose(column), CDiffOp.mult(u * u)),
+        (CDiffOp.block([[a, -a]]).compose(column), CDiffOp.zero(fr_u.n)),
+        # (1/2*u*D_x - 1/2*u_x)* = -1/2*u*D_x - u_x; with + the u_x terms cancel
+        (d.adjoint(), CDiffOp(fr_u.n, 1, 1, {(0, 0, (1, 0)): -half * u, (0, 0, (0, 0)): -u_x})),
+        (d_plus.adjoint(), CDiffOp(fr_u.n, 1, 1, {(0, 0, (1, 0)): -half * u})),
+        (a - CDiffOp.mult(-half * u), b),
+        (a - a, CDiffOp.zero(fr_u.n)),
+        (d - d_plus, CDiffOp.mult(-u_x)),
+    ]
+    for got, expected in ops:
+        assert got == expected
+        assert all(p and _clean(p) for p in got.entries.values())
+
+
 def test_canonical_rendering_order(fr_u):
     assert poly_text(fr_u, P(fr_u, "u_xx + 3*u^2")) == "3*u^2 + u_xx"
     assert poly_text(fr_u, P(fr_u, "u*u_xx + u_x^2")) == "u_x^2 + u*u_xx"

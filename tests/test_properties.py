@@ -530,6 +530,17 @@ def test_poly_results_store_no_zero(fp, data):
     )
     results.append(evolutionary_apply(frame, phi, p))
     results.append(evolutionary_apply(frame, phi, p - q.total(0)))
+    deps = tuple(range(frame.m))
+    results += euler(frame, p + q.total(0), deps=deps)
+    # terms that cancel inside one builder: D_x(x*D_x(q) - q) = x*D_x^2(q),
+    # the euler terms of a total derivative, and (p/2 + q/2)*(p - q), whose
+    # cross terms cancel and whose halves add up to integers
+    x = DiffPoly.coord(frame.n, 0)
+    total = (x * q.total(0) - q).total(0)
+    assert total == x * q.total(0).total(0)
+    assert euler(frame, q.total(0), deps=deps).is_zero()
+    half = Fraction(1, 2)
+    results += [total, (p * half + q * half) * (p - q), (p * half) * (p * 2)]
     assert all(_sparse(r) for r in results)
 
 
@@ -549,6 +560,11 @@ def test_operator_results_store_no_zero(data):
     results += a.apply(VectorFunction([v]))
     results += CDiffOp.block([[a, -b]]).apply(VectorFunction([v, w]))
     results += CDiffOp.block([[a, -a]]).apply(VectorFunction([v, v]))
+    half = Fraction(1, 2)
+    results += CDiffOp.block([[half * a, half * a]]).apply(VectorFunction([v, v]))
+    results.append(CDiffOp.block([[half * a, half * b]]).compose(CDiffOp.block([[b], [a]])))
+    results += [half * a - (-half) * a, a.adjoint() - a.adjoint(), (half * a).adjoint()]
+    assert half * a - (-half) * a == a
     assert all(_sparse(r) for r in results)
 
 

@@ -231,14 +231,17 @@ def test_demo_reports_match_pinned_digests(tmp_path, capsys):
         _check_report_digests(DEMOS / f"{name}.ham", json_digest, text_digest, tmp_path, capsys)
 
 
-# The same for the benchmark's workload inputs other than the deep
-# reduction, which has its own pinned normal forms in test_systems; the
-# JSON digests are the benchmark's own, in bench/digests.json.
+# The same for the benchmark's workload inputs; the JSON digests are the
+# benchmark's own, in bench/digests.json.
 BENCH = DEMOS.parent / "bench"
 WORKLOAD_DIGESTS = {
     "constrained_reduce": (
         "22875c536261ade24b6b40e0f818fb77fedccec3c88dc28ef25a4912c25659cc",
         "f5a34458ea9c2fd1f0b21b81a10d974e1124dbce89385abff9780458f5e7aeac",
+    ),
+    "deep_reduce": (
+        "73850b8b51b4d9a63d9598be394d4ced497faae44f3fe53f18075a262178f936",
+        "376b58e2bd47f8ceeb7193dd7082bbad376fac060f13f9d7352905e995904828",
     ),
     "kdv3_transport": (
         "72be5828c0f7e576658eebfe0c00e15e785216d088261f75f6d39441fdc923e0",
