@@ -9,16 +9,16 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
+from operator import add, sub
 
 from .poly import (
     DiffPoly,
     VectorFunction,
     _guarded,
-    accumulate,
     as_vector,
+    current_run,
     exact,
     mul_into,
-    total_memo,
 )
 
 
@@ -118,24 +118,29 @@ class CDiffOp:
             )
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        res = dict(self.entries)
-        for key, a in other.entries.items():
-            accumulate(res, key, a)
-        return CDiffOp(self.n, self.rows, self.cols, res, _clean=True)
+        return self._merge(other, add)
 
     def __sub__(self, other):
-        # each entry of other is subtracted from a copy of the terms of the
-        # same entry of self; an entry that cancels is dropped
+        return self._merge(other, sub)
+
+    def _merge(self, other, op):
+        """``op(self, other)`` for ``op`` in (add, sub), entry by entry.
+
+        Each entry of other is merged by ``op`` into a copy of the terms of
+        the same entry of self; an entry that cancels is dropped.
+        """
         self._check_same_shape(other)
         n = self.n
         res = dict(self.entries)
         for key, b in other.entries.items():
             a = res.get(key)
-            terms = dict(a.terms) if a is not None else {}
+            if a is None:
+                res[key] = b if op is add else -b
+                continue
+            terms = dict(a.terms)
             get = terms.get
             for m, c in b.terms.items():
-                terms[m] = get(m, 0) - c
+                terms[m] = op(get(m, 0), c)
             p = _guarded(n, terms)
             if p:
                 res[key] = p
@@ -199,10 +204,10 @@ class CDiffOp:
         v = as_vector(v)
         if len(v) != self.cols:
             raise DimensionMismatch(f"operator has {self.cols} columns, vector {len(v)}")
-        cache = {}
+        run = current_run()
         out = [{} for _ in range(self.rows)]
         for (r, c, sigma), a in self.entries.items():
-            mul_into(out[r], a, total_memo(cache, c, sigma, v[c]))
+            mul_into(out[r], a, run.total(v[c], sigma))
         return VectorFunction(_guarded(self.n, terms) for terms in out)
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
@@ -211,7 +216,7 @@ class CDiffOp:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        dcache = {}
+        run = current_run()
         res = {}
         for (r, k, sigma), a in self.entries.items():
             leibniz = [
@@ -222,7 +227,7 @@ class CDiffOp:
                 if k2 != k:
                     continue
                 for rho, delta, coeff in leibniz:
-                    db = total_memo(dcache, (k, c, tau), delta, b)
+                    db = run.total(b, delta)
                     out_sigma = tuple(p + q for p, q in zip(rho, tau))
                     terms = res.setdefault((r, c, out_sigma), {})
                     mul_into(terms, a, db, coeff)
@@ -233,14 +238,14 @@ class CDiffOp:
 
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: entry (i,j) becomes sum (-1)^|s| D_s o a_(j,i,s)."""
-        dcache = {}
+        run = current_run()
         res = {}
         for (r, c, sigma), a in self.entries.items():
             sign = -1 if sum(sigma) % 2 else 1
             for rho in _sub_indices(sigma):
                 coeff = sign * _binom(sigma, rho)
                 delta = tuple(s - q for s, q in zip(sigma, rho))
-                da = total_memo(dcache, (r, c, sigma), delta, a)
+                da = run.total(a, delta)
                 terms = res.setdefault((c, r, rho), {})
                 get = terms.get
                 for m, q in da.terms.items():

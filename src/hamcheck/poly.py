@@ -39,12 +39,26 @@ into ``int``s, checks the exponent guard on the monomials that are left
 and builds the ``DiffPoly``; a monomial past the limit whose terms cancel
 does not raise.  ``mul_into`` is the one product loop: a sum of
 products, such as an operator applied to a vector, fills one dict per
-result.  ``accumulate``, which cleans at each merge, is kept where the
-values are polynomials (operator entries) and for decoded keys.
+result.  ``accumulate``, which cleans at each merge, is kept only for
+decoded keys.
+
+Total derivatives D_sigma of a polynomial are taken once per run.  A
+``Run`` lives exactly as long as one ``runner.run_program``:
+``run_scope`` makes it the active one in a ``contextvars`` variable and
+resets that on the way out, so the run's table is unreachable when the
+run ends.  The table holds each base polynomial's derivatives by
+``sigma``, found by the base's ``id`` or, for a copy, by its value, so
+``apply``, ``compose``, ``adjoint``, ``euler``, ``evolutionary_apply``,
+``subst_deps``, factoring and the passivity check share what any of them
+took.  A builder called outside a run gets a throwaway ``Run`` of its
+own, kept only while the call lasts.  Restricted derivatives D̄_sigma,
+which depend on an equation, are cached by the equation instead.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
@@ -61,7 +75,7 @@ _FIELD = (1 << W) - 1
 # _IDS maps it back, and _GUARD holds the guard bit of every field given
 # out.  It is only appended to and an id never changes meaning, so a
 # monomial means the same everywhere in the process; this is the one
-# piece of module state.
+# piece of module state that outlives a run (see ``Run``).
 _VARS = []
 _IDS = {}
 _GUARD = 0
@@ -166,8 +180,8 @@ def exact(c):
 def accumulate(res: dict, key, value) -> None:
     """Add the nonzero ``value`` into ``res[key]``; drop the key if the sum is 0.
 
-    The merge rule where each merge must leave ``res`` clean: operator
-    entries, whose values are polynomials, and decoded keys.  A
+    The merge rule where each merge must leave ``res`` clean: decoded
+    keys, as the constructor and ``factor_through_f`` take them.  A
     coefficient is stored in the canonical form of ``exact``: an integral
     ``Fraction`` becomes its numerator.
     """
@@ -323,10 +337,17 @@ class DiffPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        res = dict(self.terms)
+        get = res.get
+        for m, c in other.terms.items():
+            res[m] = get(m, 0) - c
+        return _guarded(self.n, res)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -384,7 +405,13 @@ class DiffPoly:
 
     def _vars(self):
         """Every variable that occurs in some term."""
-        return [_VARS[k] for k, _ in _fields(reduce(or_, self.terms, 0))]
+        m = reduce(or_, self.terms, 0)
+        out = []
+        while m:
+            k = ((m & -m).bit_length() - 1) // W
+            m &= ~(_FIELD << (W * k))
+            out.append(_VARS[k])
+        return out
 
     def jetvars(self) -> set:
         return {v for v in self._vars() if type(v) is not int}
@@ -526,9 +553,9 @@ class DiffPoly:
     def subst_deps(self, values: dict) -> "DiffPoly":
         """Replace each dependent in ``values`` by its polynomial, at once;
         a jet of a replaced dependent becomes D_sigma of its value."""
-        cache = {}
+        run = current_run()
         return self.substitute({
-            v: total_memo(cache, v[0], v[1], values[v[0]])
+            v: run.total(values[v[0]], v[1])
             for v in self.jetvars() if v[0] in values
         })
 
@@ -648,6 +675,11 @@ def total_memo(cache: dict, key, sigma, base: DiffPoly, image=None) -> DiffPoly:
     cached index or zero; the path is then climbed back with
     ``total(i, image)``, caching every index on the way.  Iterative, so
     the jet order is not limited by the recursion depth.
+
+    Plain derivatives go through the run's table: ``Run.total`` climbs
+    here in the table of its base, with ``key`` None, so a derivative is
+    taken once per run.  A restricted D̄_sigma, with an ``image``, is
+    cached by its equation (``EquationSystem.prolonged_rhs``).
     """
     path = []
     while any(sigma) and (key, sigma) not in cache:
@@ -658,6 +690,67 @@ def total_memo(cache: dict, key, sigma, base: DiffPoly, image=None) -> DiffPoly:
     for up, i in reversed(path):
         p = cache[(key, up)] = p.total(i, image)
     return p
+
+
+class Run:
+    """What lives exactly as long as one run; for now, its derivative table.
+
+    The table holds, for each base polynomial, its total derivatives
+    D_sigma by ``sigma``.  A base is found first by ``id``; its entry keeps
+    the base alive, so the id is not reused while the run lasts.  A base
+    not seen as an object is found by value, ``(n, frozenset(terms))``,
+    a key built once per distinct base object, so value-equal copies share
+    one table.
+    """
+
+    __slots__ = ("_by_id", "_by_value", "__weakref__")
+
+    def __init__(self):
+        self._by_id = {}
+        self._by_value = {}
+
+    def table(self, base: DiffPoly) -> dict:
+        """The derivatives of ``base`` taken in this run, by ``(None, sigma)``."""
+        entry = self._by_id.get(id(base))
+        if entry is None:
+            table = self._by_value.setdefault((base.n, frozenset(base.terms.items())), {})
+            entry = self._by_id[id(base)] = (base, table)
+        return entry[1]
+
+    def total(self, base: DiffPoly, sigma) -> DiffPoly:
+        """D_sigma(base), taken at most once per run; D_0 is ``base`` itself
+        and is not stored."""
+        if not any(sigma):
+            return base
+        return total_memo(self.table(base), None, sigma, base)
+
+
+_RUN = ContextVar("hamcheck_run", default=None)
+
+
+def current_run() -> Run:
+    """The active run; outside one, a fresh throwaway ``Run``, so that a
+    library call keeps its derivatives only while it lasts."""
+    run = _RUN.get()
+    return Run() if run is None else run
+
+
+@contextmanager
+def run_scope():
+    """Make a fresh ``Run`` active for the block, unless one already is,
+    and give the active one.
+
+    A ``Run`` it made is reset on the way out, even on error, so its table
+    is unreachable once the block ends.
+    """
+    if _RUN.get() is not None:
+        yield _RUN.get()
+        return
+    token = _RUN.set(Run())
+    try:
+        yield _RUN.get()
+    finally:
+        _RUN.reset(token)
 
 
 def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
@@ -675,7 +768,7 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
                 f"density involves non-physical dependents ({names}); "
                 "pass deps explicitly to vary them"
             )
-    cache = {}
+    run = current_run()
     jets = density.jetvars()
     out = []
     for j in deps:
@@ -686,7 +779,7 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
                 continue
             idx = v[1]
             sign = -1 if sum(idx) % 2 else 1
-            for m, c in total_memo(cache, v, idx, density.partial(v)).terms.items():
+            for m, c in run.total(density.partial(v), idx).terms.items():
                 acc[m] = get(m, 0) + sign * c
         out.append(_guarded(frame.n, acc))
     return VectorFunction(out)
@@ -706,10 +799,10 @@ def evolutionary_apply(frame: Frame, phi: VectorFunction, f):
     if isinstance(f, VectorFunction):
         return VectorFunction([evolutionary_apply(frame, phi, p) for p in f])
     slot = {d: k for k, d in enumerate(phys)}
-    cache = {}
+    run = current_run()
     acc = {}
     for v in f.jetvars():
         dep, idx = v
         if dep in slot:
-            mul_into(acc, f.partial(v), total_memo(cache, dep, idx, phi[slot[dep]]))
+            mul_into(acc, f.partial(v), run.total(phi[slot[dep]], idx))
     return _guarded(frame.n, acc)

@@ -39,7 +39,7 @@ from .equivalence import (
 from .frame import Frame, Ranking
 from .ops import CDiffOp
 from .parser import Direction, NameRef, Program, TaskDecl
-from .poly import DiffPoly, VectorFunction, as_vector
+from .poly import DiffPoly, VectorFunction, as_vector, run_scope
 from .render import op_text, poly_text, vector_text
 from .systems import EquationSystem, HamcheckError, genfn_vector, make_system
 
@@ -413,13 +413,18 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
 
 
 def run_program(program: Program) -> list:
-    """Execute all tasks; never aborts mid-suite, results in declaration order."""
-    ctx = RunContext(program)
-    results = []
-    for i, task in enumerate(program.tasks):
-        result = run_task(ctx, task)
-        result.index = i
-        results.append(result)
+    """Execute all tasks; never aborts mid-suite, results in declaration order.
+
+    The whole run, systems included, shares one ``Run``: a derivative taken
+    once is not taken again, and the table is released when the run ends.
+    """
+    with run_scope():
+        ctx = RunContext(program)
+        results = []
+        for i, task in enumerate(program.tasks):
+            result = run_task(ctx, task)
+            result.index = i
+            results.append(result)
     return results
 
 

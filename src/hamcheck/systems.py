@@ -14,7 +14,15 @@ from fractions import Fraction
 
 from .frame import index_le, index_sub
 from .ops import CDiffOp, DimensionMismatch, linearize
-from .poly import DiffPoly, HamcheckError, VectorFunction, accumulate, as_vector, total_memo
+from .poly import (
+    DiffPoly,
+    HamcheckError,
+    VectorFunction,
+    accumulate,
+    as_vector,
+    current_run,
+    total_memo,
+)
 
 
 class NonOrthonomic(HamcheckError):
@@ -216,11 +224,11 @@ class EquationSystem:
             deps_used.add(rule.lead[0])
         offset = max(deps_used | {base - 1}) + 1
 
-        raw_prol = {}
+        run = current_run()
 
         def image(k, tau):
             rule = self.rules[k]
-            raw = total_memo(raw_prol, k, tau, rule.rhs_exact)
+            raw = run.total(rule.rhs_exact, tau)
             return raw + DiffPoly.jet(n, offset + k, tau) * Fraction(1, rule.scale)
 
         rows = [self._rewrite(p, image) for p in g]
@@ -333,7 +341,7 @@ def _check_passivity(system: EquationSystem, depth: int):
     """Cross-derivative compatibility of overlapping rules, to finite depth."""
     rules = system.rules
     n = system.frame.n
-    cache = {}
+    run = current_run()
     for a in range(len(rules)):
         for b in range(a + 1, len(rules)):
             if rules[a].lead[0] != rules[b].lead[0]:
@@ -343,10 +351,10 @@ def _check_passivity(system: EquationSystem, depth: int):
             ta = index_sub(lcm, la)
             tb = index_sub(lcm, lb)
             for nu in _multi_indices_upto(n, depth):
-                da = system.reduce(total_memo(
-                    cache, a, tuple(p + q for p, q in zip(ta, nu)), rules[a].rhs))
-                db = system.reduce(total_memo(
-                    cache, b, tuple(p + q for p, q in zip(tb, nu)), rules[b].rhs))
+                da = system.reduce(
+                    run.total(rules[a].rhs, tuple(p + q for p, q in zip(ta, nu))))
+                db = system.reduce(
+                    run.total(rules[b].rhs, tuple(p + q for p, q in zip(tb, nu))))
                 residual = da - db
                 if not residual.is_zero():
                     raise PassivityFailure(sum(nu), residual)

@@ -16,7 +16,7 @@ from hamcheck import (
     evolutionary_apply,
     linearize,
 )
-from hamcheck.poly import decode, encode, total_memo
+from hamcheck.poly import decode, encode, run_scope, total_memo
 from hamcheck.render import jet_text, poly_text
 from oracle_sympy import (
     formal_args,
@@ -355,6 +355,89 @@ def test_fused_poly_builders_match_unfused_loops(fp, data):
     shift = VectorFunction(DiffPoly.jet(frame.n, d, (1,) + (0,) * (frame.n - 1)) for d in deps)
     out = evolutionary_apply(frame, shift, f)
     assert out == _evolutionary_reference(frame, shift, f) == -2 * u * u_xx.total(0)
+
+
+# -- the run's derivative table -------------------------------------------------
+
+
+def _total_chain(p, sigma):
+    """D_sigma(p) by plain ``total`` calls, one direction at a time."""
+    for i, k in enumerate(sigma):
+        for _ in range(k):
+            p = p.total(i)
+    return p
+
+
+@given(polys(), st.data())
+def test_run_table_matches_plain_total_chain(fp, data):
+    frame, p = fp
+    n = frame.n
+    sigmas = data.draw(st.lists(st.sampled_from(_multi_indices(n, 3)), min_size=1, max_size=6))
+    copy = DiffPoly(n, dict(p.terms), _clean=True)
+    with run_scope() as run:
+        for sigma in sigmas:
+            expect = _total_chain(p, sigma)
+            assert run.total(p, sigma) == expect
+            assert total_memo({}, "p", sigma, p) == expect
+            assert run.total(copy, sigma) == expect
+        # a value-equal copy finds the table of the original
+        assert run.table(copy) is run.table(p)
+        # D_0 is the base itself and is not stored
+        zero = (0,) * n
+        assert run.total(p, zero) is p
+        assert all(any(sigma) for _, sigma in run.table(p))
+        # builders that share the run's table agree with those that do not
+        op = CDiffOp(n, 1, 1, {(0, 0, s): p for s in sigmas[:2]})
+        inside = (op.compose(op), op.adjoint(), op.apply(VectorFunction([p])))
+    assert inside == (op.compose(op), op.adjoint(), op.apply(VectorFunction([p])))
+    assert inside[0] == _compose_reference(op, op) and inside[1] == _adjoint_reference(op)
+
+
+def test_run_table_value_key_carries_the_base_dimension():
+    # x_0 has the same packed monomial for every n
+    with run_scope() as run:
+        one, two = DiffPoly.coord(1, 0), DiffPoly.coord(2, 0)
+        assert one.terms == two.terms
+        assert run.table(one) is not run.table(two)
+        assert run.table(DiffPoly.coord(2, 0)) is run.table(two)
+
+
+# -- signed merges ---------------------------------------------------------------
+
+
+@given(polys(), st.data())
+def test_subtraction_merges_into_one_copy(fp, data):
+    frame, p = fp
+    n = frame.n
+    _, q = data.draw(polys(frame))
+    k = data.draw(st.integers(-3, 3))
+    half = Fraction(1, 2)
+    # the second pair cancels, the third has halves that sum to integers
+    for a, b in ((p, q), (p, p), (p * half, -(p * half)), (q, p * half + q)):
+        diff = a - b
+        assert diff == a + (-b) and _sparse(diff)
+        assert (b - a) == -diff
+    assert (p - p).terms == {}
+    assert (p * half) - (-(p * half)) == p and _sparse((p * half) - (-(p * half)))
+    # int - polynomial goes through __rsub__
+    assert k - p == DiffPoly.const(n, k) + (-p) and _sparse(k - p)
+    assert p - k == p + DiffPoly.const(n, -k) and _sparse(p - k)
+    assert (k - DiffPoly.const(n, k)).terms == {}
+    assert (1 - DiffPoly.const(n, half) * 2).terms == {}
+
+
+@given(st.data())
+def test_operator_sum_and_difference_share_one_merge(data):
+    frame = data.draw(frames())
+    a = data.draw(operators(frame))
+    b = data.draw(operators(frame))
+    zero = CDiffOp.zero(frame.n)
+    assert (a + (-a)).entries == {} and (a - a).entries == {}
+    assert a + b == b + a and (a + b) - b == a and a - b == a + (-b)
+    assert a + zero == a == zero + a and zero - a == -a
+    half = Fraction(1, 2)
+    assert half * a + half * a == a and _sparse(half * a + half * a)
+    assert all(_sparse(r) for r in (a + b, a - b, a + (-a), zero - a))
 
 
 # -- sparse invariant ----------------------------------------------------------

@@ -3,9 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
-from hamcheck import brackets, cli
+import pytest
+
+from hamcheck import brackets, cli, poly, runner
+from hamcheck.ops import CDiffOp
 from hamcheck.parser import parse_program
 from hamcheck.runner import (
     RunContext,
@@ -152,6 +156,95 @@ def test_theta_built_once_per_system_and_operator(monkeypatch):
         assert all(r.status == "ok" for r in results)
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def _spy_on_runs(monkeypatch, fail_at=None):
+    """Record the active Run at each task; raise out of the task loop at
+    task number ``fail_at``."""
+    runs = []
+    run_task = runner.run_task
+
+    def spy(ctx, task):
+        runs.append(poly._RUN.get())
+        if len(runs) == fail_at:
+            raise RuntimeError("out of the loop")
+        return run_task(ctx, task)
+
+    monkeypatch.setattr(runner, "run_task", spy)
+    return runs
+
+
+def test_run_program_sets_one_run_and_releases_it(monkeypatch):
+    runs = _spy_on_runs(monkeypatch)
+    assert poly._RUN.get() is None
+    program, results = run_source(KDV_SOURCE)
+    # every task, genfn's failing one too, saw the same Run
+    assert results[3].status == "fail"
+    assert len(runs) == 5 and runs[0] is not None
+    assert all(r is runs[0] for r in runs)
+    assert runs[0].table(poly.DiffPoly.const(1, 1)) is not None
+    ref = weakref.ref(runs[0])
+    runs.clear()
+    # no Run is active after the run, and its table is unreachable
+    assert poly._RUN.get() is None
+    assert ref() is None
+
+
+def test_run_is_released_when_a_task_or_the_loop_fails(monkeypatch):
+    # an internal error inside a builder that holds the run's table
+    program = parse_program(KDV_SOURCE)
+    total = poly.Run.total
+
+    def lost(self, base, sigma):
+        if any(sigma) and not self._by_value:
+            raise KeyError("lost")
+        return total(self, base, sigma)
+
+    monkeypatch.setattr(poly.Run, "total", lost)
+    runs = _spy_on_runs(monkeypatch)
+    results = run_program(program)
+    assert any(r.detail == {"error": "internal error: KeyError: 'lost'"} for r in results)
+    ref = weakref.ref(runs[0])
+    runs.clear()
+    assert poly._RUN.get() is None and ref() is None
+
+    # an error that leaves run_program
+    monkeypatch.undo()
+    runs = _spy_on_runs(monkeypatch, fail_at=2)
+    with pytest.raises(RuntimeError):
+        run_source(KDV_SOURCE)
+    ref = weakref.ref(runs[0])
+    runs.clear()
+    assert poly._RUN.get() is None and ref() is None
+
+
+def test_two_runs_of_one_program_share_no_table(monkeypatch):
+    runs = _spy_on_runs(monkeypatch)
+    program = parse_program(KDV_SOURCE)
+    first = run_program(program)
+    second = run_program(program)
+    assert [(r.status, r.detail) for r in first] == [(r.status, r.detail) for r in second]
+    one, two = runs[0], runs[-1]
+    assert one is not two
+    tables = {id(t) for t in one._by_value.values()}
+    assert tables and tables.isdisjoint(id(t) for t in two._by_value.values())
+
+
+def test_builders_outside_a_run_leave_no_run_behind():
+    a = CDiffOp.d(1, 0, 3) + CDiffOp.mult(poly.DiffPoly.jet(1, 0, (1,)))
+    assert poly._RUN.get() is None
+    a.compose(a.adjoint()).apply(poly.VectorFunction([poly.DiffPoly.jet(1, 0, (0,))]))
+    assert poly._RUN.get() is None
+    # a scope inside a run joins it; the Run ends with the outer scope
+    with poly.run_scope() as outer:
+        with poly.run_scope() as inner:
+            assert inner is outer is poly._RUN.get()
+        assert poly._RUN.get() is outer
+    assert poly._RUN.get() is None
+    with pytest.raises(KeyError):
+        with poly.run_scope():
+            raise KeyError("inside")
+    assert poly._RUN.get() is None
 
 
 def _cli(args):
