@@ -121,10 +121,10 @@ def transport(data: EquivalenceData, a, direction: str) -> CDiffOp:
     bivector equivalence.
     """
     op = a.op if isinstance(a, Bivector) else a
-    if direction in ("1->2", "1to2"):
+    if direction == "1->2":
         out = data.alpha.compose(op).compose(data.alpha_p.adjoint())
         return data.e2.restrict_op(out)
-    if direction in ("2->1", "2to1"):
+    if direction == "2->1":
         out = data.beta.compose(op).compose(data.beta_p.adjoint())
         m1 = data.e1.frame.m
         if any(d >= m1 for (_, _, _s), c in out.entries.items() for d in c.deps()):

@@ -607,7 +607,10 @@ class Parser:
             a = self.next()
             self.next()
             b = self.expect("INT", "direction target")
-            return Direction(f"{a.text}->{b.text}")
+            text = f"{a.text}->{b.text}"
+            if text not in ("1->2", "2->1"):
+                self.fail(a, f"unknown direction {text!r}", expected=("1->2", "2->1"))
+            return Direction(text)
         if tok.kind == "IDENT":
             text = tok.text
             if text in self.systems or text in self.equivalences:
@@ -628,33 +631,25 @@ def parse_program(source: str) -> Program:
     return Parser(source).parse_program()
 
 
-def parse_poly(frame: Frame, text: str) -> DiffPoly:
-    """Parse a single polynomial expression against a frame (test helper)."""
-    parser = Parser("")
+def _parse_fragment(frame: Frame, text: str, parse):
+    """Parse all of ``text`` against ``frame`` with the method ``parse``."""
+    parser = Parser(text)
     parser.frame = frame
-    parser.tokens = tokenize(text)
-    parser.pos = 0
-    value = parser.parse_poly(frame)
+    value = parse(parser, frame)
     parser.expect("EOF", "end of expression")
     return value
+
+
+def parse_poly(frame: Frame, text: str) -> DiffPoly:
+    """Parse a single polynomial expression against a frame (test helper)."""
+    return _parse_fragment(frame, text, Parser.parse_poly)
 
 
 def parse_op(frame: Frame, text: str) -> CDiffOp:
     """Parse an operator expression against a frame (test helper)."""
-    parser = Parser("")
-    parser.frame = frame
-    parser.tokens = tokenize(text)
-    parser.pos = 0
-    value = parser.parse_opexpr(frame)
-    parser.expect("EOF", "end of expression")
-    return value
+    return _parse_fragment(frame, text, Parser.parse_opexpr)
 
 
 def parse_vector(frame: Frame, text: str) -> VectorFunction:
-    parser = Parser("")
-    parser.frame = frame
-    parser.tokens = tokenize(text)
-    parser.pos = 0
-    value = parser.parse_vector_literal(frame)
-    parser.expect("EOF", "end of expression")
-    return value
+    """Parse a vector literal ``[p, q, ...]`` against a frame (test helper)."""
+    return _parse_fragment(frame, text, Parser.parse_vector_literal)

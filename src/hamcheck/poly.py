@@ -11,14 +11,15 @@ carry into the next field, and a result with a guard bit set raises
 ``ExponentOverflow`` instead of being stored.  Only this module knows
 the encoding.
 
-Everyone else sees the decoded view: ``decode`` gives a monomial as a
-pair ``(jets, xexp)`` of a sorted tuple of ``((dep, idx), exponent)``
-jet factors and a tuple of exponents of the explicit independent
-variables, ``DiffPoly.items`` yields terms in that form and the
-constructor without ``_clean`` takes keys in it.  The canonical order
-of terms is graded, then by jet factors, then by x exponents, highest
-first; ``DiffPoly.canonical_terms`` walks the terms in it, giving each
-term's factors in order (x factors by index, then jets ascending).  It
+Tests and the sympy oracle read terms in the decoded view; no other
+module of the package does.  ``decode`` gives a monomial as a pair
+``(jets, xexp)`` of a sorted tuple of ``((dep, idx), exponent)`` jet
+factors and a tuple of exponents of the explicit independent variables,
+``DiffPoly.items`` yields terms in that form and the constructor without
+``_clean`` takes keys in it.  The canonical order of terms is graded,
+then by jet factors, then by x exponents, highest first;
+``DiffPoly.canonical_terms`` walks the terms in it, giving each term's
+factors in order (x factors by index, then jets ascending).  It
 ranks the variables that occur once per call and sorts by those ranks,
 never by the ints, whose order depends on the order in which ids were
 given.
@@ -37,10 +38,10 @@ cancels so leaves a zero, and a ``Fraction`` sum may be integral.
 ``_guarded`` then drops the zeros in place, turns integral ``Fraction``s
 into ``int``s, checks the exponent guard on the monomials that are left
 and builds the ``DiffPoly``; a monomial past the limit whose terms cancel
-does not raise.  ``mul_into`` is the one product loop: a sum of
-products, such as an operator applied to a vector, fills one dict per
-result.  ``accumulate``, which cleans at each merge, is kept only for
-decoded keys.
+does not raise.  The constructor's decoded keys are encoded, merged the
+same way and end in ``_guarded`` too.  ``mul_into`` is the one product
+loop: a sum of products, such as an operator applied to a vector, fills
+one dict per result.
 
 Total derivatives D_sigma of a polynomial are taken once per run.  A
 ``Run`` lives exactly as long as one ``runner.run_program``:
@@ -177,25 +178,6 @@ def exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def accumulate(res: dict, key, value) -> None:
-    """Add the nonzero ``value`` into ``res[key]``; drop the key if the sum is 0.
-
-    The merge rule where each merge must leave ``res`` clean: decoded
-    keys, as the constructor and ``factor_through_f`` take them.  A
-    coefficient is stored in the canonical form of ``exact``: an integral
-    ``Fraction`` becomes its numerator.
-    """
-    old = res.get(key)
-    if old is not None:
-        value = old + value
-        if not value:
-            del res[key]
-            return
-    if type(value) is Fraction and value.denominator == 1:
-        value = value.numerator
-    res[key] = value
-
-
 def mul_into(res: dict, a: "DiffPoly", b: "DiffPoly", c=1) -> dict:
     """Add ``c*a*b`` into the term dict ``res`` and return it.
 
@@ -227,19 +209,25 @@ class DiffPoly:
 
     def __init__(self, n: int, terms=None, _clean: bool = False):
         """``terms`` maps decoded monomials to rationals, or, with ``_clean``,
-        packed monomials to canonical nonzero coefficients."""
+        packed monomials to canonical nonzero coefficients.
+
+        Decoded terms with a zero coefficient are skipped before they are
+        encoded, so a zero term past ``LIMIT`` does not raise; the rest are
+        merged by their packed keys and cleaned by ``_guarded``."""
         self.n = n
         if not terms:
             self.terms = {}
         elif _clean:
             self.terms = terms
         else:
-            clean = {}
+            res = {}
+            get = res.get
             for m, c in terms.items():
                 c = exact(c)
                 if c:
-                    accumulate(clean, encode(m), c)
-            self.terms = clean
+                    m = encode(m)
+                    res[m] = get(m, 0) + c
+            self.terms = _guarded(n, res).terms
 
     # -- constructors ------------------------------------------------
 

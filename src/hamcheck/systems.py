@@ -18,7 +18,6 @@ from .poly import (
     DiffPoly,
     HamcheckError,
     VectorFunction,
-    accumulate,
     as_vector,
     current_run,
     total_memo,
@@ -120,18 +119,19 @@ class EquationSystem:
             return self.prolonged_rhs(k, index_sub(jet[1], self.rules[k].lead[1]))
 
     def _rewrite(self, p: DiffPoly, image) -> DiffPoly:
-        """Substitute image(k, tau) for every jet u_{lead_k+tau} that has a
-        rule, all at once, until no jet has one.
+        """Substitute ``image(jet)`` for every jet of ``p`` for which it is not
+        None, all at once, until no jet has an image.
 
-        Each reducible jet always gets the same image and the ranking makes
-        rewriting terminate, so the result does not depend on the order.
+        ``image`` gives each reducible jet always the same polynomial and the
+        ranking makes rewriting terminate, so the result does not depend on
+        the order.
         """
         while True:
             images = {}
             for jet in p.jetvars():
-                k = self.rule_for(jet)
-                if k is not None:
-                    images[jet] = image(k, index_sub(jet[1], self.rules[k].lead[1]))
+                q = image(jet)
+                if q is not None:
+                    images[jet] = q
             if not images:
                 return p
             p = p.substitute(images)
@@ -139,7 +139,7 @@ class EquationSystem:
     def reduce(self, p: DiffPoly) -> DiffPoly:
         """Normal form.  Every image is already a normal form, so the first
         substitution is final and the second scan only confirms it."""
-        return self._rewrite(p, self.prolonged_rhs)
+        return self._rewrite(p, self._image)
 
     def reduce_vector(self, v) -> VectorFunction:
         return as_vector(v).map(self.reduce)
@@ -210,8 +210,12 @@ class EquationSystem:
         """Find the operator Delta with g = Delta(F) modulo higher F-degree.
 
         Every reducible jet u_{lead+tau} is replaced by D_tau(rhs) plus a
-        fresh commuting symbol standing for D_tau(F_k)/scale_k; the part
-        linear in those symbols yields Delta.  Requires reduce(g) = 0.
+        fresh jet of dependent ``offset + k`` standing for D_tau(F_k)/scale_k,
+        until no jet is reducible.  With every such F-jet set to zero, a row
+        must vanish (else NotOnEquation); the entry (comp, k, tau) of Delta
+        is the partial derivative of the row by the F-jet (offset + k, tau),
+        taken at F = 0, so the terms of F-degree 2 and more drop out.  No
+        reducible jet is left to rewrite, so every entry is a normal form.
         """
         g = as_vector(g)
         n = self.frame.n
@@ -226,34 +230,22 @@ class EquationSystem:
 
         run = current_run()
 
-        def image(k, tau):
-            rule = self.rules[k]
-            raw = run.total(rule.rhs_exact, tau)
-            return raw + DiffPoly.jet(n, offset + k, tau) * Fraction(1, rule.scale)
+        def image(jet):
+            k = self.rule_for(jet)
+            if k is not None:
+                rule = self.rules[k]
+                tau = index_sub(jet[1], rule.lead[1])
+                raw = run.total(rule.rhs_exact, tau)
+                return raw + DiffPoly.jet(n, offset + k, tau) * Fraction(1, rule.scale)
 
-        rows = [self._rewrite(p, image) for p in g]
-
-        terms = {}
-        zero_residual = True
-        for comp, p in enumerate(rows):
-            for (jets, xe), c in p.items():
-                phis = [(v, e) for (v, e) in jets if v[0] >= offset]
-                deg = sum(e for _, e in phis)
-                if deg == 0:
-                    zero_residual = False
-                elif deg == 1:
-                    (dep, tau), _ = phis[0]
-                    rest = tuple((v, e) for (v, e) in jets if v[0] < offset)
-                    entry = terms.setdefault((comp, dep - offset, tau), {})
-                    accumulate(entry, (rest, xe), c)
-                # degree >= 2 in F-jets is dropped: the defining identity is
-                # only needed to first order off the equation.
-        if not zero_residual:
-            raise NotOnEquation("expression does not vanish on the equation")
-        entries = {
-            key: self.reduce(DiffPoly(n, t))
-            for key, t in terms.items() if t
-        }
+        entries = {}
+        for comp, p in enumerate(g):
+            p = self._rewrite(p, image)
+            zeros = {v: DiffPoly.zero(n) for v in p.jetvars() if v[0] >= offset}
+            if p.substitute(zeros):
+                raise NotOnEquation("expression does not vanish on the equation")
+            for v in zeros:
+                entries[(comp, v[0] - offset, v[1])] = p.partial(v).substitute(zeros)
         return CDiffOp(n, len(g), len(self.rules), entries)
 
 

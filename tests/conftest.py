@@ -29,6 +29,13 @@ def kdv(fr_u):
 
 
 @pytest.fixture(scope="session")
+def kdv_scaled(fr_u):
+    """KdV written as 2*F = 0: its one rule has scale 2."""
+    f = parse_poly(fr_u, "2*u_t - 2*u_xxx - 12*u*u_x")
+    return solve_orthonomic(fr_u, [f], Ranking.of(fr_u, "t", "x"))
+
+
+@pytest.fixture(scope="session")
 def kdv_ops(fr_u):
     return parse_op(fr_u, "Dx"), parse_op(fr_u, "Dx^3 + 4*u*Dx + 2*u_x")
 

@@ -117,6 +117,15 @@ def test_syntax_error_position_and_expectations():
         parse_program("dependents u, t;\n  independents x, t;\n")
     assert (err.value.line, err.value.col) == (2, 3)
     assert "unique" in err.value.msg
+    # A transport direction other than 1->2 or 2->1 is reported at its
+    # first token.
+    for direction in ("1->1", "3->5"):
+        with pytest.raises(ParseError) as err:
+            parse_program(
+                f"independents x, t;\ndependents u;\ntask transport(Dx, Dx, {direction});\n"
+            )
+        assert (err.value.line, err.value.col) == (3, 24)
+        assert err.value.expected == ("1->2", "2->1")
 
 
 def test_unknown_identifier_is_positioned():

@@ -671,15 +671,28 @@ def test_restricted_totals_commute(kdv, fr_u, data):
     assert a == b
 
 
-@given(st.data())
-def test_factor_soundness_on_f_linear_input(kdv, fr_u, data):
-    _, c0 = data.draw(polys(fr_u, max_terms=2, max_degree=2, max_order=2))
-    _, c1 = data.draw(polys(fr_u, max_terms=2, max_degree=2, max_order=2))
-    f = kdv.originals[0]
-    g = c0 * f + c1 * f.total(0)
-    delta = kdv.factor_through_f(g)
-    back = delta.apply(VectorFunction([f]))[0]
-    assert kdv.reduce(g - back).is_zero()
+@given(st.sampled_from(["kdv", "kdv3", "kdv_scaled"]), st.data())
+def test_factor_soundness_on_f_linear_input(kdv, kdv3, kdv_scaled, name, data):
+    # g = sum c_{k,sigma} D_sigma F_k + c F_0 D_x F_last factors back to
+    # exactly the reduced c_{k,sigma}: the F-quadratic term drops out, and
+    # a Delta that only satisfied reduce(g - Delta(F)) = 0, such as 0,
+    # would not pass; kdv_scaled has a rule of scale 2
+    system = {"kdv": kdv, "kdv3": kdv3, "kdv_scaled": kdv_scaled}[name]
+    frame, fs = system.frame, system.originals
+    n, l = frame.n, len(fs)
+    sigmas = [(0, 0), (1, 0), (0, 1)]  # 1, D_x, D_t
+    keys = data.draw(st.lists(
+        st.tuples(st.integers(0, l - 1), st.sampled_from(sigmas)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    coeffs = polys(frame, max_terms=2, max_degree=2, max_order=2)
+    g = data.draw(coeffs)[1] * fs[0] * fs[l - 1].total(0)
+    expected = {}
+    for k, sigma in keys:
+        _, c = data.draw(coeffs)
+        g = g + c * (fs[k].total(sigma.index(1)) if any(sigma) else fs[k])
+        expected[(0, k, sigma)] = system.reduce(c)
+    assert system.factor_through_f(g) == CDiffOp(n, 1, l, expected)
 
 
 # -- restricted total derivatives -------------------------------------------
