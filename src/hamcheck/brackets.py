@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .frame import Frame
 from .ops import CDiffOp, DimensionMismatch, linearize
@@ -23,7 +22,8 @@ from .systems import (
     NonOrthonomic,
     genfn_vector,
     make_genfn,
-    make_system,
+    seal,
+    solve_for,
 )
 
 
@@ -210,33 +210,32 @@ def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
 
 
 def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
-    """Joint rewrite system: the equation plus the adjoint-linearization
-    constraints on each formal argument block, in orthonomic form."""
+    """Joint rewrite system: the equation's rules plus the adjoint-linearization
+    constraints on each formal argument block, each solved for its maximal
+    argument jet."""
     n = system.frame.n
     lstar = system.restrict_op(system.adjoint_linearization())
     originals = list(system.originals)
-    solved = [(r.lead, r.rhs_exact) for r in system.rules]
+    rules = list(system.rules)
     for ids in blocks:
-        rows = lstar.apply(formal_vector(n, ids))
-        for row in rows:
+        for row in lstar.apply(formal_vector(n, ids)):
             jets = [v for v in row.jetvars() if v[0] in ids]
             if not jets:
                 raise ConstraintNotOrthonomic(
                     "constraint row contains no argument jets"
                 )
-            lead = system.ranking.max_jet(jets)
-            coeff = row.partial(lead)
-            scale = coeff.const_value()
-            if scale is None or scale == 0:
+            try:
+                rule = solve_for(len(rules), row, system.ranking.max_jet(jets))
+            except NonOrthonomic:
                 raise ConstraintNotOrthonomic(
                     "constraint cannot be solved for its maximal argument jet"
-                )
-            rhs = DiffPoly.jet(n, lead[0], lead[1]) - row * Fraction(1, scale)
+                ) from None
             originals.append(row)
-            solved.append((lead, rhs))
+            rules.append(rule)
     try:
-        return make_system(
-            frame_ext, originals, solved, system.ranking, system.passivity_depth
+        return seal(
+            frame_ext, as_vector(originals), rules, system.ranking,
+            system.passivity_depth,
         )
     except NonOrthonomic as exc:
         raise ConstraintNotOrthonomic(str(exc)) from exc
@@ -272,19 +271,13 @@ def skew_density_verdict(
     a zero verdict of the Euler test is a sound semi-decision.
     """
     e = system.is_evolution()
-    if e is not None and not density.involves_direction(e):
-        residuals = euler_residuals(frame_ext, density)
-        picked = _pick_residual(frame_ext, residuals)
-        if picked is None:
-            return TrivialityVerdict(True, True, frame=frame_ext)
-        return TrivialityVerdict(False, True, picked[1], picked[0], frame_ext)
-    joint = constraint_system(system, frame_ext, blocks)
-    reduced = joint.reduce(density)
-    residuals = euler_residuals(frame_ext, reduced)
-    picked = _pick_residual(frame_ext, residuals)
+    exact = e is not None and not density.involves_direction(e)
+    if not exact:
+        density = constraint_system(system, frame_ext, blocks).reduce(density)
+    picked = _pick_residual(frame_ext, euler_residuals(frame_ext, density))
     if picked is None:
-        return TrivialityVerdict(True, False, frame=frame_ext)
-    return TrivialityVerdict(False, False, picked[1], picked[0], frame_ext)
+        return TrivialityVerdict(True, exact, frame=frame_ext)
+    return TrivialityVerdict(False, exact, picked[1], picked[0], frame_ext)
 
 
 def skew_pairing_verdict(

@@ -18,7 +18,6 @@ from .brackets import (
     euler_residuals,
     magri_defects,
 )
-from .frame import Ranking
 from .ops import CDiffOp, linearize
 from .poly import DiffPoly, VectorFunction, as_vector, formal_vector
 from .systems import (
@@ -53,14 +52,7 @@ class DeformedSystem:
     a2_til: Bivector
 
 
-def deform(
-    base: EquationSystem,
-    a1: Bivector,
-    a2: Bivector,
-    ranking: Ranking = None,
-    passivity_depth: int = None,
-    w_stem: str = "w",
-) -> DeformedSystem:
+def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
     """Build the deformed system and certify its block bivectors.
 
     The w dependents are physical unknowns of the new system.  The block
@@ -78,10 +70,10 @@ def deform(
     if l != m:
         raise HamcheckError("deformation needs a square base system")
     frame0 = base.frame
-    if l == 1 and w_stem not in frame0.dependents and w_stem not in frame0.independents:
-        names = (w_stem,)
+    if l == 1 and "w" not in frame0.dependents and "w" not in frame0.independents:
+        names = ("w",)
     else:
-        names = frame0.fresh_names(w_stem, l)
+        names = frame0.fresh_names("w", l)
     frame, w_ids = frame0.extend(names, formal=False)
     n = frame.n
 
@@ -93,11 +85,7 @@ def deform(
     theta = g + h
     originals = VectorFunction(list(g) + list(h))
 
-    if ranking is None:
-        ranking = base.ranking
-    if passivity_depth is None:
-        passivity_depth = base.passivity_depth
-    system = solve_orthonomic(frame, originals, ranking, passivity_depth)
+    system = solve_orthonomic(frame, originals, base.ranking, base.passivity_depth)
 
     lin_block = linearize(theta, frame0.physical).adjoint()
     zero = CDiffOp.zero(n, l, l)

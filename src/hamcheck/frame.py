@@ -73,12 +73,6 @@ class Frame:
         except ValueError:
             raise ValueError(f"unknown independent variable {name!r}") from None
 
-    def dep_index(self, name: str) -> int:
-        try:
-            return self.dependents.index(name)
-        except ValueError:
-            raise ValueError(f"unknown dependent variable {name!r}") from None
-
     def fresh_names(self, stem: str, count: int) -> tuple:
         """Generate ``count`` dependent names based on ``stem`` avoiding clashes."""
         taken = set(self.independents) | set(self.dependents)
@@ -110,14 +104,13 @@ class Ranking:
     ``indep_order`` lists independent-variable indices from most to least
     dominant.  With the default ``lex`` rule two jet variables compare by
     the precedence-permuted multi-index, lexicographically, and ties (same
-    multi-index, different dependent) fall to dependent precedence.  This
-    is a well-order and satisfies v < w  =>  D_i v < D_i w.
+    multi-index, different dependent) go to the lower dependent index.
+    This is a well-order and satisfies v < w  =>  D_i v < D_i w.
 
     The ``graded`` rule compares total order first, then as above.
     """
 
     indep_order: tuple
-    dep_order: tuple = None
     rule: str = "lex"
 
     def __post_init__(self):
@@ -126,33 +119,20 @@ class Ranking:
         if self.rule not in ("lex", "graded"):
             raise ValueError(f"unknown ranking rule {self.rule!r}")
 
-    def _dep_key(self, dep: int) -> int:
-        # Higher precedence => larger key.  Dependents beyond dep_order
-        # (formal slots added later) rank below all listed ones.
-        if self.dep_order is None:
-            return -dep
-        try:
-            return -self.dep_order.index(dep)
-        except ValueError:
-            return -(len(self.dep_order) + dep)
-
     def key(self, jet: JetVar):
         dep, idx = jet
         perm = tuple(idx[i] for i in self.indep_order)
         if self.rule == "graded":
-            return (sum(idx), perm, self._dep_key(dep))
-        return (perm, self._dep_key(dep))
+            return (sum(idx), perm, -dep)
+        return (perm, -dep)
 
     def max_jet(self, jets):
         return max(jets, key=self.key)
 
     @staticmethod
-    def of(frame: Frame, *indep_names, deps=None, rule: str = "lex") -> "Ranking":
+    def of(frame: Frame, *indep_names, rule: str = "lex") -> "Ranking":
         """Build a ranking from independent names, most dominant first."""
         order = tuple(frame.indep_index(nm) for nm in indep_names)
         if sorted(order) != list(range(frame.n)):
             raise ValueError("ranking must mention every independent exactly once")
-        dep_order = None
-        if deps is not None:
-            dep_order = tuple(frame.dep_index(nm) for nm in deps)
-        return Ranking(order, dep_order, rule)
+        return Ranking(order, rule)

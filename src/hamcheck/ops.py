@@ -187,11 +187,11 @@ class CDiffOp:
     def order(self) -> int:
         return max((sum(s) for (_, _, s) in self.entries), default=0)
 
-    def entry_terms(self, r, c):
-        """All (sigma, coefficient) pairs of one matrix entry."""
-        return [
-            (sigma, a) for (i, j, sigma), a in self.entries.items() if i == r and j == c
-        ]
+    def as_poly(self):
+        """The coefficient of a 1x1 operator of order 0, else None."""
+        if (self.rows, self.cols) != (1, 1) or self.order() != 0:
+            return None
+        return self.entries.get((0, 0, (0,) * self.n), DiffPoly.zero(self.n))
 
     def map_coeffs(self, fn) -> "CDiffOp":
         # keys stay distinct, so there is nothing to merge: drop zero images

@@ -443,12 +443,10 @@ class Parser:
         return CDiffOp.block(rows)
 
     def poly_of(self, op: CDiffOp, tok: Token) -> DiffPoly:
-        if (op.rows, op.cols) != (1, 1) or op.order() != 0:
+        p = op.as_poly()
+        if p is None:
             self.fail(tok, "expected a polynomial (no derivative operators)")
-        terms = op.entry_terms(0, 0)
-        if not terms:
-            return DiffPoly.zero(op.n)
-        return terms[0][1]
+        return p
 
     def parse_poly(self, frame: Frame) -> DiffPoly:
         tok = self.peek()

@@ -41,7 +41,13 @@ from .ops import CDiffOp
 from .parser import Direction, NameRef, Program, TaskDecl
 from .poly import DiffPoly, VectorFunction, as_vector, run_scope
 from .render import op_text, poly_text, vector_text
-from .systems import EquationSystem, HamcheckError, genfn_vector, make_system
+from .systems import (
+    PASSIVITY_DEPTH,
+    EquationSystem,
+    HamcheckError,
+    genfn_vector,
+    make_system,
+)
 
 OK = "ok"
 FAIL = "fail"
@@ -93,7 +99,7 @@ class RunContext:
             originals = [
                 DiffPoly.jet(frame.n, jet[0], jet[1]) - rhs for jet, rhs in solved
             ]
-            depth = decl.passivity if decl.passivity is not None else 4
+            depth = decl.passivity if decl.passivity is not None else PASSIVITY_DEPTH
             self.systems[name] = make_system(
                 frame, originals, solved, ranking, depth
             )
@@ -136,12 +142,8 @@ class RunContext:
 
     def need_vector(self, value, system):
         if isinstance(value, CDiffOp):
-            if (value.rows, value.cols) == (1, 1) and value.order() == 0:
-                terms = value.entry_terms(0, 0)
-                value = VectorFunction(
-                    [terms[0][1] if terms else DiffPoly.zero(value.n)]
-                )
-            else:
+            value = value.as_poly()
+            if value is None:
                 raise HamcheckError("expected a vector of densities, got an operator")
         if not isinstance(value, (VectorFunction, DiffPoly)):
             raise HamcheckError(

@@ -24,6 +24,10 @@ from .poly import (
 )
 
 
+# Depth of the cross-derivative check when no equation sets its own.
+PASSIVITY_DEPTH = 4
+
+
 class NonOrthonomic(HamcheckError):
     pass
 
@@ -249,37 +253,36 @@ class EquationSystem:
         return CDiffOp(n, len(g), len(self.rules), entries)
 
 
-def make_system(frame, originals, solved, ranking, passivity_depth=4) -> EquationSystem:
-    """Validate a solved form against the original equations and build a system.
+def solve_for(k, f, lead) -> Rule:
+    """Equation ``f`` (number ``k`` in messages) solved for the jet ``lead``.
 
-    ``solved`` is a list of (lead jet, rhs) pairs, one per component of
-    ``originals``; each F_k must equal scale * (lead_k - rhs_k) for a
-    nonzero rational scale.  Right-hand sides are brought to normal form
-    with respect to the other rules before the system is sealed.
+    This is the one place where an equation is solved for its lead.  The
+    lead must occur linearly with a nonzero constant coefficient
+    ``scale = ∂f/∂lead``, which keeps solved forms polynomial (no division
+    by jet expressions); then ``f = scale * (lead - rhs)`` with
+    ``rhs = lead - f/scale``.  The rule's ``rhs`` is not yet normalised
+    against other rules; ``seal`` does that.
     """
-    originals = as_vector(originals)
-    if len(solved) != len(originals):
-        raise MismatchedSolvedForm(
-            f"{len(originals)} equations but {len(solved)} solved forms"
+    scale = f.partial(lead).const_value()
+    if not scale:
+        raise NonOrthonomic(
+            f"equation {k}: lead must occur linearly with constant coefficient"
         )
-    n = frame.n
-    rules = []
-    for k, (lead, rhs) in enumerate(solved):
-        lead = (lead[0], tuple(lead[1]))
-        f_k = originals[k]
-        coeff = f_k.partial(lead)
-        scale = coeff.const_value()
-        if scale is None or scale == 0:
-            raise NonOrthonomic(
-                f"equation {k}: lead must occur linearly with constant coefficient"
-            )
-        expected = (DiffPoly.jet(n, lead[0], lead[1]) - rhs) * scale
-        if expected != f_k:
-            raise MismatchedSolvedForm(
-                f"equation {k}: F != scale*(lead - rhs) for the given solved form"
-            )
-        rules.append(Rule(lead, rhs, rhs, scale))
+    rhs = DiffPoly.jet(f.n, lead[0], lead[1]) - f * Fraction(1, scale)
+    return Rule(lead, rhs, rhs, scale)
 
+
+def seal(frame, originals, rules, ranking, passivity_depth) -> EquationSystem:
+    """Check solved rules and build the system they form.
+
+    Every lead must be ranking-maximal in its rule and no lead may be a
+    prolongation of another lead of the same dependent (NonOrthonomic).
+    Right-hand sides are then brought to normal form in one pass:
+    ``reduce`` leaves no reducible jet, and which jets are reducible
+    depends on the leads alone, so the rebuilt system's rules are already
+    normal.  Last, overlapping rules are checked for cross-derivative
+    compatibility to ``passivity_depth`` (PassivityFailure).
+    """
     for k, rule in enumerate(rules):
         jets = rule.rhs_exact.jetvars()
         if rule.lead in jets or ranking.max_jet(jets | {rule.lead}) != rule.lead:
@@ -294,23 +297,40 @@ def make_system(frame, originals, solved, ranking, passivity_depth=4) -> Equatio
                         f"lead of equation {b} is a prolongation of equation {a}'s"
                     )
 
-    # Bring right-hand sides to mutual normal form (rules with reducible
-    # sides still present the same prolongation, but normal forms make the
-    # rewrite system orthonomic).
-    for _ in range(50):
-        system = EquationSystem(frame, originals, rules, ranking, passivity_depth)
-        normalized = [system.reduce(r.rhs) for r in rules]
-        if all(p == r.rhs for p, r in zip(normalized, rules)):
-            break
+    system = EquationSystem(frame, originals, rules, ranking, passivity_depth)
+    normal = [system.reduce(r.rhs) for r in rules]
+    if any(p != r.rhs for p, r in zip(normal, rules)):
         rules = [
-            Rule(r.lead, p, r.rhs_exact, r.scale)
-            for r, p in zip(rules, normalized)
+            Rule(r.lead, p, r.rhs_exact, r.scale) for r, p in zip(rules, normal)
         ]
-    else:
-        raise NonOrthonomic("solved forms do not normalize against each other")
-
+        system = EquationSystem(frame, originals, rules, ranking, passivity_depth)
     _check_passivity(system, passivity_depth)
     return system
+
+
+def make_system(
+    frame, originals, solved, ranking, passivity_depth=PASSIVITY_DEPTH
+) -> EquationSystem:
+    """Validate a solved form against the original equations and build a system.
+
+    ``solved`` is a list of (lead jet, rhs) pairs, one per component of
+    ``originals``; each F_k must equal scale * (lead_k - rhs_k) for a
+    nonzero rational scale.  The rules are then sealed by ``seal``.
+    """
+    originals = as_vector(originals)
+    if len(solved) != len(originals):
+        raise MismatchedSolvedForm(
+            f"{len(originals)} equations but {len(solved)} solved forms"
+        )
+    rules = []
+    for k, (lead, rhs) in enumerate(solved):
+        rule = solve_for(k, originals[k], (lead[0], tuple(lead[1])))
+        if rule.rhs != rhs:
+            raise MismatchedSolvedForm(
+                f"equation {k}: F != scale*(lead - rhs) for the given solved form"
+            )
+        rules.append(rule)
+    return seal(frame, originals, rules, ranking, passivity_depth)
 
 
 def _multi_indices_upto(n, depth):
@@ -352,30 +372,18 @@ def _check_passivity(system: EquationSystem, depth: int):
                     raise PassivityFailure(sum(nu), residual)
 
 
-def solve_orthonomic(frame, originals, ranking, passivity_depth=4) -> EquationSystem:
-    """Solve each equation for its ranking-maximal jet and build the system.
-
-    The maximal jet must occur linearly with a constant coefficient; this
-    keeps solved forms polynomial (no division by jet expressions).
-    """
+def solve_orthonomic(
+    frame, originals, ranking, passivity_depth=PASSIVITY_DEPTH
+) -> EquationSystem:
+    """Solve each equation for its ranking-maximal jet and build the system."""
     originals = as_vector(originals)
-    n = frame.n
-    solved = []
+    rules = []
     for k, f_k in enumerate(originals):
         jets = f_k.jetvars()
         if not jets:
             raise NonOrthonomic(f"equation {k} contains no jet variables")
-        lead = ranking.max_jet(jets)
-        coeff = f_k.partial(lead)
-        scale = coeff.const_value()
-        if scale is None or scale == 0:
-            raise NonOrthonomic(
-                f"equation {k}: maximal jet occurs nonlinearly or with "
-                "non-constant coefficient"
-            )
-        rhs = DiffPoly.jet(n, lead[0], lead[1]) - f_k * Fraction(1, scale)
-        solved.append((lead, rhs))
-    return make_system(frame, originals, solved, ranking, passivity_depth)
+        rules.append(solve_for(k, f_k, ranking.max_jet(jets)))
+    return seal(frame, originals, rules, ranking, passivity_depth)
 
 
 # -- conservation laws ---------------------------------------------------

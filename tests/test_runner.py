@@ -276,6 +276,28 @@ def test_cli_exponent_overflow_in_a_prolongation_fails_its_task(tmp_path):
     }
 
 
+def test_cli_unsolvable_constraint_row_fails_its_tasks(tmp_path):
+    # on u_t = u*v_t, v_x = u the argument constraints have a maximal jet
+    # with a non-constant coefficient, so no joint constraint system exists
+    src = tmp_path / "constraint.ham"
+    src.write_text(
+        "independents x, t;\ndependents u, v;\n"
+        "equation e { solve u_t = u*v_t; solve v_x = u; ranking t > x; }\n"
+        "operator Z = [[0, 0], [0, 0]];\n"
+        "task bivector(e, Z);\ntask schouten(e, Z, Z);\ntask hamiltonian(e, Z);\n"
+    )
+    proc = _cli(["run", str(src), "--text"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    error = "error: constraint cannot be solved for its maximal argument jet"
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["[000]", "bivector", "ok"]
+    for kind in ("schouten", "hamiltonian"):
+        at = next(i for i, line in enumerate(lines) if kind in line.split())
+        assert lines[at].split()[1:] == [kind, "fail"]
+        assert lines[at + 1].strip() == error
+
+
 def test_cli_demo_files(tmp_path):
     out = tmp_path / "report.json"
     proc = _cli(["run", str(DEMOS / "kdv.ham"), "--report", str(out)])

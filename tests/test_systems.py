@@ -111,6 +111,22 @@ def test_scaled_solved_form_records_scale(fr_u):
     assert system.rules[0].scale == Fraction(-2)
 
 
+def test_right_hand_sides_normalised_in_one_pass():
+    # v_t -> u_xx has the reducible jet u_xx = D_x(u_x): its normal form is
+    # v_x, while the exact right-hand side keeps u_xx for factoring
+    fr = Frame(("x", "t"), ("u", "v"))
+    system = make_system(
+        fr,
+        [P(fr, "u_x - v"), P(fr, "v_t - u_xx")],
+        [((0, (1, 0)), P(fr, "v")), ((1, (0, 1)), P(fr, "u_xx"))],
+        Ranking.of(fr, "t", "x"),
+    )
+    assert system.rules[1].rhs == P(fr, "v_x")
+    assert system.rules[1].rhs_exact == P(fr, "u_xx")
+    for rule in system.rules:
+        assert system.reduce(rule.rhs) == rule.rhs
+
+
 def _exact(c) -> bool:
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
