@@ -10,7 +10,6 @@ coefficient after reduction.
 from .brackets import (
     Bivector,
     ConstraintNotOrthonomic,
-    MagriChain,
     NotABivector,
     TrivectorRep,
     TrivialityVerdict,
@@ -19,17 +18,14 @@ from .brackets import (
     is_hamiltonian,
     is_zero_trivector,
     magri_defects,
-    make_chain,
     poisson,
     schouten,
-    verify_magri,
 )
 from .deform import (
     DeformedSystem,
     LiftedChain,
     MagriPrecondition,
     NeedSuccessor,
-    check_conserved,
     deform,
     lift_hierarchy,
 )
@@ -48,13 +44,11 @@ from .poly import (
     VectorFunction,
     as_vector,
     euler,
-    evolutionary_apply,
     formal_vector,
 )
 from .systems import (
     ConservedCurrent,
     EquationSystem,
-    GenFn,
     HamcheckError,
     MismatchedSolvedForm,
     NonOrthonomic,

@@ -1,5 +1,9 @@
 """Variational bivectors and trivectors: certification, Schouten bracket,
-Poisson brackets and Magri hierarchies.
+Poisson brackets and Magri relations.
+
+A hierarchy is a plain sequence of vectors: ``magri_defects`` is the one
+check of the relations A1(psi_i) = A2(psi_{i+1}) between its entries,
+and ``poisson`` checks that its own arguments are generating functions.
 
 Multivectors are represented directly as multilinear operators evaluated
 on formal argument dependents; skew symmetry enters through explicit
@@ -13,15 +17,12 @@ from dataclasses import dataclass
 
 from .frame import Frame
 from .ops import CDiffOp, DimensionMismatch, linearize
-from .poly import DiffPoly, VectorFunction, as_vector, euler, evolutionary_apply, formal_vector
+from .poly import DiffPoly, VectorFunction, as_vector, euler, formal_vector
 from .render import poly_text
 from .systems import (
     EquationSystem,
-    GenFn,
     HamcheckError,
     NonOrthonomic,
-    genfn_vector,
-    make_genfn,
     seal,
     solve_for,
 )
@@ -125,9 +126,9 @@ class TrivialityVerdict:
 
     zero: bool
     exact: bool
+    frame: Frame
     residual: DiffPoly = None
     residual_dep: int = None
-    frame: Frame = None
 
 
 def _lin_a_psi(system: EquationSystem, op: CDiffOp, arg_ids) -> CDiffOp:
@@ -276,8 +277,8 @@ def skew_density_verdict(
         density = constraint_system(system, frame_ext, blocks).reduce(density)
     picked = _pick_residual(frame_ext, euler_residuals(frame_ext, density))
     if picked is None:
-        return TrivialityVerdict(True, exact, frame=frame_ext)
-    return TrivialityVerdict(False, exact, picked[1], picked[0], frame_ext)
+        return TrivialityVerdict(True, exact, frame_ext)
+    return TrivialityVerdict(False, exact, frame_ext, picked[1], picked[0])
 
 
 def skew_pairing_verdict(
@@ -317,60 +318,23 @@ def is_hamiltonian(system: EquationSystem, op: CDiffOp) -> bool:
 
 def poisson(system: EquationSystem, biv: Bivector, psi1, psi2) -> VectorFunction:
     """Poisson bracket of two generating functions under a Hamiltonian operator."""
-    psi1 = genfn_vector(psi1)
-    psi2 = genfn_vector(psi2)
     for psi in (psi1, psi2):
         residual = system.genfn_residual(psi)
         if not residual.is_zero():
             raise HamcheckError("poisson arguments must be generating functions")
     flow = system.reduce_vector(biv.op.apply(psi1))
     delta = system.factor_through_f(system.linearization().apply(flow))
-    out = evolutionary_apply(system.frame, flow, psi2) + delta.adjoint().apply(psi2)
-    out = system.reduce_vector(out)
+    out = linearize(psi2, system.frame.physical).apply(flow)
+    out = system.reduce_vector(out + delta.adjoint().apply(psi2))
     residual = system.genfn_residual(out)
     if not residual.is_zero():
         raise HamcheckError("poisson bracket failed to close on generating functions")
     return out
 
 
-@dataclass(frozen=True)
-class MagriChain:
-    """Generating functions with each A1-image equal to the next A2-image."""
-
-    home: EquationSystem
-    entries: tuple
-    densities: tuple = None
-
-
-def magri_defects(system, b1: Bivector, b2: Bivector, chain) -> list:
+def magri_defects(system, b1: Bivector, b2: Bivector, vecs) -> list:
     """Reduced defects A1(psi_i) - A2(psi_{i+1}) for adjacent entries."""
-    vecs = [genfn_vector(g) for g in chain]
-    out = []
-    for a, b in zip(vecs, vecs[1:]):
-        diff = b1.op.apply(a) - b2.op.apply(b)
-        out.append(system.reduce_vector(diff))
-    return out
-
-
-def verify_magri(system, b1, b2, chain, check_poisson=False) -> bool:
-    """Adjacent Magri relations, optionally plus pairwise bracket vanishing."""
-    if any(not d.is_zero() for d in magri_defects(system, b1, b2, chain)):
-        return False
-    if check_poisson:
-        vecs = [genfn_vector(g) for g in chain]
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                for biv in (b1, b2):
-                    if not poisson(system, biv, vecs[i], vecs[j]).is_zero():
-                        return False
-    return True
-
-
-def make_chain(system, b1, b2, vecs, densities=None) -> MagriChain:
-    entries = tuple(
-        g if isinstance(g, GenFn) else make_genfn(system, g) for g in vecs
-    )
-    chain = MagriChain(system, entries, densities)
-    if not verify_magri(system, b1, b2, entries):
-        raise HamcheckError("adjacent entries do not satisfy the Magri relation")
-    return chain
+    return [
+        system.reduce_vector(b1.op.apply(a) - b2.op.apply(b))
+        for a, b in zip(vecs, vecs[1:])
+    ]

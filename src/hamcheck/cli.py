@@ -2,7 +2,7 @@
 emit the structured report.
 
 Exit codes: 0 all tasks ok, 1 any task failed or left a residual,
-2 parse error.
+2 parse or declaration error.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)
         return 2
-    except HamcheckError as exc:
-        # declaration-level kernel error (bad system, bad equivalence data)
+    except (HamcheckError, ValueError) as exc:
+        # declaration-level kernel error (bad system, ranking or equivalence data)
         print(f"{args.file}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,12 @@ fresh dependents w through F + A1*(w) = 0, A2*(w) = 0.  The deformed
 system carries block bivectors assembled from A1, A2 and the adjoint of
 the linearization of F + A1*(w) + A2*(w), and Magri hierarchies lift to
 it entrywise.
+
+A hierarchy is a list of plain vectors.  ``lift_hierarchy`` checks each
+entry and each base Magri relation once, finds the flow of the base
+evolution once, and reports per lifted entry what the lifting theorem
+claims: a generating function, a Magri relation of the block operators,
+and a conserved pairing.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 
 from .brackets import (
     Bivector,
-    MagriChain,
     certify_bivector,
     euler_residuals,
     magri_defects,
@@ -22,9 +27,8 @@ from .ops import CDiffOp, linearize
 from .poly import DiffPoly, VectorFunction, as_vector, formal_vector
 from .systems import (
     EquationSystem,
-    GenFn,
     HamcheckError,
-    genfn_vector,
+    make_genfn,
     solve_orthonomic,
 )
 
@@ -100,52 +104,69 @@ def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
 
 @dataclass(frozen=True)
 class LiftedChain:
-    """Lifted hierarchy with per-entry certification outcomes."""
+    """Lifted hierarchy with the outcome of each check."""
 
-    chain: MagriChain
+    entries: tuple  # the pairs (psi_i, -psi_{i+1}) on the deformed system
     genfn_residuals: tuple  # one reduced residual vector per lifted entry
     magri_defects: tuple
+    conserved: tuple  # one verdict per base pair
 
     @property
     def all_certified(self) -> bool:
-        return all(r.is_zero() for r in self.genfn_residuals) and all(
-            d.is_zero() for d in self.magri_defects
+        return (
+            all(r.is_zero() for r in self.genfn_residuals)
+            and all(d.is_zero() for d in self.magri_defects)
+            and all(self.conserved)
         )
 
 
-def lift_hierarchy(deformed: DeformedSystem, chain: MagriChain) -> LiftedChain:
-    """Lift a Magri hierarchy to the deformed system as pairs (psi_i, -psi_{i+1}).
+def lift_hierarchy(deformed: DeformedSystem, vecs) -> LiftedChain:
+    """Lift a Magri hierarchy of the base system to the deformed system as
+    the pairs (psi_i, -psi_{i+1}).
 
-    Certification failures are reported per entry rather than raised: the
-    lifting theorem carries unformalized technical assumptions.
+    The base entries must be generating functions (NotAGenFn) satisfying
+    the Magri relation (MagriPrecondition).  What the lifting theorem
+    claims is reported per entry rather than raised, because the theorem
+    carries unformalized technical assumptions.
     """
-    if chain.home is not deformed.base:
-        raise HamcheckError("chain must live on the base system")
-    vecs = [genfn_vector(g) for g in chain.entries]
+    base = deformed.base
+    vecs = [make_genfn(base, v) for v in vecs]
+    defects = magri_defects(base, deformed.a1, deformed.a2, vecs)
+    if any(not d.is_zero() for d in defects):
+        raise MagriPrecondition("adjacent entries do not satisfy the Magri relation")
     if not vecs:
-        return LiftedChain(MagriChain(deformed.system, ()), (), ())
+        return LiftedChain((), (), (), ())
     if len(vecs) == 1:
         raise NeedSuccessor("lifting consumes psi_{i+1}; a lone entry has none")
+    flow = _flow(deformed)
     system = deformed.system
-    lifted_vecs = []
-    residuals = []
-    for a, b in zip(vecs, vecs[1:]):
-        pair = VectorFunction(list(a) + [-p for p in b])
-        lifted_vecs.append(pair)
-        residuals.append(system.genfn_residual(pair))
-    # a zero residual is the certificate, so the GenFn is built directly
-    entries = tuple(
-        GenFn(system, v) if r.is_zero() else v
-        for v, r in zip(lifted_vecs, residuals)
-    )
-    defects = tuple(
-        magri_defects(system, deformed.a1_til, deformed.a2_til, lifted_vecs)
-    )
-    lifted = MagriChain(system, entries, None)
-    return LiftedChain(lifted, tuple(residuals), defects)
+    pairs = list(zip(vecs, vecs[1:]))
+    entries = tuple(VectorFunction(list(a) + [-p for p in b]) for a, b in pairs)
+    residuals = tuple(system.genfn_residual(v) for v in entries)
+    defects = tuple(magri_defects(system, deformed.a1_til, deformed.a2_til, entries))
+    conserved = tuple(_conserved(deformed, flow, a, b) for a, b in pairs)
+    return LiftedChain(entries, residuals, defects, conserved)
 
 
-def check_conserved(deformed: DeformedSystem, psi_i, psi_next) -> bool:
+def _flow(deformed: DeformedSystem) -> VectorFunction:
+    """Right-hand sides of the deformed evolution rules u_t = ... of the
+    base dependents."""
+    base = deformed.base
+    e = base.is_evolution()
+    if e is None:
+        raise HamcheckError("conservation check needs an evolution base system")
+    flow = []
+    for dep in base.frame.physical:
+        for rule in deformed.system.rules:
+            if rule.lead[0] == dep and sum(rule.lead[1]) == 1 and rule.lead[1][e]:
+                flow.append(rule.rhs)
+                break
+        else:
+            raise HamcheckError("deformed system lost its evolution rules")
+    return VectorFunction(flow)
+
+
+def _conserved(deformed: DeformedSystem, flow, psi_i, psi_next) -> bool:
     """Conservation of a base Magri pair on the deformed system.
 
     Mechanizes the pairing chain of the conservation proof: the density
@@ -154,31 +175,8 @@ def check_conserved(deformed: DeformedSystem, psi_i, psi_next) -> bool:
     the second summand vanishes on the deformed equation, so the flow
     pairing is a total divergence there.
     """
-    base = deformed.base
-    psi_i = genfn_vector(psi_i)
-    psi_next = genfn_vector(psi_next)
-    defect = base.reduce_vector(
-        deformed.a1.op.apply(psi_i) - deformed.a2.op.apply(psi_next)
-    )
-    if not defect.is_zero():
-        raise MagriPrecondition("pair does not satisfy the base Magri relation")
-
     system = deformed.system
-    n = system.frame.n
-    e = base.is_evolution()
-    if e is None:
-        raise HamcheckError("conservation check needs an evolution base system")
-    flow = []
-    for dep in base.frame.physical:
-        for rule in system.rules:
-            if rule.lead[0] == dep and sum(rule.lead[1]) == 1 and rule.lead[1][e]:
-                flow.append(rule.rhs)
-                break
-        else:
-            raise HamcheckError("deformed system lost its evolution rules")
-    flow = VectorFunction(flow)
-
-    density = DiffPoly.zero(n)
+    density = DiffPoly.zero(system.frame.n)
     for p, f in zip(psi_i, flow):
         density = density + p * f
     for p, c in zip(psi_next, deformed.constraint):

@@ -147,7 +147,6 @@ class EquationDecl:
     solves: tuple
     ranking: tuple
     passivity: int
-    pos: tuple
 
 
 @dataclass(frozen=True)
@@ -166,24 +165,21 @@ class Program:
     vectors: dict
     equivalences: dict
     tasks: list
-    source: str
 
 
 class Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
         self.independents = None
         self.dependents = None
         self.frame = None
         self.systems = {}
-        self.system_decls = {}
         self.operators = {}
         self.vectors = {}
         self.equivalences = {}
         self.tasks = []
-        self.pending = {}  # names registered by deform tasks -> kind
+        self.pending = set()  # names registered by deform tasks
         self.nesting = 0  # open '(' and '[' around the current operand
 
     # -- token helpers --------------------------------------------------
@@ -216,7 +212,7 @@ class Parser:
 
     def _all_names(self):
         out = set(self.systems) | set(self.operators) | set(self.vectors)
-        out |= set(self.equivalences) | set(self.pending)
+        out |= set(self.equivalences) | self.pending
         return out
 
     def declare(self, tok: Token, table: dict, value):
@@ -258,9 +254,8 @@ class Parser:
                               "vector", "equivalence", "task"),
                 )
         return Program(
-            self.frame, dict(self.system_decls), dict(self.operators),
+            self.frame, dict(self.systems), dict(self.operators),
             dict(self.vectors), dict(self.equivalences), list(self.tasks),
-            self.source,
         )
 
     def _name_list(self):
@@ -507,10 +502,9 @@ class Parser:
             self.fail(kw, f"equation {name.text!r} has no solve clauses")
         if ranking_names is None:
             self.fail(kw, f"equation {name.text!r} needs a ranking clause")
-        self.declare(name, self.system_decls, EquationDecl(
-            deps, tuple(solves), tuple(ranking_names), passivity, (name.line, name.col)
+        self.declare(name, self.systems, EquationDecl(
+            deps, tuple(solves), tuple(ranking_names), passivity
         ))
-        self.systems[name.text] = None  # reserve the name
 
     def parse_operator(self):
         kw = self.next()
@@ -593,9 +587,7 @@ class Parser:
             if alias_tok.text in self._all_names():
                 self.fail(alias_tok, f"name {alias_tok.text!r} is already declared")
             alias = alias_tok.text
-            self.pending[alias] = "deformed"
-            self.pending[f"{alias}_A1"] = "operator"
-            self.pending[f"{alias}_A2"] = "operator"
+            self.pending |= {alias, f"{alias}_A1", f"{alias}_A2"}
         self.expect("SEMI", "';'")
         self.tasks.append(TaskDecl(kind.text, tuple(args), alias, kind.line, kind.col))
 

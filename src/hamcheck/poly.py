@@ -49,11 +49,11 @@ Total derivatives D_sigma of a polynomial are taken once per run.  A
 resets that on the way out, so the run's table is unreachable when the
 run ends.  The table holds each base polynomial's derivatives by
 ``sigma``, found by the base's ``id`` or, for a copy, by its value, so
-``apply``, ``compose``, ``adjoint``, ``euler``, ``evolutionary_apply``,
-``subst_deps``, factoring and the passivity check share what any of them
-took.  A builder called outside a run gets a throwaway ``Run`` of its
-own, kept only while the call lasts.  Restricted derivatives D̄_sigma,
-which depend on an equation, are cached by the equation instead.
+``apply``, ``compose``, ``adjoint``, ``euler``, ``subst_deps``, factoring
+and the passivity check share what any of them took.  A builder called
+outside a run gets a throwaway ``Run`` of its own, kept only while the
+call lasts.  Restricted derivatives D̄_sigma, which depend on an
+equation, are cached by the equation instead.
 """
 
 from __future__ import annotations
@@ -772,25 +772,3 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
         out.append(_guarded(frame.n, acc))
     return VectorFunction(out)
 
-
-def evolutionary_apply(frame: Frame, phi: VectorFunction, f):
-    """Apply the evolutionary field of phi: sum of D_sigma(phi^j) d/du^j_sigma.
-
-    ``phi`` must have one component per physical dependent; ``f`` may be a
-    polynomial or a vector (handled componentwise).
-    """
-    phys = frame.physical
-    if len(phi) != len(phys):
-        raise ValueError(
-            f"evolutionary field needs {len(phys)} components, got {len(phi)}"
-        )
-    if isinstance(f, VectorFunction):
-        return VectorFunction([evolutionary_apply(frame, phi, p) for p in f])
-    slot = {d: k for k, d in enumerate(phys)}
-    run = current_run()
-    acc = {}
-    for v in f.jetvars():
-        dep, idx = v
-        if dep in slot:
-            mul_into(acc, f.partial(v), run.total(phi[slot[dep]], idx))
-    return _guarded(frame.n, acc)

@@ -389,25 +389,13 @@ def solve_orthonomic(
 # -- conservation laws ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenFn:
-    """Generating function of a conservation law, certified on construction."""
-
-    home: EquationSystem
-    psi: VectorFunction
-
-
-def genfn_vector(g) -> VectorFunction:
-    """The vector of a generating function, or of a bare candidate."""
-    return g.psi if isinstance(g, GenFn) else as_vector(g)
-
-
-def make_genfn(system: EquationSystem, psi) -> GenFn:
+def make_genfn(system: EquationSystem, psi) -> VectorFunction:
+    """psi as a vector if it is a generating function on system, else NotAGenFn."""
     psi = as_vector(psi)
     residual = system.genfn_residual(psi)
     if not residual.is_zero():
         raise NotAGenFn(residual)
-    return GenFn(system, psi)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -434,7 +422,7 @@ def make_current(system: EquationSystem, components) -> ConservedCurrent:
     return current
 
 
-def current_to_genfn(system: EquationSystem, current) -> GenFn:
+def current_to_genfn(system: EquationSystem, current) -> VectorFunction:
     """Generating function of a conserved current: adjoint factor applied to 1."""
     if not isinstance(current, ConservedCurrent):
         current = make_current(system, current)

@@ -15,12 +15,11 @@ from hamcheck import (
     certify_bivector,
     is_hamiltonian,
     is_zero_trivector,
-    make_chain,
+    magri_defects,
     make_system,
     poisson,
     schouten,
     solve_orthonomic,
-    verify_magri,
 )
 from hamcheck.brackets import _lin_a_psi, constraint_system
 from hamcheck.parser import parse_op, parse_poly, parse_vector
@@ -206,13 +205,15 @@ def test_verify_magri(kdv, kdv_bivectors, fr_u):
     psi1 = parse_vector(fr_u, "[3*u^2 + u_xx]")
     psi2 = parse_vector(fr_u, "[u]")
     psi3 = parse_vector(fr_u, "[1/2]")
-    assert verify_magri(kdv, b1, b2, [psi1, psi2, psi3], check_poisson=True)
-    assert verify_magri(kdv, b1, b2, [])
-    assert not verify_magri(kdv, b1, b2, [psi2, psi2])
-    chain = make_chain(kdv, b1, b2, [psi1, psi2, psi3])
-    assert len(chain.entries) == 3
-    with pytest.raises(HamcheckError):
-        make_chain(kdv, b1, b2, [psi2, psi2])
+    chain = [psi1, psi2, psi3]
+    defects = magri_defects(kdv, b1, b2, chain)
+    assert len(defects) == 2 and all(d.is_zero() for d in defects)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            for biv in (b1, b2):
+                assert poisson(kdv, biv, chain[i], chain[j]).is_zero()
+    assert magri_defects(kdv, b1, b2, []) == []
+    assert not magri_defects(kdv, b1, b2, [psi2, psi2])[0].is_zero()
 
 
 def test_three_component_matrices_certify(kdv3, kdv3_ops):

@@ -6,16 +6,15 @@ from hamcheck import (
     MagriPrecondition,
     NeedSuccessor,
     Ranking,
+    NotAGenFn,
     bivector_residual,
     certify_bivector,
-    check_conserved,
     deform,
     is_zero_trivector,
     lift_hierarchy,
-    make_chain,
+    magri_defects,
     make_system,
     schouten,
-    verify_magri,
 )
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 
@@ -85,49 +84,43 @@ def test_deform_requires_certified_inputs(kdv, kdv_ops):
         deform(kdv, kdv_ops[0], kdv_ops[1])
 
 
-def test_lift_hierarchy(kdv, kdv6, kdv_bivectors, fr_u):
-    b1, b2 = kdv_bivectors
-    chain = make_chain(
-        kdv, b1, b2,
+def test_lift_hierarchy(kdv6, fr_u):
+    lifted = lift_hierarchy(
+        kdv6,
         [parse_vector(fr_u, "[3*u^2 + u_xx]"),
          parse_vector(fr_u, "[u]"),
          parse_vector(fr_u, "[1/2]")],
     )
-    lifted = lift_hierarchy(kdv6, chain)
     assert lifted.all_certified
     assert all(r.is_zero() for r in lifted.genfn_residuals)
     assert all(d.is_zero() for d in lifted.magri_defects)
-    assert verify_magri(
-        kdv6.system, kdv6.a1_til, kdv6.a2_til,
-        [g.psi for g in lifted.chain.entries],
-    )
+    defects = magri_defects(kdv6.system, kdv6.a1_til, kdv6.a2_til, lifted.entries)
+    assert len(defects) == 1 and defects[0].is_zero()
     # lifted entries are (psi_i, -psi_{i+1})
-    first = lifted.chain.entries[0].psi
+    first = lifted.entries[0]
     assert first[0] == parse_poly(fr_u, "3*u^2 + u_xx")
     assert first[1] == -parse_poly(fr_u, "u")
 
 
-def test_lift_empty_chain_is_empty(kdv, kdv6, kdv_bivectors):
-    b1, b2 = kdv_bivectors
-    lifted = lift_hierarchy(kdv6, make_chain(kdv, b1, b2, []))
-    assert lifted.chain.entries == ()
+def test_lift_empty_chain_is_empty(kdv6):
+    lifted = lift_hierarchy(kdv6, [])
+    assert lifted.entries == ()
     assert lifted.all_certified
 
 
-def test_lift_lone_entry_needs_successor(kdv, kdv6, kdv_bivectors, fr_u):
-    b1, b2 = kdv_bivectors
-    chain = make_chain(kdv, b1, b2, [parse_vector(fr_u, "[u]")])
+def test_lift_lone_entry_needs_successor(kdv6, fr_u):
     with pytest.raises(NeedSuccessor):
-        lift_hierarchy(kdv6, chain)
+        lift_hierarchy(kdv6, [parse_vector(fr_u, "[u]")])
 
 
 def test_check_conserved(kdv6, fr_u):
     psi1 = parse_vector(fr_u, "[3*u^2 + u_xx]")
     psi2 = parse_vector(fr_u, "[u]")
     psi3 = parse_vector(fr_u, "[1/2]")
-    assert check_conserved(kdv6, psi1, psi2)
-    assert check_conserved(kdv6, psi2, psi3)
+    assert lift_hierarchy(kdv6, [psi1, psi2, psi3]).conserved == (True, True)
     zero = parse_vector(fr_u, "[0]")
-    assert check_conserved(kdv6, zero, zero)
+    assert lift_hierarchy(kdv6, [zero, zero]).conserved == (True,)
     with pytest.raises(MagriPrecondition):
-        check_conserved(kdv6, psi2, psi2)
+        lift_hierarchy(kdv6, [psi2, psi2])
+    with pytest.raises(NotAGenFn):
+        lift_hierarchy(kdv6, [parse_vector(fr_u, "[u_x]"), psi3])

@@ -5,7 +5,6 @@ from hamcheck import (
     DimensionMismatch,
     VectorFunction,
     euler,
-    evolutionary_apply,
     linearize,
     transpose_conjugation_check,
 )
@@ -99,7 +98,14 @@ def test_linearize_identity_and_matrix(fr_u, fr_uvw):
 def test_linearize_defining_property(fr_u):
     f = parse_vector(fr_u, "[u*u_xx - 1/2*u_x^2 + x*u]")
     phi = parse_vector(fr_u, "[u_x*u - 4]")
-    assert linearize(f, (0,)).apply(phi)[0] == evolutionary_apply(fr_u, phi, f[0])
+    # f_u*phi + f_{u_x}*D_x(phi) + f_{u_xx}*D_x^2(phi)
+    p = phi[0]
+    expected = (
+        parse_poly(fr_u, "u_xx + x") * p
+        - parse_poly(fr_u, "u_x") * p.total(0)
+        + parse_poly(fr_u, "u") * p.total(0).total(0)
+    )
+    assert linearize(f, (0,)).apply(phi)[0] == expected
 
 
 def test_dimension_errors(fr_u):

@@ -9,7 +9,7 @@ from hamcheck import (
     Frame,
     VectorFunction,
     euler,
-    evolutionary_apply,
+    linearize,
 )
 from hamcheck.parser import parse_poly
 from hamcheck.render import poly_text
@@ -80,12 +80,18 @@ def test_euler_rejects_formal_dependents_by_default(fr_u):
     assert euler(fr, density, deps=(0, q))[1] == DiffPoly.const(fr.n, 1)
 
 
+def _evolutionary(frame, phi, f):
+    """The evolutionary field of phi applied to f, as the linearization of
+    f along the physical dependents applied to phi."""
+    return linearize(f, frame.physical).apply(phi)[0]
+
+
 def test_evolutionary_apply(fr_u):
     u = P(fr_u, "u")
     phi = VectorFunction([P(fr_u, "u_x")])
-    assert evolutionary_apply(fr_u, phi, u) == P(fr_u, "u_x")
-    assert evolutionary_apply(fr_u, phi, P(fr_u, "u_x")) == P(fr_u, "u_xx")
-    assert evolutionary_apply(fr_u, phi, P(fr_u, "u*u_xx")) == P(
+    assert _evolutionary(fr_u, phi, u) == P(fr_u, "u_x")
+    assert _evolutionary(fr_u, phi, P(fr_u, "u_x")) == P(fr_u, "u_xx")
+    assert _evolutionary(fr_u, phi, P(fr_u, "u*u_xx")) == P(
         fr_u, "u_x*u_xx + u*u_xxx"
     )
 
@@ -93,7 +99,7 @@ def test_evolutionary_apply(fr_u):
 def test_evolutionary_apply_length_check(fr_uvw):
     phi = VectorFunction([DiffPoly.jet(2, 0, (0, 0))])
     with pytest.raises(ValueError):
-        evolutionary_apply(fr_uvw, phi, DiffPoly.jet(2, 0, (0, 0)))
+        _evolutionary(fr_uvw, phi, DiffPoly.jet(2, 0, (0, 0)))
 
 
 def test_substitute_expands_powers(fr_u):
@@ -148,14 +154,14 @@ def test_exponent_limit_fails_cleanly_where_exponents_grow():
     with pytest.raises(ExponentOverflow):
         top.total(0, {(0, (1, 0)): u * u}.get)
     # u^32767*D_x applied to u^2 gives 2*u^32768*u_x: each fused sum of
-    # products (apply, compose, evolutionary_apply) checks the guard on
-    # its result
+    # products (apply, compose, and apply after linearize) checks the
+    # guard on its result
     with pytest.raises(ExponentOverflow):
         CDiffOp(fr.n, 1, 1, {(0, 0, (1, 0)): top}).apply(VectorFunction([u * u]))
     with pytest.raises(ExponentOverflow):
         CDiffOp.mult(top).compose(CDiffOp.mult(u))
     with pytest.raises(ExponentOverflow):
-        evolutionary_apply(fr, VectorFunction([u * u, v, w]), top * u_x)
+        _evolutionary(fr, VectorFunction([u * u, v, w]), top * u_x)
     with pytest.raises(ExponentOverflow):
         (top * u_x).substitute({(0, (1, 0)): u})
     with pytest.raises(ExponentOverflow):

@@ -13,7 +13,6 @@ from hamcheck import (
     Frame,
     VectorFunction,
     euler,
-    evolutionary_apply,
     linearize,
 )
 from hamcheck.poly import decode, encode, run_scope, total_memo
@@ -165,9 +164,8 @@ def test_linearize_defining_property(fp, data):
         phis.append(q)
     phi = VectorFunction(phis)
     deps = tuple(range(frame.m))
-    assert linearize(VectorFunction([f]), deps).apply(phi)[0] == evolutionary_apply(
-        Frame(frame.independents, frame.dependents), phi, f
-    )
+    out = linearize(VectorFunction([f]), deps).apply(phi)[0]
+    assert out == _evolutionary_reference(frame, phi, f)
 
 
 # -- operators ------------------------------------------------------------
@@ -347,13 +345,13 @@ def test_fused_poly_builders_match_unfused_loops(fp, data):
     phi = VectorFunction(
         data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1] for _ in deps
     )
-    assert evolutionary_apply(frame, phi, p) == _evolutionary_reference(frame, phi, p)
+    assert linearize(p, deps).apply(phi)[0] == _evolutionary_reference(frame, phi, p)
     # the evolutionary field of u_x on u_x^2 - 2*u*u_xx is -2*u*u_xxx: the
     # two u_x*u_xx products cancel
     u, u_x, u_xx = (DiffPoly.jet(frame.n, 0, (k,) + (0,) * (frame.n - 1)) for k in range(3))
     f = u_x * u_x - 2 * u * u_xx
     shift = VectorFunction(DiffPoly.jet(frame.n, d, (1,) + (0,) * (frame.n - 1)) for d in deps)
-    out = evolutionary_apply(frame, shift, f)
+    out = linearize(f, deps).apply(shift)[0]
     assert out == _evolutionary_reference(frame, shift, f) == -2 * u * u_xx.total(0)
 
 
@@ -611,9 +609,9 @@ def test_poly_results_store_no_zero(fp, data):
         data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1]
         for _ in range(frame.m)
     )
-    results.append(evolutionary_apply(frame, phi, p))
-    results.append(evolutionary_apply(frame, phi, p - q.total(0)))
     deps = tuple(range(frame.m))
+    results.append(linearize(p, deps).apply(phi)[0])
+    results.append(linearize(p - q.total(0), deps).apply(phi)[0])
     results += euler(frame, p + q.total(0), deps=deps)
     # terms that cancel inside one builder: D_x(x*D_x(q) - q) = x*D_x^2(q),
     # the euler terms of a total derivative, and (p/2 + q/2)*(p - q), whose

@@ -457,3 +457,114 @@ def test_cli_timings_flag_adds_seconds(tmp_path):
     assert proc.returncode == 0
     report = json.loads(out.read_text())
     assert all("seconds" in t for t in report["tasks"])
+
+
+def test_cli_lift_texts(tmp_path):
+    # a Magri failure, a non-generating function and a good pair, each
+    # lifted to the deformed KdV system
+    src = tmp_path / "lift.ham"
+    src.write_text(
+        (DEMOS / "kdv.ham").read_text()
+        + "task deform(kdv, A1, A2) as k6;\n"
+        "task lift(k6, [u], [u]);\n"
+        "task lift(k6, [u_x], [1/2]);\n"
+        "task lift(k6, [3*u^2 + u_xx], [u]);\n"
+    )
+    out = tmp_path / "report.json"
+    proc = _cli(["run", str(src), "--report", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lifts = [t for t in json.loads(out.read_text())["tasks"] if t["kind"] == "lift"]
+    assert [t["status"] for t in lifts] == ["fail", "fail", "ok"]
+    assert lifts[0]["detail"] == {
+        "error": "adjacent entries do not satisfy the Magri relation"
+    }
+    assert lifts[1]["detail"] == {
+        "error": "vector is not a generating function on this system"
+    }
+    assert lifts[2]["detail"] == {
+        "entries": ["[3*u^2 + u_xx, -u]"],
+        "genfn_certified": [True],
+        "magri_certified": [],
+        "conserved": [True],
+    }
+    text = _cli(["run", str(src), "--text"]).stdout
+    assert "      error: adjacent entries do not satisfy the Magri relation\n" in text
+    assert "      error: vector is not a generating function on this system\n" in text
+
+
+@pytest.mark.parametrize("source, message", [
+    (
+        "independents x, t;\ndependents u;\n"
+        "equation e { solve u_t = u_xx; ranking t; }\ntask reduce(e, u_t);\n",
+        "ranking must mention every independent exactly once",
+    ),
+    (
+        "independents x, t;\ndependents u;\n"
+        "equation e { solve u_t = u_xx; ranking t > y; }\ntask reduce(e, u_t);\n",
+        "unknown independent variable 'y'",
+    ),
+    (
+        (DEMOS / "kdv_three_component.ham").read_text().replace(
+            "alpha  = [[1], [Dx], [Dx^2]];", "alpha = [[1], [Dx]];"
+        ),
+        "alpha must be 3x1, got 2x1",
+    ),
+], ids=["ranking-too-short", "ranking-unknown-name", "equivalence-shape"])
+def test_cli_declaration_value_error_exit_2(tmp_path, source, message):
+    src = tmp_path / "decl.ham"
+    src.write_text(source)
+    proc = _cli(["run", str(src)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"{src}: error: {message}\n"
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_cli_lift_checks_each_base_identity_once(tmp_path, monkeypatch):
+    # each base entry is checked once as a generating function, each base
+    # Magri relation once, and the evolution direction is found once
+    src = tmp_path / "lift.ham"
+    src.write_text(
+        "independents x, t;\ndependents u;\n"
+        "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
+        "operator A1 = Dx;\noperator A2 = Dx^3 + 4*u*Dx + 2*u_x;\n"
+        "task deform(kdv, A1, A2) as k6;\n"
+        "task lift(k6, [3*u^2 + u_xx], [u], [1/2]);\n"
+    )
+    seen = {"kind": None, "reduce": [], "magri": [], "evolution": []}
+    run_task = runner.run_task
+    reduce_vector = EquationSystem.reduce_vector
+    is_evolution = EquationSystem.is_evolution
+    # the package's ``deform`` attribute is the function of that name
+    lift_module = sys.modules["hamcheck.deform"]
+    magri_defects = lift_module.magri_defects
+
+    def task_spy(ctx, task):
+        seen["kind"] = task.kind
+        return run_task(ctx, task)
+
+    def reduce_spy(self, v):
+        if seen["kind"] == "lift":
+            seen["reduce"].append(self)
+        return reduce_vector(self, v)
+
+    def evolution_spy(self):
+        if seen["kind"] == "lift":
+            seen["evolution"].append(self)
+        return is_evolution(self)
+
+    def magri_spy(system, b1, b2, vecs):
+        seen["magri"].append((system, len(vecs)))
+        return magri_defects(system, b1, b2, vecs)
+
+    monkeypatch.setattr(runner, "run_task", task_spy)
+    monkeypatch.setattr(EquationSystem, "reduce_vector", reduce_spy)
+    monkeypatch.setattr(EquationSystem, "is_evolution", evolution_spy)
+    monkeypatch.setattr(lift_module, "magri_defects", magri_spy)
+    assert cli.main(["run", str(src)]) == 0
+    [base, lifted] = [system for system, _ in seen["magri"]]
+    assert base is not lifted
+    assert [n for _, n in seen["magri"]] == [3, 2]
+    assert seen["evolution"] == [base]
+    # three generating-function residuals and two Magri defects on the base
+    assert sum(system is base for system in seen["reduce"]) == 5
