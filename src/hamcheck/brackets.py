@@ -13,7 +13,6 @@ signed symmetrization, so the whole kernel stays commutative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .frame import Frame
 from .ops import CDiffOp, DimensionMismatch, linearize
@@ -38,7 +37,6 @@ class ConstraintNotOrthonomic(HamcheckError):
     pass
 
 
-@dataclass(frozen=True)
 class Bivector:
     """Operator certified against a system, with its extracted remainder.
 
@@ -47,11 +45,15 @@ class Bivector:
     in the formal dependents ``b_args`` (the second slot), over ``b_frame``.
     """
 
-    home: EquationSystem
-    op: CDiffOp
-    b_op: CDiffOp
-    b_frame: Frame
-    b_args: tuple
+    __slots__ = ("home", "op", "b_op", "b_frame", "b_args")
+
+    def __init__(self, home: EquationSystem, op: CDiffOp, b_op: CDiffOp,
+                 b_frame: Frame, b_args: tuple):
+        self.home = home
+        self.op = op
+        self.b_op = b_op
+        self.b_frame = b_frame
+        self.b_args = b_args
 
     def b_star(self, psi1: VectorFunction, psi2_args) -> VectorFunction:
         """Remainder adjoint in the first slot, evaluated at two argument blocks.
@@ -100,15 +102,18 @@ def certify_bivector(system: EquationSystem, op: CDiffOp) -> Bivector:
     return Bivector(system, op, b_op, b_frame, args)
 
 
-@dataclass(frozen=True)
 class TrivectorRep:
     """Bilinear map (psi1, psi2) -> vector, stored on an extended frame."""
 
-    home: EquationSystem
-    frame: Frame
-    arg1: tuple
-    arg2: tuple
-    entries: VectorFunction
+    __slots__ = ("home", "frame", "arg1", "arg2", "entries")
+
+    def __init__(self, home: EquationSystem, frame: Frame, arg1: tuple,
+                 arg2: tuple, entries: VectorFunction):
+        self.home = home
+        self.frame = frame
+        self.arg1 = arg1
+        self.arg2 = arg2
+        self.entries = entries
 
     def evaluate(self, psi1, psi2) -> VectorFunction:
         values = dict(zip(self.arg1, as_vector(psi1)))
@@ -116,7 +121,6 @@ class TrivectorRep:
         return self.entries.map(lambda p: p.subst_deps(values))
 
 
-@dataclass(frozen=True)
 class TrivialityVerdict:
     """Outcome of a skew-density triviality test.
 
@@ -124,11 +128,15 @@ class TrivialityVerdict:
     is trusted but a residual does not by itself refute triviality.
     """
 
-    zero: bool
-    exact: bool
-    frame: Frame
-    residual: DiffPoly = None
-    residual_dep: int = None
+    __slots__ = ("zero", "exact", "frame", "residual", "residual_dep")
+
+    def __init__(self, zero: bool, exact: bool, frame: Frame,
+                 residual: DiffPoly = None, residual_dep: int = None):
+        self.zero = zero
+        self.exact = exact
+        self.frame = frame
+        self.residual = residual
+        self.residual_dep = residual_dep
 
 
 def _lin_a_psi(system: EquationSystem, op: CDiffOp, arg_ids) -> CDiffOp:

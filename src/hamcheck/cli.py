@@ -8,10 +8,9 @@ Exit codes: 0 all tasks ok, 1 any task failed or left a residual,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .parser import ParseError, parse_program
+from .parser import EquationDecl, ParseError, Program, parse_program
 from .runner import (
     build_report,
     exit_code,
@@ -56,11 +55,14 @@ def main(argv=None) -> int:
     try:
         program = parse_program(source)
         if args.passivity_depth is not None:
-            program = dataclasses.replace(program, systems={
+            systems = {
                 name: decl if decl.passivity is not None
-                else dataclasses.replace(decl, passivity=args.passivity_depth)
+                else EquationDecl(decl.deps, decl.solves, decl.ranking,
+                                  args.passivity_depth)
                 for name, decl in program.systems.items()
-            })
+            }
+            program = Program(program.frame, systems, program.operators,
+                              program.vectors, program.equivalences, program.tasks)
         results = run_program(program)
     except ParseError as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)

@@ -15,8 +15,6 @@ and a conserved pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .brackets import (
     Bivector,
     certify_bivector,
@@ -41,19 +39,24 @@ class MagriPrecondition(HamcheckError):
     pass
 
 
-@dataclass(frozen=True)
 class DeformedSystem:
     """Deformed system with its assembled block bivectors."""
 
-    base: EquationSystem
-    a1: Bivector
-    a2: Bivector
-    system: EquationSystem
-    w_ids: tuple
-    constraint: VectorFunction  # A2*(w), the added equations
-    lin_block: CDiffOp
-    a1_til: Bivector
-    a2_til: Bivector
+    __slots__ = ("base", "a1", "a2", "system", "w_ids", "constraint",
+                 "lin_block", "a1_til", "a2_til")
+
+    def __init__(self, base: EquationSystem, a1: Bivector, a2: Bivector,
+                 system: EquationSystem, w_ids: tuple, constraint: VectorFunction,
+                 lin_block: CDiffOp, a1_til: Bivector, a2_til: Bivector):
+        self.base = base
+        self.a1 = a1
+        self.a2 = a2
+        self.system = system
+        self.w_ids = w_ids
+        self.constraint = constraint  # A2*(w), the added equations
+        self.lin_block = lin_block
+        self.a1_til = a1_til
+        self.a2_til = a2_til
 
 
 def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
@@ -102,20 +105,28 @@ def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
     )
 
 
-@dataclass(frozen=True)
 class LiftedChain:
-    """Lifted hierarchy with the outcome of each check."""
+    """Lifted hierarchy with the outcome of each check.
 
-    entries: tuple  # the pairs (psi_i, -psi_{i+1}) on the deformed system
-    genfn_residuals: tuple  # one reduced residual vector per lifted entry
-    magri_defects: tuple
-    conserved: tuple  # one verdict per base pair
+    ``conserved`` is None when the base is not an evolution system: the
+    conservation check needs its flow, the other checks do not.
+    """
+
+    __slots__ = ("entries", "genfn_residuals", "magri_defects", "conserved")
+
+    def __init__(self, entries: tuple, genfn_residuals: tuple,
+                 magri_defects: tuple, conserved: tuple | None):
+        self.entries = entries  # the pairs (psi_i, -psi_{i+1}) on the deformed system
+        self.genfn_residuals = genfn_residuals  # one reduced residual vector per entry
+        self.magri_defects = magri_defects
+        self.conserved = conserved  # one verdict per base pair, or None
 
     @property
     def all_certified(self) -> bool:
         return (
             all(r.is_zero() for r in self.genfn_residuals)
             and all(d.is_zero() for d in self.magri_defects)
+            and self.conserved is not None
             and all(self.conserved)
         )
 
@@ -144,17 +155,19 @@ def lift_hierarchy(deformed: DeformedSystem, vecs) -> LiftedChain:
     entries = tuple(VectorFunction(list(a) + [-p for p in b]) for a, b in pairs)
     residuals = tuple(system.genfn_residual(v) for v in entries)
     defects = tuple(magri_defects(system, deformed.a1_til, deformed.a2_til, entries))
-    conserved = tuple(_conserved(deformed, flow, a, b) for a, b in pairs)
+    conserved = None if flow is None else tuple(
+        _conserved(deformed, flow, a, b) for a, b in pairs
+    )
     return LiftedChain(entries, residuals, defects, conserved)
 
 
-def _flow(deformed: DeformedSystem) -> VectorFunction:
+def _flow(deformed: DeformedSystem) -> VectorFunction | None:
     """Right-hand sides of the deformed evolution rules u_t = ... of the
-    base dependents."""
+    base dependents; None when the base is not an evolution system."""
     base = deformed.base
     e = base.is_evolution()
     if e is None:
-        raise HamcheckError("conservation check needs an evolution base system")
+        return None
     flow = []
     for dep in base.frame.physical:
         for rule in deformed.system.rules:

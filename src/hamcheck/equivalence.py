@@ -7,15 +7,12 @@ embeddings by composing with the connectors and their adjoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .brackets import Bivector, TrivialityVerdict, skew_pairing_verdict
 from .ops import CDiffOp, DimensionMismatch
 from .poly import formal_vector
 from .systems import EquationSystem, HamcheckError
 
 
-@dataclass(frozen=True)
 class EquivalenceData:
     """Connecting operators between two embeddings of one equation.
 
@@ -23,38 +20,41 @@ class EquivalenceData:
     segment of ``e2``'s so that operators compose across the two frames.
     """
 
-    e1: EquationSystem
-    e2: EquationSystem
-    alpha: CDiffOp
-    alpha_p: CDiffOp
-    beta: CDiffOp
-    beta_p: CDiffOp
-    s1: CDiffOp
-    s2: CDiffOp
+    __slots__ = ("e1", "e2", "alpha", "alpha_p", "beta", "beta_p", "s1", "s2")
 
-    def __post_init__(self):
-        f1, f2 = self.e1.frame, self.e2.frame
+    def __init__(self, e1: EquationSystem, e2: EquationSystem, alpha: CDiffOp,
+                 alpha_p: CDiffOp, beta: CDiffOp, beta_p: CDiffOp,
+                 s1: CDiffOp, s2: CDiffOp):
+        f1, f2 = e1.frame, e2.frame
         if f1.independents != f2.independents:
             raise DimensionMismatch("embeddings must share independent variables")
         if f2.dependents[: f1.m] != f1.dependents:
             raise DimensionMismatch(
                 "first embedding's dependents must be an initial segment of the second's"
             )
-        m1, l1 = f1.m, len(self.e1.rules)
-        m2, l2 = f2.m, len(self.e2.rules)
+        m1, l1 = f1.m, len(e1.rules)
+        m2, l2 = f2.m, len(e2.rules)
         shapes = {
-            "alpha": (self.alpha, m2, m1),
-            "alpha'": (self.alpha_p, l2, l1),
-            "beta": (self.beta, m1, m2),
-            "beta'": (self.beta_p, l1, l2),
-            "s1": (self.s1, m1, l1),
-            "s2": (self.s2, m2, l2),
+            "alpha": (alpha, m2, m1),
+            "alpha'": (alpha_p, l2, l1),
+            "beta": (beta, m1, m2),
+            "beta'": (beta_p, l1, l2),
+            "s1": (s1, m1, l1),
+            "s2": (s2, m2, l2),
         }
         for name, (op, rows, cols) in shapes.items():
             if (op.rows, op.cols) != (rows, cols):
                 raise DimensionMismatch(
                     f"{name} must be {rows}x{cols}, got {op.rows}x{op.cols}"
                 )
+        self.e1 = e1
+        self.e2 = e2
+        self.alpha = alpha
+        self.alpha_p = alpha_p
+        self.beta = beta
+        self.beta_p = beta_p
+        self.s1 = s1
+        self.s2 = s2
 
 
 def equivalence_residuals(data: EquivalenceData) -> dict:

@@ -9,8 +9,6 @@ extended (with formal argument slots) without touching existing data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 MultiIndex = tuple
 JetVar = tuple
 
@@ -30,7 +28,6 @@ def _valid_name(name: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class Frame:
     """Declared independent and dependent variables, in canonical order.
 
@@ -39,21 +36,23 @@ class Frame:
     than physical unknowns of an equation.
     """
 
-    independents: tuple
-    dependents: tuple
-    formal: frozenset = field(default_factory=frozenset)
+    __slots__ = ("independents", "dependents", "formal")
 
-    def __post_init__(self):
-        if not self.independents or not self.dependents:
+    def __init__(self, independents: tuple, dependents: tuple,
+                 formal: frozenset = frozenset()):
+        if not independents or not dependents:
             raise ValueError("frame needs at least one independent and one dependent")
-        names = list(self.independents) + list(self.dependents)
+        names = list(independents) + list(dependents)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         for name in names:
             if not _valid_name(name):
                 raise ValueError(f"bad variable name {name!r}")
-        if not all(0 <= j < len(self.dependents) for j in self.formal):
+        if not all(0 <= j < len(dependents) for j in formal):
             raise ValueError("formal flag out of range")
+        self.independents = independents
+        self.dependents = dependents
+        self.formal = formal
 
     @property
     def n(self) -> int:
@@ -97,7 +96,6 @@ class Frame:
         return frame, new_ids
 
 
-@dataclass(frozen=True)
 class Ranking:
     """Prolongation-compatible total order on jet variables.
 
@@ -110,14 +108,15 @@ class Ranking:
     The ``graded`` rule compares total order first, then as above.
     """
 
-    indep_order: tuple
-    rule: str = "lex"
+    __slots__ = ("indep_order", "rule")
 
-    def __post_init__(self):
-        if sorted(self.indep_order) != list(range(len(self.indep_order))):
+    def __init__(self, indep_order: tuple, rule: str = "lex"):
+        if sorted(indep_order) != list(range(len(indep_order))):
             raise ValueError("indep_order must be a permutation of independent indices")
-        if self.rule not in ("lex", "graded"):
-            raise ValueError(f"unknown ranking rule {self.rule!r}")
+        if rule not in ("lex", "graded"):
+            raise ValueError(f"unknown ranking rule {rule!r}")
+        self.indep_order = indep_order
+        self.rule = rule
 
     def key(self, jet: JetVar):
         dep, idx = jet

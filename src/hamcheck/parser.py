@@ -9,7 +9,6 @@ name objects produced by earlier tasks stay symbolic until run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .frame import Frame
@@ -45,12 +44,21 @@ class ParseError(Exception):
         super().__init__(text)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other):
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.kind, self.text, self.line, self.col) == (
+            other.kind, other.text, other.line, other.col
+        )
 
 
 def tokenize(source: str):
@@ -112,59 +120,80 @@ def tokenize(source: str):
 # -- parse results ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NameRef:
     """Reference to an object materialized at run time (deform outputs)."""
 
-    name: str
-    line: int
-    col: int
+    __slots__ = ("name", "line", "col")
+
+    def __init__(self, name: str, line: int, col: int):
+        self.name = name
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
 class Direction:
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-@dataclass(frozen=True)
 class TaskDecl:
-    kind: str
-    args: tuple
-    alias: str
-    line: int
-    col: int
+    __slots__ = ("kind", "args", "alias", "line", "col")
+
+    def __init__(self, kind: str, args: tuple, alias: str, line: int, col: int):
+        self.kind = kind
+        self.args = args
+        self.alias = alias
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
 class EquationDecl:
     """An equation block as written: solved forms still carry their tokens.
 
     ``deps`` restricts the frame to an initial segment of the dependents
     (None: all of them); ``passivity`` is None when the block sets no depth.
+    Two declarations are equal when they were written alike.
     """
 
-    deps: tuple
-    solves: tuple
-    ranking: tuple
-    passivity: int
+    __slots__ = ("deps", "solves", "ranking", "passivity")
+
+    def __init__(self, deps: tuple, solves: tuple, ranking: tuple, passivity: int):
+        self.deps = deps
+        self.solves = solves
+        self.ranking = ranking
+        self.passivity = passivity
+
+    def __eq__(self, other):
+        if not isinstance(other, EquationDecl):
+            return NotImplemented
+        return (self.deps, self.solves, self.ranking, self.passivity) == (
+            other.deps, other.solves, other.ranking, other.passivity
+        )
 
 
-@dataclass(frozen=True)
 class EquivalenceDecl:
-    name: str
-    system1: str
-    system2: str
-    ops: dict
+    __slots__ = ("name", "system1", "system2", "ops")
+
+    def __init__(self, name: str, system1: str, system2: str, ops: dict):
+        self.name = name
+        self.system1 = system1
+        self.system2 = system2
+        self.ops = ops
 
 
-@dataclass
 class Program:
-    frame: Frame
-    systems: dict
-    operators: dict
-    vectors: dict
-    equivalences: dict
-    tasks: list
+    __slots__ = ("frame", "systems", "operators", "vectors", "equivalences", "tasks")
+
+    def __init__(self, frame: Frame, systems: dict, operators: dict,
+                 vectors: dict, equivalences: dict, tasks: list):
+        self.frame = frame
+        self.systems = systems
+        self.operators = operators
+        self.vectors = vectors
+        self.equivalences = equivalences
+        self.tasks = tasks
 
 
 class Parser:

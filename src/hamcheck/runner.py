@@ -10,8 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import traceback
-from dataclasses import dataclass
 
 from . import __version__
 from .brackets import (
@@ -46,13 +44,16 @@ FAIL = "fail"
 RESIDUAL = "residual"
 
 
-@dataclass
 class TaskResult:
-    index: int
-    kind: str
-    status: str
-    detail: dict
-    seconds: float
+    __slots__ = ("index", "kind", "status", "detail", "seconds")
+
+    def __init__(self, index: int, kind: str, status: str, detail: dict,
+                 seconds: float):
+        self.index = index
+        self.kind = kind
+        self.status = status
+        self.detail = detail
+        self.seconds = seconds
 
 
 class RunContext:
@@ -207,6 +208,8 @@ def run_task(ctx: RunContext, task: TaskDecl) -> TaskResult:
         status, detail = FAIL, {"error": str(exc)}
     except Exception as exc:
         # a kernel bug: fail this task only, and keep the traceback on stderr
+        import traceback
+
         traceback.print_exc()
         status, detail = FAIL, {
             "error": f"internal error: {type(exc).__name__}: {exc}"
@@ -386,8 +389,11 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
             "entries": [vector_text(frame, v) for v in lifted.entries],
             "genfn_certified": [r.is_zero() for r in lifted.genfn_residuals],
             "magri_certified": [d.is_zero() for d in lifted.magri_defects],
-            "conserved": list(lifted.conserved),
         }
+        if lifted.conserved is None:
+            detail["error"] = "conservation check needs an evolution base system"
+        else:
+            detail["conserved"] = list(lifted.conserved)
         return (OK if lifted.all_certified else FAIL), detail
 
     raise HamcheckError(f"unhandled task kind {kind!r}")
@@ -435,9 +441,14 @@ def report_json(report: dict) -> str:
 
 
 def report_text(report: dict) -> str:
+    """Human-readable report; a task line ends with its seconds when the
+    report carries timings."""
     lines = []
     for entry in report["tasks"]:
-        lines.append(f"[{entry['index']:03d}] {entry['kind']:<12} {entry['status']}")
+        line = f"[{entry['index']:03d}] {entry['kind']:<12} {entry['status']}"
+        if "seconds" in entry:
+            line += f"  {entry['seconds']:.3f} s"
+        lines.append(line)
         for key, value in entry["detail"].items():
             lines.append(f"      {key}: {value}")
     s = report["summary"]

@@ -9,7 +9,6 @@ expression through the equation recovers the operator that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .frame import index_le, index_sub
@@ -57,7 +56,6 @@ class NotAGenFn(HamcheckError):
         super().__init__("vector is not a generating function on this system")
 
 
-@dataclass(frozen=True)
 class Rule:
     """One solved equation.
 
@@ -66,10 +64,14 @@ class Rule:
     with respect to the other rules and drives reduction.
     """
 
-    lead: tuple
-    rhs: DiffPoly
-    rhs_exact: DiffPoly
-    scale: int | Fraction
+    __slots__ = ("lead", "rhs", "rhs_exact", "scale")
+
+    def __init__(self, lead: tuple, rhs: DiffPoly, rhs_exact: DiffPoly,
+                 scale: int | Fraction):
+        self.lead = lead
+        self.rhs = rhs
+        self.rhs_exact = rhs_exact
+        self.scale = scale
 
 
 class EquationSystem:
@@ -398,12 +400,14 @@ def make_genfn(system: EquationSystem, psi) -> VectorFunction:
     return psi
 
 
-@dataclass(frozen=True)
 class ConservedCurrent:
     """One density per independent variable, with vanishing total divergence."""
 
-    home: EquationSystem
-    components: VectorFunction
+    __slots__ = ("home", "components")
+
+    def __init__(self, home: EquationSystem, components: VectorFunction):
+        self.home = home
+        self.components = components
 
     def divergence(self) -> DiffPoly:
         acc = DiffPoly.zero(self.components.n)

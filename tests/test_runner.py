@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -64,7 +65,7 @@ def test_exit_code_contract():
     assert exit_code(good) == 0
 
 
-def test_runner_never_aborts_on_task_errors(monkeypatch):
+def test_runner_never_aborts_on_task_errors(monkeypatch, capsys):
     source = KDV_SOURCE + "task poisson(kdv, A1, [u_x], [u]);\n"
     _, results = run_source(source)
     assert results[-1].status == "fail"
@@ -99,10 +100,16 @@ def test_runner_never_aborts_on_task_errors(monkeypatch):
         raise KeyError("lost")
 
     monkeypatch.setattr(EquationSystem, "reduce_vector", boom)
+    capsys.readouterr()
     _, results = run_source(KDV_SOURCE)
     assert results[0].status == "fail"
     assert results[0].detail == {"error": "internal error: KeyError: 'lost'"}
     assert results[1].kind == "bivector" and results[1].status == "ok"
+    # ... and its traceback still reaches stderr
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in boom\n" in err
+    assert err.endswith("KeyError: 'lost'\n")
 
 
 def test_report_is_byte_deterministic():
@@ -254,6 +261,28 @@ def _cli(args):
         capture_output=True, text=True, env=env,
     )
     return proc
+
+
+def test_start_up_loads_no_code_generators():
+    # importing the CLI, parsing a demo and building its systems needs
+    # neither dataclasses (and the inspect it loads) nor traceback, which
+    # only a kernel bug uses; -S keeps site-packages hooks from loading
+    # modules of their own first
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(DEMOS.parent / 'src')!r})\n"
+        "import hamcheck.cli\n"
+        "from hamcheck.parser import parse_program\n"
+        "from hamcheck.runner import RunContext\n"
+        f"with open({str(DEMOS / 'kdv.ham')!r}, encoding='utf-8') as fh:\n"
+        "    RunContext(parse_program(fh.read()))\n"
+        "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_exponent_overflow_in_a_prolongation_fails_its_task(tmp_path):
@@ -459,6 +488,18 @@ def test_cli_timings_flag_adds_seconds(tmp_path):
     assert all("seconds" in t for t in report["tasks"])
 
 
+def test_cli_timings_reach_the_text_report():
+    timed = _cli(["run", str(DEMOS / "kdv.ham"), "--text", "--timings"])
+    assert timed.returncode == 0
+    task_lines = [line for line in timed.stdout.splitlines() if line.startswith("[")]
+    assert task_lines
+    assert all(re.fullmatch(r"\[\d{3}\] \S+ +ok  \d+\.\d{3} s", line)
+               for line in task_lines)
+    # without the seconds it is the text report without --timings
+    plain = _cli(["run", str(DEMOS / "kdv.ham"), "--text"]).stdout
+    assert re.sub(r"  \d+\.\d{3} s$", "", timed.stdout, flags=re.M) == plain
+
+
 def test_cli_lift_texts(tmp_path):
     # a Magri failure, a non-generating function and a good pair, each
     # lifted to the deformed KdV system
@@ -491,6 +532,30 @@ def test_cli_lift_texts(tmp_path):
     text = _cli(["run", str(src), "--text"]).stdout
     assert "      error: adjacent entries do not satisfy the Magri relation\n" in text
     assert "      error: vector is not a generating function on this system\n" in text
+
+
+def test_cli_lift_on_a_non_evolution_base_keeps_its_verdicts(tmp_path):
+    # the Camassa-Holm equation is not in evolution form, so the lift
+    # cannot check conservation, but it still reports the lifted entries
+    # and their generating-function and Magri verdicts
+    src = tmp_path / "ch_lift.ham"
+    src.write_text(
+        (DEMOS / "camassa_holm.ham").read_text()
+        + "task deform(ch, A1, A2) as c6;\n"
+        "task lift(c6, [0], [0]);\n"
+    )
+    out = tmp_path / "report.json"
+    proc = _cli(["run", str(src), "--report", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lift = json.loads(out.read_text())["tasks"][-1]
+    assert (lift["kind"], lift["status"]) == ("lift", "fail")
+    assert lift["detail"] == {
+        "entries": ["[0, 0]"],
+        "genfn_certified": [True],
+        "magri_certified": [],
+        "error": "conservation check needs an evolution base system",
+    }
 
 
 @pytest.mark.parametrize("source, message", [
