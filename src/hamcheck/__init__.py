@@ -34,10 +34,9 @@ from .equivalence import (
     equivalence_residuals,
     equivalent_as_bivectors,
     transport,
-    verify_equivalence,
 )
 from .frame import Frame, Ranking
-from .ops import CDiffOp, DimensionMismatch, linearize, transpose_conjugation_check
+from .ops import CDiffOp, DimensionMismatch, linearize
 from .poly import (
     DiffPoly,
     ExponentOverflow,

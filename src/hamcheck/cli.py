@@ -2,7 +2,8 @@
 emit the structured report.
 
 Exit codes: 0 all tasks ok, 1 any task failed or left a residual,
-2 parse or declaration error.
+2 the input file or the report path cannot be used, or a parse error.
+A declaration the kernel rejects fails the tasks that name it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .parser import EquationDecl, ParseError, Program, parse_program
+from .parser import ParseError, parse_program
+from .poly import run_scope
 from .runner import (
     build_report,
     exit_code,
@@ -18,7 +20,18 @@ from .runner import (
     report_text,
     run_program,
 )
-from .systems import HamcheckError
+from .systems import PASSIVITY_DEPTH
+
+
+def non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    return int(text)
+
+
+def _error(text: str) -> int:
+    print(f"hamcheck: {text}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -31,8 +44,9 @@ def main(argv=None) -> int:
     runp.add_argument("file", help="declaration file")
     runp.add_argument("--report", metavar="PATH", help="write the JSON report here")
     runp.add_argument(
-        "--passivity-depth", type=int, default=None, metavar="N",
-        help="default compatibility-check depth for equations without one",
+        "--passivity-depth", type=non_negative_int, default=PASSIVITY_DEPTH, metavar="N",
+        help="compatibility-check depth for equations that set none "
+        f"(default {PASSIVITY_DEPTH})",
     )
     runp.add_argument(
         "--text", action="store_true",
@@ -47,35 +61,30 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "rb") as fh:
             raw = fh.read()
-        source = raw.decode("utf-8")
     except OSError as exc:
-        print(f"hamcheck: {exc}", file=sys.stderr)
-        return 2
-
+        return _error(exc)
     try:
-        program = parse_program(source)
-        if args.passivity_depth is not None:
-            systems = {
-                name: decl if decl.passivity is not None
-                else EquationDecl(decl.deps, decl.solves, decl.ranking,
-                                  args.passivity_depth)
-                for name, decl in program.systems.items()
-            }
-            program = Program(program.frame, systems, program.operators,
-                              program.vectors, program.equivalences, program.tasks)
-        results = run_program(program)
-    except ParseError as exc:
-        print(f"{args.file}:{exc}", file=sys.stderr)
-        return 2
-    except (HamcheckError, ValueError) as exc:
-        # declaration-level kernel error (bad system, ranking or equivalence data)
-        print(f"{args.file}: error: {exc}", file=sys.stderr)
-        return 2
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return _error(f"{args.file}: {exc}")
+
+    # one Run from parsing to the last task: parse-time operator algebra
+    # shares the run's derivative table
+    with run_scope():
+        try:
+            program = parse_program(source)
+        except ParseError as exc:
+            print(f"{args.file}:{exc}", file=sys.stderr)
+            return 2
+        results = run_program(program, args.passivity_depth)
 
     report = build_report(program, results, raw, with_timings=args.timings)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report_json(report))
+        except OSError as exc:
+            return _error(exc)
     if args.text:
         sys.stdout.write(report_text(report))
     else:

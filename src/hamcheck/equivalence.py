@@ -80,13 +80,6 @@ def equivalence_residuals(data: EquivalenceData) -> dict:
     return {name: red(op) for name, op in rels.items()}
 
 
-def verify_equivalence(data: EquivalenceData):
-    """True plus empty residual map when all four relations reduce to zero."""
-    residuals = equivalence_residuals(data)
-    failing = {k: v for k, v in residuals.items() if not v.is_zero()}
-    return (not failing), failing
-
-
 def _extra_dependent_values(data: EquivalenceData):
     """Express the second embedding's extra dependents through the first's.
 

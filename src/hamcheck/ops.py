@@ -275,8 +275,3 @@ def linearize(f, deps) -> CDiffOp:
             if a:
                 entries[(i, col[dep], idx)] = a
     return CDiffOp(f.n, len(f), len(deps), entries)
-
-
-def transpose_conjugation_check(op: CDiffOp) -> bool:
-    """Verify the adjoint is involutive on this operator."""
-    return op.adjoint().adjoint() == op

@@ -2,16 +2,18 @@
 
 The grammar covers frame declarations, equations in solved form,
 operators (scalar expressions or row-major bracket matrices), vectors of
-densities, equivalence data blocks, and a task list.  Expressions are
-evaluated during parsing against the declared frame; task arguments that
-name objects produced by earlier tasks stay symbolic until run time.
+densities, equivalence data blocks, and a task list.  Every declared name
+lives in one table.  Expressions are evaluated during parsing against the
+declared frame, and equation blocks are checked against it; task
+arguments that name equations, equivalences or the outputs of deform
+tasks stay symbolic until run time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .frame import Frame
+from .frame import Frame, Ranking
 from .ops import CDiffOp, DimensionMismatch
 from .poly import DiffPoly, ExponentOverflow, VectorFunction
 
@@ -121,7 +123,8 @@ def tokenize(source: str):
 
 
 class NameRef:
-    """Reference to an object materialized at run time (deform outputs)."""
+    """A name whose value is built at run time: an equation, an
+    equivalence or a deform output."""
 
     __slots__ = ("name", "line", "col")
 
@@ -150,49 +153,49 @@ class TaskDecl:
 
 
 class EquationDecl:
-    """An equation block as written: solved forms still carry their tokens.
+    """An equation block, checked against its frame but not yet solved.
 
-    ``deps`` restricts the frame to an initial segment of the dependents
-    (None: all of them); ``passivity`` is None when the block sets no depth.
-    Two declarations are equal when they were written alike.
+    ``frame`` is the declared frame, or its initial segment of dependents
+    when the block restricts them; ``solved`` holds the (lead jet, rhs)
+    pairs as written; ``passivity`` is None when the block sets no depth.
     """
 
-    __slots__ = ("deps", "solves", "ranking", "passivity")
+    __slots__ = ("frame", "solved", "ranking", "passivity")
 
-    def __init__(self, deps: tuple, solves: tuple, ranking: tuple, passivity: int):
-        self.deps = deps
-        self.solves = solves
+    def __init__(self, frame: Frame, solved: tuple, ranking: Ranking, passivity: int):
+        self.frame = frame
+        self.solved = solved
         self.ranking = ranking
         self.passivity = passivity
 
-    def __eq__(self, other):
-        if not isinstance(other, EquationDecl):
-            return NotImplemented
-        return (self.deps, self.solves, self.ranking, self.passivity) == (
-            other.deps, other.solves, other.ranking, other.passivity
-        )
+
+# the connecting operators of an equivalence block, in the order
+# EquivalenceData takes them
+EQUIVALENCE_FIELDS = ("alpha", "alpha'", "beta", "beta'", "s1", "s2")
 
 
 class EquivalenceDecl:
-    __slots__ = ("name", "system1", "system2", "ops")
+    __slots__ = ("system1", "system2", "ops")
 
-    def __init__(self, name: str, system1: str, system2: str, ops: dict):
-        self.name = name
+    def __init__(self, system1: str, system2: str, ops: tuple):
         self.system1 = system1
         self.system2 = system2
         self.ops = ops
 
 
 class Program:
-    __slots__ = ("frame", "systems", "operators", "vectors", "equivalences", "tasks")
+    """A parsed file: its frame, its names in declaration order and its tasks.
 
-    def __init__(self, frame: Frame, systems: dict, operators: dict,
-                 vectors: dict, equivalences: dict, tasks: list):
+    A name's value is an ``EquationDecl``, an operator (``CDiffOp``), a
+    vector (``VectorFunction``), an ``EquivalenceDecl``, or the deform
+    ``TaskDecl`` that produces it at run time.
+    """
+
+    __slots__ = ("frame", "names", "tasks")
+
+    def __init__(self, frame: Frame, names: dict, tasks: list):
         self.frame = frame
-        self.systems = systems
-        self.operators = operators
-        self.vectors = vectors
-        self.equivalences = equivalences
+        self.names = names
         self.tasks = tasks
 
 
@@ -203,12 +206,8 @@ class Parser:
         self.independents = None
         self.dependents = None
         self.frame = None
-        self.systems = {}
-        self.operators = {}
-        self.vectors = {}
-        self.equivalences = {}
+        self.names = {}
         self.tasks = []
-        self.pending = set()  # names registered by deform tasks
         self.nesting = 0  # open '(' and '[' around the current operand
 
     # -- token helpers --------------------------------------------------
@@ -239,15 +238,11 @@ class Parser:
 
     # -- names ------------------------------------------------------------
 
-    def _all_names(self):
-        out = set(self.systems) | set(self.operators) | set(self.vectors)
-        out |= set(self.equivalences) | self.pending
-        return out
-
-    def declare(self, tok: Token, table: dict, value):
-        if tok.text in self._all_names():
-            self.fail(tok, f"name {tok.text!r} is already declared")
-        table[tok.text] = value
+    def declare(self, tok: Token, value, name=None):
+        name = name or tok.text
+        if name in self.names:
+            self.fail(tok, f"name {name!r} is already declared")
+        self.names[name] = value
 
     def require_frame(self, tok: Token) -> Frame:
         if self.frame is None:
@@ -282,10 +277,7 @@ class Parser:
                     expected=("independents", "dependents", "equation", "operator",
                               "vector", "equivalence", "task"),
                 )
-        return Program(
-            self.frame, dict(self.systems), dict(self.operators),
-            dict(self.vectors), dict(self.equivalences), list(self.tasks),
-        )
+        return Program(self.frame, self.names, self.tasks)
 
     def _name_list(self):
         names = [self.expect_ident().text]
@@ -432,9 +424,10 @@ class Parser:
                 return CDiffOp.mult(DiffPoly.jet(frame.n, jet[0], jet[1]))
             if text in frame.independents:
                 return CDiffOp.mult(DiffPoly.coord(frame.n, frame.indep_index(text)))
-            if text in self.operators:
-                return self.operators[text]
-            if text in self.vectors or text in self.pending:
+            value = self.names.get(text)
+            if isinstance(value, CDiffOp):
+                return value
+            if value is not None:
                 self.fail(tok, f"{text!r} cannot appear inside an operator expression")
             self.fail(tok, f"unknown identifier {text!r}")
         self.fail(tok, f"unexpected {tok.text!r}", expected=("operand",))
@@ -494,14 +487,13 @@ class Parser:
         frame = self.require_frame(kw)
         name = self.expect_ident("equation name")
         self.expect("LBRACE", "'{'")
-        deps = None
+        deps_tok = ranking_tok = None
         solves = []
-        ranking_names = None
         passivity = None
         while self.peek().kind != "RBRACE":
             word = self.expect_ident("equation clause")
             if word.text == "dependents":
-                deps = tuple(self._name_list())
+                deps_tok, deps = word, tuple(self._name_list())
             elif word.text == "solve":
                 lhs_tok = self.expect_ident("jet variable")
                 jet = self.resolve_jet(frame, lhs_tok)
@@ -511,14 +503,14 @@ class Parser:
                 rhs_tok = self.peek()
                 rhs = self.poly_of(self.parse_opexpr(frame), rhs_tok)
                 self.expect("SEMI", "';'")
-                solves.append((jet, rhs, lhs_tok))
+                solves.append((lhs_tok, jet, rhs))
             elif word.text == "ranking":
-                names = [self.expect_ident("independent name").text]
+                ranking_tok = word
+                ranking = [self.expect_ident("independent name").text]
                 while self.peek().kind == "GT":
                     self.next()
-                    names.append(self.expect_ident("independent name").text)
+                    ranking.append(self.expect_ident("independent name").text)
                 self.expect("SEMI", "';'")
-                ranking_names = names
             elif word.text == "passivity":
                 depth = self.expect("INT", "depth")
                 passivity = int(depth.text)
@@ -529,11 +521,23 @@ class Parser:
         self.expect("RBRACE", "'}'")
         if not solves:
             self.fail(kw, f"equation {name.text!r} has no solve clauses")
-        if ranking_names is None:
+        if ranking_tok is None:
             self.fail(kw, f"equation {name.text!r} needs a ranking clause")
-        self.declare(name, self.systems, EquationDecl(
-            deps, tuple(solves), tuple(ranking_names), passivity
-        ))
+        if deps_tok is not None:
+            if frame.dependents[: len(deps)] != deps:
+                self.fail(deps_tok, "restricted dependents must be an initial "
+                          "segment of the declared dependents")
+            frame = Frame(frame.independents, deps)
+        for lhs_tok, jet, rhs in solves:
+            if any(d >= frame.m for d in {jet[0]} | rhs.deps()):
+                self.fail(lhs_tok, f"equation {name.text!r} mentions dependents "
+                          "outside its restricted frame")
+        try:
+            ranking = Ranking.of(frame, *ranking)
+        except ValueError as exc:
+            self.fail(ranking_tok, str(exc))
+        solved = tuple((jet, rhs) for _tok, jet, rhs in solves)
+        self.declare(name, EquationDecl(frame, solved, ranking, passivity))
 
     def parse_operator(self):
         kw = self.next()
@@ -542,7 +546,7 @@ class Parser:
         self.expect("EQ", "'='")
         value = self.parse_opexpr(frame)
         self.expect("SEMI", "';'")
-        self.declare(name, self.operators, value)
+        self.declare(name, value)
 
     def parse_vector(self):
         kw = self.next()
@@ -551,7 +555,7 @@ class Parser:
         self.expect("EQ", "'='")
         value = self.parse_vector_literal(frame)
         self.expect("SEMI", "';'")
-        self.declare(name, self.vectors, value)
+        self.declare(name, value)
 
     def parse_equivalence(self):
         kw = self.next()
@@ -567,7 +571,7 @@ class Parser:
         s2 = self.expect_ident("system name")
         self.expect("SEMI", "';'")
         for s in (s1, s2):
-            if s.text not in self.systems:
+            if not isinstance(self.names.get(s.text), EquationDecl):
                 self.fail(s, f"unknown system {s.text!r}")
         ops = {}
         while self.peek().kind != "RBRACE":
@@ -576,20 +580,21 @@ class Parser:
             if self.peek().kind == "PRIME":
                 self.next()
                 fname += "'"
-            if fname not in ("alpha", "alpha'", "beta", "beta'", "s1", "s2"):
+            if fname not in EQUIVALENCE_FIELDS:
                 self.fail(field_tok, f"unknown equivalence field {fname!r}",
-                          expected=("alpha", "alpha'", "beta", "beta'", "s1", "s2"))
+                          expected=EQUIVALENCE_FIELDS)
             if fname in ops:
                 self.fail(field_tok, f"duplicate field {fname!r}")
             self.expect("EQ", "'='")
             ops[fname] = self.parse_opexpr(self.frame)
             self.expect("SEMI", "';'")
         self.expect("RBRACE", "'}'")
-        missing = {"alpha", "alpha'", "beta", "beta'", "s1", "s2"} - set(ops)
+        missing = set(EQUIVALENCE_FIELDS) - set(ops)
         if missing:
             self.fail(kw, f"equivalence {name.text!r} is missing " + ", ".join(sorted(missing)))
-        self.declare(name, self.equivalences,
-                     EquivalenceDecl(name.text, s1.text, s2.text, ops))
+        self.declare(name, EquivalenceDecl(
+            s1.text, s2.text, tuple(ops[f] for f in EQUIVALENCE_FIELDS)
+        ))
 
     # -- tasks -------------------------------------------------------------------
 
@@ -607,18 +612,17 @@ class Parser:
                 self.next()
                 args.append(self.parse_task_arg(frame))
         self.expect("RPAREN", "')'")
-        alias = None
+        task = TaskDecl(kind.text, tuple(args), None, kind.line, kind.col)
         if self.peek().kind == "IDENT" and self.peek().text == "as":
             self.next()
-            alias_tok = self.expect_ident("alias")
+            alias = self.expect_ident("alias")
             if kind.text != "deform":
-                self.fail(alias_tok, "'as' aliases are only valid on deform tasks")
-            if alias_tok.text in self._all_names():
-                self.fail(alias_tok, f"name {alias_tok.text!r} is already declared")
-            alias = alias_tok.text
-            self.pending |= {alias, f"{alias}_A1", f"{alias}_A2"}
+                self.fail(alias, "'as' aliases are only valid on deform tasks")
+            task.alias = alias.text
+            for name in (alias.text, f"{alias.text}_A1", f"{alias.text}_A2"):
+                self.declare(alias, task, name)
         self.expect("SEMI", "';'")
-        self.tasks.append(TaskDecl(kind.text, tuple(args), alias, kind.line, kind.col))
+        self.tasks.append(task)
 
     def parse_task_arg(self, frame: Frame):
         tok = self.peek()
@@ -631,16 +635,13 @@ class Parser:
                 self.fail(a, f"unknown direction {text!r}", expected=("1->2", "2->1"))
             return Direction(text)
         if tok.kind == "IDENT":
-            text = tok.text
-            if text in self.systems or text in self.equivalences:
+            value = self.names.get(tok.text)
+            if isinstance(value, VectorFunction):
                 self.next()
-                return NameRef(text, tok.line, tok.col)
-            if text in self.vectors:
+                return value
+            if isinstance(value, (EquationDecl, EquivalenceDecl, TaskDecl)):
                 self.next()
-                return self.vectors[text]
-            if text in self.pending:
-                self.next()
-                return NameRef(text, tok.line, tok.col)
+                return NameRef(tok.text, tok.line, tok.col)
         if tok.kind == "LBRACK" and self.tokens[self.pos + 1].kind != "LBRACK":
             return self.parse_vector_literal(frame)
         return self.parse_opexpr(frame)

@@ -44,10 +44,11 @@ loop: a sum of products, such as an operator applied to a vector, fills
 one dict per result.
 
 Total derivatives D_sigma of a polynomial are taken once per run.  A
-``Run`` lives exactly as long as one ``runner.run_program``:
-``run_scope`` makes it the active one in a ``contextvars`` variable and
-resets that on the way out, so the run's table is unreachable when the
-run ends.  The table holds each base polynomial's derivatives by
+``Run`` lives as long as its outermost ``run_scope``: one
+``runner.run_program``, or for the command line one file from parsing
+to the last task.  ``run_scope`` makes it the active one in a
+``contextvars`` variable and resets that on the way out, so the run's
+table is unreachable when the run ends.  The table holds each base polynomial's derivatives by
 ``sigma``, found by the base's ``id`` or, for a copy, by its value, so
 ``apply``, ``compose``, ``adjoint``, ``euler``, ``subst_deps``, factoring
 and the passivity check share what any of them took.  A builder called

@@ -27,9 +27,8 @@ from .equivalence import (
     equivalent_as_bivectors,
     transport,
 )
-from .frame import Frame, Ranking
 from .ops import CDiffOp
-from .parser import Direction, NameRef, Program, TaskDecl
+from .parser import Direction, EquationDecl, EquivalenceDecl, NameRef, Program, TaskDecl
 from .poly import DiffPoly, VectorFunction, as_vector, run_scope
 from .render import op_text, poly_text, vector_text
 from .systems import (
@@ -57,69 +56,48 @@ class TaskResult:
 
 
 class RunContext:
-    def __init__(self, program: Program):
-        self.program = program
-        self.frame = program.frame
-        self.systems = {}
-        self.operators = dict(program.operators)
-        self.vectors = dict(program.vectors)
-        self.equivalences = {}
-        self.deformed = {}
+    """The value of every name of a program, and the bivector memo.
+
+    Every declaration is built when the context is made.  One that the
+    kernel rejects keeps its error instead, and each task that names it
+    fails with that error; an equivalence over such a system keeps the
+    system's error.  A deform output's name holds its task until the task
+    has run.
+    """
+
+    def __init__(self, program: Program, passivity_depth: int = PASSIVITY_DEPTH):
+        self.values = {}
         self.bivectors = {}
-        self._build_systems()
-        self._build_equivalences()
+        for name, value in program.names.items():
+            try:
+                self.values[name] = self._build(value, passivity_depth)
+            except (HamcheckError, ValueError) as exc:
+                self.values[name] = exc.with_traceback(None)
 
-    def _build_systems(self):
-        for name, decl in self.program.systems.items():
-            frame = self.frame
-            if decl.deps is not None:
-                deps = decl.deps
-                if tuple(self.frame.dependents[: len(deps)]) != tuple(deps):
-                    raise HamcheckError(
-                        f"equation {name!r}: restricted dependents must be an "
-                        "initial segment of the declared dependents"
-                    )
-                frame = Frame(self.frame.independents, tuple(deps))
-            ranking = Ranking.of(frame, *decl.ranking)
-            solved = [(jet, rhs) for jet, rhs, _tok in decl.solves]
-            for jet, rhs in solved:
-                used = {jet[0]} | rhs.deps()
-                if any(d >= frame.m for d in used):
-                    raise HamcheckError(
-                        f"equation {name!r} mentions dependents outside its "
-                        "restricted frame"
-                    )
-            originals = [
-                DiffPoly.jet(frame.n, jet[0], jet[1]) - rhs for jet, rhs in solved
-            ]
-            depth = decl.passivity if decl.passivity is not None else PASSIVITY_DEPTH
-            self.systems[name] = make_system(
-                frame, originals, solved, ranking, depth
+    def _build(self, decl, passivity_depth):
+        if isinstance(decl, EquationDecl):
+            n = decl.frame.n
+            originals = [DiffPoly.jet(n, jet[0], jet[1]) - rhs for jet, rhs in decl.solved]
+            depth = decl.passivity if decl.passivity is not None else passivity_depth
+            return make_system(decl.frame, originals, decl.solved, decl.ranking, depth)
+        if isinstance(decl, EquivalenceDecl):
+            return EquivalenceData(
+                self.lookup(decl.system1), self.lookup(decl.system2), *decl.ops
             )
-
-    def _build_equivalences(self):
-        for name, decl in self.program.equivalences.items():
-            self.equivalences[name] = EquivalenceData(
-                self.systems[decl.system1],
-                self.systems[decl.system2],
-                decl.ops["alpha"],
-                decl.ops["alpha'"],
-                decl.ops["beta"],
-                decl.ops["beta'"],
-                decl.ops["s1"],
-                decl.ops["s2"],
-            )
+        return decl
 
     # -- argument resolution ------------------------------------------------
 
+    def lookup(self, name):
+        value = self.values[name]
+        if isinstance(value, Exception):
+            raise HamcheckError(str(value))
+        if isinstance(value, TaskDecl):
+            raise HamcheckError(f"{name!r} has not been produced yet")
+        return value
+
     def resolve(self, arg):
-        if isinstance(arg, NameRef):
-            for table in (self.deformed, self.systems, self.equivalences,
-                          self.operators, self.vectors):
-                if arg.name in table:
-                    return table[arg.name]
-            raise HamcheckError(f"{arg.name!r} has not been produced yet")
-        return arg
+        return self.lookup(arg.name) if isinstance(arg, NameRef) else arg
 
     def need_system(self, value, what="system"):
         if isinstance(value, DeformedSystem):
@@ -370,10 +348,9 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
             "block_operators_certified": True,
         }
         if task.alias:
-            ctx.deformed[task.alias] = deformed
-            ctx.systems[task.alias] = deformed.system
-            ctx.operators[f"{task.alias}_A1"] = deformed.a1_til.op
-            ctx.operators[f"{task.alias}_A2"] = deformed.a2_til.op
+            ctx.values[task.alias] = deformed
+            ctx.values[f"{task.alias}_A1"] = deformed.a1_til.op
+            ctx.values[f"{task.alias}_A2"] = deformed.a2_til.op
             detail["registered"] = [task.alias, f"{task.alias}_A1", f"{task.alias}_A2"]
         return OK, detail
 
@@ -399,14 +376,18 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
     raise HamcheckError(f"unhandled task kind {kind!r}")
 
 
-def run_program(program: Program) -> list:
+def run_program(program: Program, passivity_depth: int = PASSIVITY_DEPTH) -> list:
     """Execute all tasks; never aborts mid-suite, results in declaration order.
 
-    The whole run, systems included, shares one ``Run``: a derivative taken
-    once is not taken again, and the table is released when the run ends.
+    ``passivity_depth`` is the compatibility-check depth of the equations
+    that set none.  A declaration the kernel rejects fails the tasks that
+    name it.  The declarations and the tasks share one ``Run``, joined if
+    the caller opened one (the CLI opens it before parsing): a derivative
+    taken once is not taken again, and the table is released when the
+    outermost scope ends.
     """
     with run_scope():
-        ctx = RunContext(program)
+        ctx = RunContext(program, passivity_depth)
         results = []
         for i, task in enumerate(program.tasks):
             result = run_task(ctx, task)

@@ -6,7 +6,6 @@ from hamcheck import (
     VectorFunction,
     euler,
     linearize,
-    transpose_conjugation_check,
 )
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.render import op_text
@@ -61,12 +60,13 @@ def test_adjoint_zero_order_matrix_transposes(fr_u):
 
 
 def test_adjoint_involution(fr_u, kdv):
-    assert transpose_conjugation_check(parse_op(fr_u, "Dx"))
-    assert transpose_conjugation_check(kdv.linearization())
+    for op in (parse_op(fr_u, "Dx"), kdv.linearization()):
+        assert op.adjoint().adjoint() == op
 
 
 def test_adjoint_involution_on_three_by_three(kdv3):
-    assert transpose_conjugation_check(kdv3.linearization())
+    op = kdv3.linearization()
+    assert op.adjoint().adjoint() == op
 
 
 def test_divergence_pairing(fr_u):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hamcheck import CDiffOp, DiffPoly
+from hamcheck import CDiffOp, DiffPoly, VectorFunction
 from hamcheck.parser import (
     MAX_NESTING,
     TASK_KINDS,
+    EquationDecl,
     ParseError,
     Program,
     parse_op,
@@ -15,6 +16,7 @@ from hamcheck.parser import (
     parse_program,
 )
 from hamcheck.render import op_text, poly_text
+from hamcheck.runner import run_program
 
 
 def test_simple_operator(fr_u):
@@ -154,9 +156,10 @@ def test_program_declarations():
         task schouten(kdv, A1, A1);
         """
     )
-    assert set(program.systems) == {"kdv"}
-    assert set(program.operators) == {"A1"}
-    assert set(program.vectors) == {"psi"}
+    assert list(program.names) == ["kdv", "A1", "psi"]
+    assert isinstance(program.names["kdv"], EquationDecl)
+    assert isinstance(program.names["A1"], CDiffOp)
+    assert isinstance(program.names["psi"], VectorFunction)
     assert [t.kind for t in program.tasks] == ["bivector", "schouten"]
 
 
@@ -186,6 +189,36 @@ def test_equation_requires_ranking():
             "equation kdv { solve u_t = u_xxx; }\n"
         )
     assert "ranking" in err.value.msg
+
+
+@pytest.mark.parametrize("clause, message, col", [
+    ("dependents v; solve v_t = v_xx; ranking t > x;",
+     "restricted dependents must be an initial segment", 14),
+    ("dependents u; solve u_t = v_xx; ranking t > x;",
+     "mentions dependents outside its restricted frame", 34),
+    ("solve u_t = u_xx; ranking t > t;",
+     "ranking must mention every independent exactly once", 32),
+], ids=["not-initial", "outside-frame", "ranking"])
+def test_equation_block_checked_against_its_frame(clause, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(
+            "independents x, t;\ndependents u, v;\n"
+            f"equation e {{ {clause} }}\n"
+        )
+    assert (err.value.line, err.value.col) == (3, col)
+    assert message in err.value.msg
+
+
+def test_deform_alias_names_must_be_new():
+    with pytest.raises(ParseError) as err:
+        parse_program(
+            "independents x, t;\ndependents u;\n"
+            "equation kdv { solve u_t = u_xxx; ranking t > x; }\n"
+            "operator A = Dx;\noperator d_A1 = Dx;\n"
+            "task deform(kdv, A, A) as d;\n"
+        )
+    assert (err.value.line, err.value.col) == (6, 27)
+    assert err.value.msg == "name 'd_A1' is already declared"
 
 
 def test_deform_alias_registers_names():
@@ -266,7 +299,8 @@ def token_soups(draw):
 
 def test_fuzz_base_program_parses():
     program = parse_program(" ".join(_VALID))
-    assert set(program.operators) == {"A", "M"} and len(program.tasks) == 4
+    operators = [name for name, v in program.names.items() if isinstance(v, CDiffOp)]
+    assert operators == ["A", "M"] and len(program.tasks) == 4
 
 
 @settings(max_examples=400)
@@ -277,3 +311,20 @@ def test_parser_fuzz_returns_program_or_parse_error(source):
     except ParseError:
         return
     assert isinstance(program, Program)
+
+
+@settings(max_examples=50)
+@example(" ".join(_VALID))
+@given(token_soups())
+def test_fuzz_programs_that_parse_run_every_task(source):
+    # a declaration the kernel rejects fails the tasks that name it, and
+    # the run never raises or reaches an internal error
+    try:
+        program = parse_program(source)
+    except ParseError:
+        return
+    first = run_program(program)
+    assert len(first) == len(program.tasks)
+    assert not any("internal error" in str(r.detail) for r in first)
+    second = run_program(program)
+    assert [(r.status, r.detail) for r in first] == [(r.status, r.detail) for r in second]

@@ -19,7 +19,7 @@ from hamcheck.runner import (
     report_json,
     run_program,
 )
-from hamcheck.systems import EquationSystem
+from hamcheck.systems import PASSIVITY_DEPTH, EquationSystem
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -465,19 +465,22 @@ def test_cli_passivity_depth_flag(tmp_path, monkeypatch):
         seen["parsed"] = parse_program(source)
         return seen["parsed"]
 
-    def run(program):
-        seen["systems"] = RunContext(program).systems
-        return run_program(program)
+    def run(program, passivity_depth):
+        seen["values"] = RunContext(program, passivity_depth).values
+        return run_program(program, passivity_depth)
 
     monkeypatch.setattr(cli, "parse_program", parse)
     monkeypatch.setattr(cli, "run_program", run)
     assert cli.main(["run", str(f), "--passivity-depth", "2"]) == 0
     # the flag fills in only the depths the file leaves open ...
-    assert seen["systems"]["kdv"].passivity_depth == 2
-    assert seen["systems"]["heat"].passivity_depth == 3
+    assert seen["values"]["kdv"].passivity_depth == 2
+    assert seen["values"]["heat"].passivity_depth == 3
     # ... and leaves the parser's output as it was
-    assert seen["parsed"].systems["kdv"].passivity is None
-    assert seen["parsed"].systems == parse_program(f.read_text()).systems
+    assert seen["parsed"].names["kdv"].passivity is None
+    assert seen["parsed"].names["heat"].passivity == 3
+    # without the flag, the default depth
+    assert cli.main(["run", str(f)]) == 0
+    assert seen["values"]["kdv"].passivity_depth == PASSIVITY_DEPTH
 
 
 def test_cli_timings_flag_adds_seconds(tmp_path):
@@ -569,20 +572,111 @@ def test_cli_lift_on_a_non_evolution_base_keeps_its_verdicts(tmp_path):
         "equation e { solve u_t = u_xx; ranking t > y; }\ntask reduce(e, u_t);\n",
         "unknown independent variable 'y'",
     ),
-    (
-        (DEMOS / "kdv_three_component.ham").read_text().replace(
-            "alpha  = [[1], [Dx], [Dx^2]];", "alpha = [[1], [Dx]];"
-        ),
-        "alpha must be 3x1, got 2x1",
-    ),
-], ids=["ranking-too-short", "ranking-unknown-name", "equivalence-shape"])
+], ids=["ranking-too-short", "ranking-unknown-name"])
 def test_cli_declaration_value_error_exit_2(tmp_path, source, message):
+    # a ranking is checked against the frame while parsing, so a bad one
+    # is a parse error at its clause
     src = tmp_path / "decl.ham"
     src.write_text(source)
     proc = _cli(["run", str(src)])
     assert proc.returncode == 2
-    assert proc.stderr == f"{src}: error: {message}\n"
+    assert proc.stderr == f"{src}:3:32: {message}\n"
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_cli_bad_equivalence_fails_only_its_tasks(tmp_path):
+    # the kernel rejects the connecting operators: the tasks on the
+    # equivalence fail with its error, and every other task keeps its status
+    demo = DEMOS / "kdv_three_component.ham"
+    src = tmp_path / "decl.ham"
+    src.write_text(demo.read_text().replace(
+        "alpha  = [[1], [Dx], [Dx^2]];", "alpha = [[1], [Dx]];"
+    ))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    assert _cli(["run", str(demo), "--report", str(good)]).returncode == 1
+    proc = _cli(["run", str(src), "--report", str(bad)])
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    before = json.loads(good.read_text())["tasks"]
+    after = json.loads(bad.read_text())["tasks"]
+    assert [t["kind"] for t in after] == [t["kind"] for t in before]
+    for was, got in zip(before, after):
+        if got["kind"] in ("equivalence", "transport"):
+            assert (got["status"], got["detail"]) == (
+                "fail", {"error": "alpha must be 3x1, got 2x1"}
+            )
+        else:
+            assert got == was
+
+
+def test_cli_equivalence_over_a_rejected_system_carries_its_error(tmp_path):
+    # the kernel rejects the system (its lead is not ranking-maximal); the
+    # tasks on it and on the equivalence over it fail with that error
+    src = tmp_path / "decl.ham"
+    src.write_text(
+        "independents x, t;\ndependents u;\n"
+        "equation good { solve u_t = u_xxx; ranking t > x; }\n"
+        "equation bad { solve u_t = u_xxx; ranking x > t; }\n"
+        "equivalence e { systems good, bad; alpha = 1; alpha' = 1; beta = 1;\n"
+        "  beta' = 1; s1 = 0; s2 = 0; }\n"
+        "task reduce(good, u_t);\ntask reduce(bad, u_t);\ntask equivalence(e);\n"
+    )
+    out = tmp_path / "report.json"
+    assert _cli(["run", str(src), "--report", str(out)]).returncode == 1
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [t["status"] for t in tasks] == ["ok", "fail", "fail"]
+    error = "equation 0: lead is not ranking-maximal in its solved form"
+    assert tasks[1]["detail"] == tasks[2]["detail"] == {"error": error}
+
+
+def test_cli_input_that_is_not_utf8_exits_2(tmp_path):
+    src = tmp_path / "latin1.ham"
+    src.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    proc = _cli(["run", str(src)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"hamcheck: {src}: 'utf-8' codec can't decode")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_report_in_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    proc = _cli(["run", str(DEMOS / "kdv.ham"), "--report", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"hamcheck: [Errno 2] No such file or directory: {str(out)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("depth", ["-1", "x"])
+def test_cli_negative_passivity_depth_is_rejected(capsys, depth):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", str(DEMOS / "kdv.ham"), "--passivity-depth", depth])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --passivity-depth: expected an integer 0 or more, got {depth!r}\n"
+    )
+
+
+def test_cli_parses_inside_the_run_its_tasks_see(monkeypatch):
+    # operator algebra at parse time shares the run's derivative table,
+    # and the run is released when the CLI returns
+    seen = []
+    compose = CDiffOp.compose
+
+    def compose_spy(self, other):
+        seen.append(poly._RUN.get())
+        return compose(self, other)
+
+    monkeypatch.setattr(CDiffOp, "compose", compose_spy)
+    runs = _spy_on_runs(monkeypatch)
+    assert cli.main(["run", str(DEMOS / "kdv.ham")]) == 0
+    assert seen and runs[0] is not None
+    assert all(run is runs[0] for run in seen + runs)
+    ref = weakref.ref(runs[0])
+    seen.clear()
+    runs.clear()
+    assert poly._RUN.get() is None and ref() is None
 
 
 def test_cli_lift_checks_each_base_identity_once(tmp_path, monkeypatch):
