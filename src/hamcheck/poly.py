@@ -19,10 +19,10 @@ factors and a tuple of exponents of the explicit independent variables,
 ``_clean`` takes keys in it.  The canonical order of terms is graded,
 then by jet factors, then by x exponents, highest first;
 ``DiffPoly.canonical_terms`` walks the terms in it, giving each term's
-factors in order (x factors by index, then jets ascending).  It
-ranks the variables that occur once per call and sorts by those ranks,
-never by the ints, whose order depends on the order in which ids were
-given.
+factors in order (x factors by index, then jets ascending).  It ranks
+the jets that occur once per call and sorts by one ``bytes`` key per term
+built from those ranks, never by the ints, whose order depends on the
+order in which ids were given.
 
 Three invariants hold for every value the kernel builds: no zero
 coefficient is stored; no stored exponent reaches ``LIMIT``; and a
@@ -69,7 +69,7 @@ from .frame import Frame
 
 ONE = 1
 
-W = 16
+W = 16  # a power of two: ``& -W`` rounds a bit index down to its field
 LIMIT = 1 << (W - 1)
 _FIELD = (1 << W) - 1
 
@@ -106,12 +106,14 @@ def _id(v) -> int:
 
 
 def _fields(m: int):
-    """(id, exponent) of every factor of the monomial ``m``, lowest id first."""
+    """(id, exponent) of every factor of the monomial ``m``, highest id
+    first: each step takes the top field, at bit ``s``, whose exponent is
+    all of ``m >> s``, so only occupied fields are visited."""
     while m:
-        k = ((m & -m).bit_length() - 1) // W
-        e = (m >> (W * k)) & _FIELD
-        m -= e << (W * k)
-        yield k, e
+        s = (m.bit_length() - 1) & -W
+        e = m >> s
+        m -= e << s
+        yield s // W, e
 
 
 def _guarded(n: int, res: dict) -> "DiffPoly":
@@ -260,50 +262,54 @@ class DiffPoly:
         n = self.n
         return ((decode(n, m), c) for m, c in self.terms.items())
 
-    def canonical_terms(self, factor) -> list:
+    def canonical_terms(self, factor):
         """The terms in canonical order, highest first, as ``(factors, c)``.
 
         ``factors`` lists ``factor(v, e)`` for each factor ``v^e`` of the
         term: the explicit variables by index (``v`` is the ``int`` i), then
         the jets in ascending order.  ``factor`` is called once per distinct
-        factor.  The jets that occur are ranked once; each term's sort key
-        is its degree, its jets' (rank, exponent) pairs and its x
-        exponents, which orders terms as the decoded ``(jets, xexp)`` would.
+        factor.  The jets that occur are ranked once, and each term's sort
+        key is one ``bytes`` object, so one comparison orders two terms as
+        their decoded ``(jets, xexp)`` would: the degree in 8 bytes (a sum
+        of far fewer than 2**48 exponents below ``LIMIT``), a code of ``cw``
+        bytes for each jet's (rank + 1, exponent) in rank order, ``cw`` zero
+        bytes, so that a term whose jet factors begin another's sorts below
+        it, and the x exponents in ``W`` bits each.
         """
         n = self.n
         jets = sorted(v for v in self._vars() if type(v) is not int)
-        rank = {v: r for r, v in enumerate(jets)}
-        # field -> (place, e, factor(v, e)); x_i has place i - n < 0, so x
-        # factors sort first and xe[place] is xe[i]; a jet has its rank
+        rank = {v: r for r, v in enumerate(jets, 1)}
+        cw, xw = (len(jets).bit_length() + W + 7) // 8, (W * n + 7) // 8
+        end, no_x = bytes(cw), bytes(cw + xw)
+        # field -> (code, factor(v, e)) for a jet; for x_i, (b"", i, e at its
+        # place in the x exponents, factor(v, e)), which sorts first, by i
         memo = {}
         rows = []
         for m, c in self.terms.items():
             fs = []
+            deg = 0
             while m:
-                k = ((m & -m).bit_length() - 1) // W
-                f = m & (_FIELD << (W * k))
+                s = (m.bit_length() - 1) & -W
+                e = m >> s
+                f = e << s
                 m -= f
+                deg += e
                 t = memo.get(f)
                 if t is None:
-                    v, e = _VARS[k], f >> (W * k)
-                    t = memo[f] = (v - n if type(v) is int else rank[v], e, factor(v, e))
+                    v = _VARS[s // W]
+                    t = memo[f] = (
+                        (b"", v, e << (W * (n - 1 - v)), factor(v, e)) if type(v) is int
+                        else (((rank[v] << W) + e).to_bytes(cw, "big"), factor(v, e))
+                    )
                 fs.append(t)
             fs.sort()
-            # the -1 ends the (rank, e) pairs, so a term whose jet factors
-            # begin another's sorts below it
-            key = [0]
-            xe = [0] * n
-            for place, e, _ in fs:
-                key[0] += e
-                if place < 0:
-                    xe[place] = e
-                else:
-                    key += (place, e)
-            key.append(-1)
-            key += xe
-            rows.append((key, [t[2] for t in fs], c))
+            key = [deg.to_bytes(8, "big"), *[t[0] for t in fs], no_x]
+            if fs and not fs[0][0]:
+                key[-1] = end + sum(t[2] for t in fs if not t[0]).to_bytes(xw, "big")
+            rows.append((b"".join(key), fs, c))
         rows.sort(key=itemgetter(0), reverse=True)
-        return [(fs, c) for _, fs, c in rows]
+        for _, fs, c in rows:
+            yield [t[-1] for t in fs], c
 
     # -- ring structure ----------------------------------------------
 
@@ -394,13 +400,7 @@ class DiffPoly:
 
     def _vars(self):
         """Every variable that occurs in some term."""
-        m = reduce(or_, self.terms, 0)
-        out = []
-        while m:
-            k = ((m & -m).bit_length() - 1) // W
-            m &= ~(_FIELD << (W * k))
-            out.append(_VARS[k])
-        return out
+        return [_VARS[k] for k, _ in _fields(reduce(or_, self.terms, 0))]
 
     def jetvars(self) -> set:
         return {v for v in self._vars() if type(v) is not int}
@@ -441,8 +441,8 @@ class DiffPoly:
     def total(self, i: int, image=None) -> "DiffPoly":
         """Total derivative D_i: d/dx_i plus the chain rule over all jets.
 
-        The factor with id k and exponent e of the term ``c*m`` contributes
-        ``c*e`` times ``m`` with ``steps[k]`` applied: x_i loses one power, a
+        The factor at bit s with exponent e of the term ``c*m`` contributes
+        ``c*e`` times ``m`` with ``steps[s]`` applied: x_i loses one power, a
         jet trades one power for its D_i-raised jet, and any other x_j
         contributes nothing.  ``image(jet)``, when given, returns the
         polynomial that stands for a raised jet, or None to keep the jet; a
@@ -456,12 +456,12 @@ class DiffPoly:
         for m, c in self.terms.items():
             rest = m
             while rest:
-                k = ((rest & -rest).bit_length() - 1) // W
-                f = rest & (_FIELD << (W * k))
-                rest -= f
-                step = steps.get(k)
+                s = (rest.bit_length() - 1) & -W
+                e = rest >> s
+                rest -= e << s
+                step = steps.get(s)
                 if step is None:
-                    v, one = _VARS[k], 1 << (W * k)
+                    v, one = _VARS[s // W], 1 << s
                     if type(v) is int:
                         step = -one if v == i else 0
                     else:
@@ -472,13 +472,13 @@ class DiffPoly:
                             (1 << (W * _id(up))) - one if q is None
                             else (one, tuple(q.terms.items()))
                         )
-                    steps[k] = step
+                    steps[s] = step
                 if type(step) is int:
                     if step:
                         key = m + step
-                        res[key] = get(key, 0) + c * (f >> (W * k))
+                        res[key] = get(key, 0) + c * e
                 else:
-                    low, ce = m - step[0], c * (f >> (W * k))
+                    low, ce = m - step[0], c * e
                     for m2, c2 in step[1]:
                         key = low + m2
                         res[key] = get(key, 0) + ce * c2
@@ -640,7 +640,7 @@ class VectorFunction:
         return "VectorFunction(" + ", ".join(map(repr, self.entries)) + ")"
 
 
-def as_vector(v, n=None) -> VectorFunction:
+def as_vector(v) -> VectorFunction:
     if isinstance(v, VectorFunction):
         return v
     if isinstance(v, DiffPoly):

@@ -267,11 +267,11 @@ def test_direction_token():
 # -- fuzzing ------------------------------------------------------------------
 
 _VALID = """
-independents x , t ; dependents u , v ;
+independents x , t ; dependents u ;
 equation kdv { solve u_t = u_xxx + 6 * u * u_x ; ranking t > x ; passivity 2 ; }
 operator A = Dx ^ 3 + 4 * u * Dx + 2 * u_x ;
 operator M = [ [ Dx , - 1 ] , [ 0 , Dt ] ] ;
-vector psi = [ 3 * u ^ 2 + u_xx , 1 / 2 ] ;
+vector psi = [ 3 * u ^ 2 + u_xx ] ;
 equivalence e { systems kdv , kdv ; alpha = 1 ; alpha ' = 0 ; beta = 1 ;
   beta ' = 0 ; s1 = 0 ; s2 = 0 ; }
 task deform ( kdv , A , A ) as d ; task transport ( e , Dx , 1 -> 2 ) ;
@@ -281,7 +281,7 @@ task bivector ( kdv , A ) ; task poisson ( kdv , A , psi , [ u ] ) ;
 # Integer literals stay at 3 or less: an operator power ``A^k`` is
 # evaluated by k compositions, with no bound yet on k or on the result.
 _TOKENS = sorted(set(_VALID) | set(TASK_KINDS) | {
-    "independents", "dependents", "u_q", "u_tx", "w", "Dz", "xi", "d_A1", "@", "\n",
+    "independents", "dependents", "u_q", "u_tx", "v", "w", "Dz", "xi", "d_A1", "/", "@", "\n",
 }) + [str(k) for k in range(4)] + [f"{a} / {b}" for a in range(4) for b in range(4)]
 
 
@@ -301,6 +301,8 @@ def test_fuzz_base_program_parses():
     program = parse_program(" ".join(_VALID))
     operators = [name for name, v in program.names.items() if isinstance(v, CDiffOp)]
     assert operators == ["A", "M"] and len(program.tasks) == 4
+    # so that the fuzzed programs start from tasks that reach a verdict
+    assert [r.status for r in run_program(program)] == ["ok"] * 4
 
 
 @settings(max_examples=400)

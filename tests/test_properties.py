@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from hamcheck import (
     euler,
     linearize,
 )
-from hamcheck.poly import decode, encode, run_scope, total_memo
+from hamcheck.poly import _IDS, LIMIT, decode, encode, run_scope, total_memo
 from hamcheck.render import jet_text, poly_text
 from oracle_sympy import (
     formal_args,
@@ -585,6 +586,84 @@ def test_poly_text_matches_reference_on_a_deep_reduction(kdv, fr_u):
     p = kdv.reduce(DiffPoly.jet(fr_u.n, 0, (0, 8)))
     assert len(p.terms) > 400
     assert poly_text(fr_u, p) == _poly_text_reference(fr_u, p)
+
+
+_F3 = Frame(("x", "y", "t"), ("u", "v"))
+_U, _UX, _UY, _V = (0, (0, 0, 0)), (0, (1, 0, 0)), (0, (0, 1, 0)), (1, (0, 0, 0))
+
+
+def _terms(*monos):
+    """A polynomial over ``_F3`` from (jet factors, x exponents) pairs,
+    with coefficients that differ in sign and size."""
+    return DiffPoly(_F3.n, {
+        (tuple(sorted(jets)), xe): Fraction((-1) ** k * (k + 1), 1 + k % 3)
+        for k, (jets, xe) in enumerate(monos)
+    })
+
+
+def _many_jets():
+    jets = [(d, (a, b, 0)) for d in range(2) for a in range(12) for b in range(12)]
+    assert len(jets) > 256
+    return _terms(*(
+        (((jets[r], 1), (jets[(37 * r) % len(jets)], 2)) if 37 * r % len(jets) != r
+         else ((jets[r], 3),), (0, 0, 0))
+        for r in range(len(jets))
+    ))
+
+
+_L = LIMIT - 1
+_KEY_EDGES = {
+    "exponent at the limit": lambda: _terms(
+        (((_U, _L),), (0, 0, 0)), (((_U, _L - 1), (_UX, 1)), (0, 0, 0)),
+        (((_UX, _L),), (0, 0, 0)), (((_U, 1), (_UX, _L)), (0, 0, 0)),
+        ((), (_L, 0, 1)), ((), (0, _L, 0)), (((_V, _L),), (_L, _L, _L)),
+    ),
+    "degree past 65535": lambda: _terms(
+        (((_U, 30000), (_UX, 30000), (_UY, 30000)), (0, 0, 0)),
+        (((_U, 30001), (_UX, 29999), (_UY, 30000)), (0, 0, 0)),
+        (((_U, 30000 - 2**16 // 3), (_UX, 30000), (_UY, 30000)), (0, 0, 0)),
+        (((_U, 2),), (0, 0, 0)),
+    ),
+    "ranks past one byte": _many_jets,
+    "x factors among jets": lambda: _terms(
+        (((_U, 1),), (2, 0, 0)), (((_U, 1),), (1, 1, 0)), (((_U, 1),), (0, 0, 2)),
+        (((_UX, 1), (_V, 1)), (1, 0, 0)), (((_U, 1),), (0, 2, 1)), ((), (1, 1, 1)),
+        (((_V, 2),), (0, 0, 1)), (((_U, 1), (_V, 1)), (0, 1, 0)), ((), (0, 0, 3)),
+    ),
+    "jet factors a prefix of another's": lambda: _terms(
+        (((_U, 1), (_UX, 1)), (1, 0, 0)), (((_U, 1), (_UX, 1), (_V, 1)), (0, 0, 0)),
+        (((_U, 1), (_UX, 2)), (0, 0, 0)), (((_U, 1),), (0, 1, 1)),
+        (((_U, 1), (_UX, 1), (_UY, 1)), (0, 0, 0)), (((_U, 2), (_UX, 1)), (0, 0, 0)),
+        (((_U, 1), (_UX, 1)), (_L, 0, 0)), (((_U, 1), (_UX, 1), (_V, _L)), (0, 0, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_EDGES))
+def test_poly_text_order_at_the_key_edges(case):
+    p = _KEY_EDGES[case]()
+    assert poly_text(_F3, p) == _poly_text_reference(_F3, p)
+
+
+@pytest.mark.parametrize("e", [1 << k for k in range(15)] + [LIMIT - 1])
+def test_top_field_walk_at_exponent_edges(e):
+    # 300 jets no other test uses, so that the top field's id is high
+    pad = [DiffPoly.jet(3, 1, (a, b, 11)) for a in range(20) for b in range(15)]
+    top = (0, (13, 17, 19))
+    p = _terms(
+        (((top, e),), (0, 0, 0)),
+        (((_U, 1), (top, e), (_UX, 2)), (1, 0, 3)),
+        (((_UY, LIMIT - 1),), (0, e, 0)),
+    ) + pad[-1]
+    assert _IDS[top] > 300
+    assert p.jetvars() == {top, _U, _UX, _UY, (1, (19, 14, 11))}
+    assert all(encode(decode(3, m)) == m for m in p.terms)
+    assert {mono for mono, _ in p.items()} == {
+        (((top, e),), (0, 0, 0)), ((((1, (19, 14, 11)), 1),), (0, 0, 0)),
+        (((_U, 1), (_UX, 2), (top, e)), (1, 0, 3)), (((_UY, LIMIT - 1),), (0, e, 0)),
+    }
+    for i in range(3):
+        assert from_kernel_equal(p.total(i), sympy_total_derivative(p, i))
 
 
 @given(polys(), st.data())
