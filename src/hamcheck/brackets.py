@@ -197,24 +197,14 @@ def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
     k = len(blocks)
     out = DiffPoly.zero(density.n)
     for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = [False] * k
-        for i in range(k):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
+        # the sign is the parity of the number of inversions
+        odd = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)) % 2
         mapping = {}
         for i in range(k):
             for a, b in zip(blocks[i], blocks[perm[i]]):
                 mapping[a] = b
         piece = density.relabel_deps(mapping)
-        out = out + (piece if sign > 0 else -piece)
+        out = out + (-piece if odd else piece)
     return out
 
 

@@ -2,15 +2,18 @@
 
 The grammar covers frame declarations, equations in solved form,
 operators (scalar expressions or row-major bracket matrices), vectors of
-densities, equivalence data blocks, and a task list.  Every declared name
-lives in one table.  Expressions are evaluated during parsing against the
-declared frame, and equation blocks are checked against it; task
-arguments that name equations, equivalences or the outputs of deform
-tasks stay symbolic until run time.
+densities, equivalence data blocks, and a task list.  ``tokenize`` scans
+the source with one compiled regex, ``_SCAN``; the parser reads its
+token list.  Every declared name lives in one table.  Expressions are
+evaluated during parsing against the declared frame, and equation blocks
+are checked against it; task arguments that name equations, equivalences
+or the outputs of deform tasks stay symbolic until run time.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .frame import Frame, Ranking
@@ -29,9 +32,19 @@ MAX_NESTING = 100
 _PUNCT = {
     ";": "SEMI", ",": "COMMA", "(": "LPAREN", ")": "RPAREN",
     "{": "LBRACE", "}": "RBRACE", "[": "LBRACK", "]": "RBRACK",
-    "=": "EQ", "+": "PLUS", "*": "STAR", "^": "CARET",
-    ">": "GT", "/": "SLASH", "'": "PRIME",
+    "=": "EQ", "+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET",
+    ">": "GT", "/": "SLASH", "'": "PRIME", "->": "ARROW",
 }
+
+# One alternative per lexical class, tried in order.  An identifier starts
+# with a word character that is not a decimal digit, so '²' or '½' is an
+# identifier character and an integer is decimal digits only; a character
+# no other alternative takes is an error.
+_SCAN = re.compile(r"""
+    (?P<NL>\n) | (?P<SKIP>[ \t\r]+ | \#[^\n]*)
+  | (?P<PUNCT>-> | [;,(){}\[\]=+\-*^>/'])
+  | (?P<INT>\d+) | (?P<IDENT>[^\W\d]\w*) | (?P<OTHER>.)
+""", re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -55,67 +68,25 @@ class Token:
         self.line = line
         self.col = col
 
-    def __eq__(self, other):
-        if not isinstance(other, Token):
-            return NotImplemented
-        return (self.kind, self.text, self.line, self.col) == (
-            other.kind, other.text, other.line, other.col
-        )
-
 
 def tokenize(source: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    size = len(source)
-    while i < size:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "-":
-            if i + 1 < size and source[i + 1] == ">":
-                tokens.append(Token("ARROW", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            tokens.append(Token("MINUS", "-", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < size and source[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < size and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        kind = _PUNCT.get(ch)
-        if kind is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token(kind, ch, line, col))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _SCAN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "PUNCT":
+            tokens.append(Token(_PUNCT[text], text, line, col))
+        elif kind == "OTHER":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        elif kind != "SKIP":
+            tokens.append(Token(kind, text, line, col))
+    # input that ends in a comment ends at the comment's '#'
+    end = source.find("#", line_start)
+    end = len(source) if end < 0 else end
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -126,12 +97,10 @@ class NameRef:
     """A name whose value is built at run time: an equation, an
     equivalence or a deform output."""
 
-    __slots__ = ("name", "line", "col")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, line: int, col: int):
+    def __init__(self, name: str):
         self.name = name
-        self.line = line
-        self.col = col
 
 
 class Direction:
@@ -142,14 +111,12 @@ class Direction:
 
 
 class TaskDecl:
-    __slots__ = ("kind", "args", "alias", "line", "col")
+    __slots__ = ("kind", "args", "alias")
 
-    def __init__(self, kind: str, args: tuple, alias: str, line: int, col: int):
+    def __init__(self, kind: str, args: tuple, alias: str):
         self.kind = kind
         self.args = args
         self.alias = alias
-        self.line = line
-        self.col = col
 
 
 class EquationDecl:
@@ -236,6 +203,38 @@ class Parser:
     def fail(self, tok: Token, msg, expected=()):
         raise ParseError(msg, tok.line, tok.col, expected=expected)
 
+    def _sep(self, item, sep="COMMA") -> list:
+        """``item (sep item)*``: the values of the rule ``item``."""
+        items = [item()]
+        while self.peek().kind == sep:
+            self.next()
+            items.append(item())
+        return items
+
+    def _bracketed(self, item) -> list:
+        """``[ item (, item)* ]``"""
+        self.expect("LBRACK", "'['")
+        items = self._sep(item)
+        self.expect("RBRACK", "']'")
+        return items
+
+    def _int(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits
+            self.fail(tok, "integer literal longer than "
+                      f"{sys.get_int_max_str_digits()} digits")
+
+    def _at(self, tok: Token, build):
+        """``build()``, with the kernel's shape and exponent errors
+        reported at the operator token ``tok``."""
+        try:
+            return build()
+        except DimensionMismatch as exc:
+            self.fail(tok, f"dimension mismatch: {exc}")
+        except ExponentOverflow as exc:
+            self.fail(tok, str(exc))
+
     # -- names ------------------------------------------------------------
 
     def declare(self, tok: Token, value, name=None):
@@ -244,46 +243,31 @@ class Parser:
             self.fail(tok, f"name {name!r} is already declared")
         self.names[name] = value
 
-    def require_frame(self, tok: Token) -> Frame:
-        if self.frame is None:
-            self.fail(tok, "independents and dependents must be declared first")
-        return self.frame
-
     # -- program ------------------------------------------------------------
 
     def parse_program(self) -> Program:
-        while self.peek().kind != "EOF":
-            tok = self.peek()
+        statements = {
+            "independents": self.parse_independents,
+            "dependents": self.parse_dependents,
+            "equation": self.parse_equation,
+            "operator": lambda: self.parse_value(self.parse_opexpr),
+            "vector": lambda: self.parse_value(self.parse_vector_literal),
+            "equivalence": self.parse_equivalence,
+            "task": self.parse_task,
+        }
+        while (tok := self.peek()).kind != "EOF":
             if tok.kind != "IDENT":
                 self.fail(tok, f"unexpected {tok.text!r}", expected=("statement",))
-            word = tok.text
-            if word == "independents":
-                self.parse_independents()
-            elif word == "dependents":
-                self.parse_dependents()
-            elif word == "equation":
-                self.parse_equation()
-            elif word == "operator":
-                self.parse_operator()
-            elif word == "vector":
-                self.parse_vector()
-            elif word == "equivalence":
-                self.parse_equivalence()
-            elif word == "task":
-                self.parse_task()
-            else:
-                self.fail(
-                    tok, f"unknown statement {word!r}",
-                    expected=("independents", "dependents", "equation", "operator",
-                              "vector", "equivalence", "task"),
-                )
+            rule = statements.get(tok.text)
+            if rule is None:
+                self.fail(tok, f"unknown statement {tok.text!r}", expected=statements)
+            if self.frame is None and tok.text not in ("independents", "dependents"):
+                self.fail(tok, "independents and dependents must be declared first")
+            rule()
         return Program(self.frame, self.names, self.tasks)
 
-    def _name_list(self):
-        names = [self.expect_ident().text]
-        while self.peek().kind == "COMMA":
-            self.next()
-            names.append(self.expect_ident().text)
+    def _name_list(self) -> tuple:
+        names = tuple(tok.text for tok in self._sep(self.expect_ident))
         self.expect("SEMI", "';'")
         return names
 
@@ -291,7 +275,7 @@ class Parser:
         tok = self.next()
         if self.independents is not None:
             self.fail(tok, "independents already declared")
-        self.independents = tuple(self._name_list())
+        self.independents = self._name_list()
         for nm in self.independents:
             if len(nm) != 1:
                 raise ParseError(
@@ -303,7 +287,7 @@ class Parser:
         tok = self.next()
         if self.dependents is not None:
             self.fail(tok, "dependents already declared")
-        self.dependents = tuple(self._name_list())
+        self.dependents = self._name_list()
         self._maybe_build_frame(tok)
 
     def _maybe_build_frame(self, tok: Token):
@@ -319,8 +303,9 @@ class Parser:
 
     # -- jet variables -------------------------------------------------------
 
-    def resolve_jet(self, frame: Frame, tok: Token):
+    def resolve_jet(self, tok: Token):
         """Split ident at the last underscore into dependent and suffix."""
+        frame = self.frame
         text = tok.text
         if text in frame.dependents:
             return (frame.dependents.index(text), (0,) * frame.n)
@@ -337,67 +322,57 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_opexpr(self, frame: Frame) -> CDiffOp:
-        left = self.parse_term(frame)
+    def parse_opexpr(self) -> CDiffOp:
+        left = self.parse_term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.next()
-            right = self.parse_term(frame)
-            try:
-                left = left + right if op.kind == "PLUS" else left - right
-            except DimensionMismatch as exc:
-                self.fail(op, f"dimension mismatch: {exc}")
+            right = self.parse_term()
+            add = op.kind == "PLUS"
+            left = self._at(op, lambda: left + right if add else left - right)
         return left
 
-    def parse_term(self, frame: Frame) -> CDiffOp:
-        left = self.parse_unary(frame)
+    def parse_term(self) -> CDiffOp:
+        left = self.parse_unary()
         while self.peek().kind == "STAR":
             star = self.next()
-            right = self.parse_unary(frame)
-            try:
-                left = left.compose(right)
-            except DimensionMismatch as exc:
-                self.fail(star, f"dimension mismatch: {exc}")
-            except ExponentOverflow as exc:
-                self.fail(star, str(exc))
+            right = self.parse_unary()
+            left = self._at(star, lambda: left.compose(right))
         return left
 
-    def parse_unary(self, frame: Frame) -> CDiffOp:
+    def parse_unary(self) -> CDiffOp:
         negate = False
         while self.peek().kind == "MINUS":
             self.next()
             negate = not negate
-        out = self.parse_power(frame)
+        out = self.parse_power()
         return -1 * out if negate else out
 
-    def parse_power(self, frame: Frame) -> CDiffOp:
-        base = self.parse_atom(frame)
-        if self.peek().kind == "CARET":
-            caret = self.next()
-            exp = self.expect("INT", "integer exponent")
-            k = int(exp.text)
-            if base.rows != base.cols:
-                self.fail(caret, "power of a non-square operator")
-            out = CDiffOp.identity(base.n, base.rows)
-            try:
-                for _ in range(k):
-                    out = out.compose(base)
-            except ExponentOverflow as exc:
-                self.fail(caret, str(exc))
-            return out
-        return base
+    def parse_power(self) -> CDiffOp:
+        base = self.parse_atom()
+        if self.peek().kind != "CARET":
+            return base
+        caret = self.next()
+        k = self._int(self.expect("INT", "integer exponent"))
+        if base.rows != base.cols:
+            self.fail(caret, "power of a non-square operator")
+        out = CDiffOp.identity(base.n, base.rows)
+        for _ in range(k):
+            out = self._at(caret, lambda: out.compose(base))
+        return out
 
     def _rational(self, tok: Token) -> Fraction:
-        num = int(tok.text)
+        num = self._int(tok)
         if self.peek().kind == "SLASH":
             self.next()
             tok = self.expect("INT", "denominator")
-            den = int(tok.text)
+            den = self._int(tok)
             if not den:
                 self.fail(tok, "zero denominator")
             return Fraction(num, den)
         return Fraction(num)
 
-    def parse_atom(self, frame: Frame) -> CDiffOp:
+    def parse_atom(self) -> CDiffOp:
+        frame = self.frame
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
@@ -407,10 +382,10 @@ class Parser:
                 self.fail(tok, f"brackets nested deeper than {MAX_NESTING} levels")
             self.nesting += 1
             if tok.kind == "LBRACK":
-                inner = self.parse_matrix(frame)
+                inner = self.parse_matrix()
             else:
                 self.next()
-                inner = self.parse_opexpr(frame)
+                inner = self.parse_opexpr()
                 self.expect("RPAREN", "')'")
             self.nesting -= 1
             return inner
@@ -419,7 +394,7 @@ class Parser:
             text = tok.text
             if len(text) == 2 and text[0] == "D" and text[1] in frame.independents:
                 return CDiffOp.d(frame.n, frame.independents.index(text[1]))
-            jet = self.resolve_jet(frame, tok)
+            jet = self.resolve_jet(tok)
             if jet is not None:
                 return CDiffOp.mult(DiffPoly.jet(frame.n, jet[0], jet[1]))
             if text in frame.independents:
@@ -432,23 +407,11 @@ class Parser:
             self.fail(tok, f"unknown identifier {text!r}")
         self.fail(tok, f"unexpected {tok.text!r}", expected=("operand",))
 
-    def parse_matrix(self, frame: Frame) -> CDiffOp:
+    def parse_matrix(self) -> CDiffOp:
         open_tok = self.expect("LBRACK", "'['")
-        rows = []
         if self.peek().kind != "LBRACK":
             self.fail(self.peek(), "matrix rows must be bracketed", expected=("'['",))
-        while True:
-            self.expect("LBRACK", "'['")
-            row = [self.parse_opexpr(frame)]
-            while self.peek().kind == "COMMA":
-                self.next()
-                row.append(self.parse_opexpr(frame))
-            self.expect("RBRACK", "']'")
-            rows.append(row)
-            if self.peek().kind == "COMMA":
-                self.next()
-                continue
-            break
+        rows = self._sep(lambda: self._bracketed(self.parse_opexpr))
         self.expect("RBRACK", "']'")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -459,32 +422,21 @@ class Parser:
                     self.fail(open_tok, "matrix entries must be scalar operators")
         return CDiffOp.block(rows)
 
-    def poly_of(self, op: CDiffOp, tok: Token) -> DiffPoly:
-        p = op.as_poly()
+    def parse_poly(self) -> DiffPoly:
+        tok = self.peek()
+        p = self.parse_opexpr().as_poly()
         if p is None:
             self.fail(tok, "expected a polynomial (no derivative operators)")
         return p
 
-    def parse_poly(self, frame: Frame) -> DiffPoly:
-        tok = self.peek()
-        return self.poly_of(self.parse_opexpr(frame), tok)
-
-    def parse_vector_literal(self, frame: Frame) -> VectorFunction:
-        self.expect("LBRACK", "'['")
-        tok = self.peek()
-        entries = [self.poly_of(self.parse_opexpr(frame), tok)]
-        while self.peek().kind == "COMMA":
-            self.next()
-            tok = self.peek()
-            entries.append(self.poly_of(self.parse_opexpr(frame), tok))
-        self.expect("RBRACK", "']'")
-        return VectorFunction(entries)
+    def parse_vector_literal(self) -> VectorFunction:
+        return VectorFunction(self._bracketed(self.parse_poly))
 
     # -- declarations ----------------------------------------------------------
 
     def parse_equation(self):
         kw = self.next()
-        frame = self.require_frame(kw)
+        frame = self.frame
         name = self.expect_ident("equation name")
         self.expect("LBRACE", "'{'")
         deps_tok = ranking_tok = None
@@ -493,27 +445,23 @@ class Parser:
         while self.peek().kind != "RBRACE":
             word = self.expect_ident("equation clause")
             if word.text == "dependents":
-                deps_tok, deps = word, tuple(self._name_list())
+                deps_tok, deps = word, self._name_list()
             elif word.text == "solve":
                 lhs_tok = self.expect_ident("jet variable")
-                jet = self.resolve_jet(frame, lhs_tok)
+                jet = self.resolve_jet(lhs_tok)
                 if jet is None:
                     self.fail(lhs_tok, f"unknown jet variable {lhs_tok.text!r}")
                 self.expect("EQ", "'='")
-                rhs_tok = self.peek()
-                rhs = self.poly_of(self.parse_opexpr(frame), rhs_tok)
+                rhs = self.parse_poly()
                 self.expect("SEMI", "';'")
                 solves.append((lhs_tok, jet, rhs))
             elif word.text == "ranking":
                 ranking_tok = word
-                ranking = [self.expect_ident("independent name").text]
-                while self.peek().kind == "GT":
-                    self.next()
-                    ranking.append(self.expect_ident("independent name").text)
+                ranking = [tok.text for tok in self._sep(
+                    lambda: self.expect_ident("independent name"), "GT")]
                 self.expect("SEMI", "';'")
             elif word.text == "passivity":
-                depth = self.expect("INT", "depth")
-                passivity = int(depth.text)
+                passivity = self._int(self.expect("INT", "depth"))
                 self.expect("SEMI", "';'")
             else:
                 self.fail(word, f"unknown equation clause {word.text!r}",
@@ -539,27 +487,18 @@ class Parser:
         solved = tuple((jet, rhs) for _tok, jet, rhs in solves)
         self.declare(name, EquationDecl(frame, solved, ranking, passivity))
 
-    def parse_operator(self):
+    def parse_value(self, parse):
+        """``operator name = ...;`` or ``vector name = ...;``, the value
+        read by the rule ``parse``."""
         kw = self.next()
-        frame = self.require_frame(kw)
-        name = self.expect_ident("operator name")
+        name = self.expect_ident(f"{kw.text} name")
         self.expect("EQ", "'='")
-        value = self.parse_opexpr(frame)
-        self.expect("SEMI", "';'")
-        self.declare(name, value)
-
-    def parse_vector(self):
-        kw = self.next()
-        frame = self.require_frame(kw)
-        name = self.expect_ident("vector name")
-        self.expect("EQ", "'='")
-        value = self.parse_vector_literal(frame)
+        value = parse()
         self.expect("SEMI", "';'")
         self.declare(name, value)
 
     def parse_equivalence(self):
         kw = self.next()
-        self.require_frame(kw)
         name = self.expect_ident("equivalence name")
         self.expect("LBRACE", "'{'")
         sys_kw = self.expect_ident("'systems'")
@@ -586,7 +525,7 @@ class Parser:
             if fname in ops:
                 self.fail(field_tok, f"duplicate field {fname!r}")
             self.expect("EQ", "'='")
-            ops[fname] = self.parse_opexpr(self.frame)
+            ops[fname] = self.parse_opexpr()
             self.expect("SEMI", "';'")
         self.expect("RBRACE", "'}'")
         missing = set(EQUIVALENCE_FIELDS) - set(ops)
@@ -599,20 +538,14 @@ class Parser:
     # -- tasks -------------------------------------------------------------------
 
     def parse_task(self):
-        kw = self.next()
-        frame = self.require_frame(kw)
+        self.next()
         kind = self.expect_ident("task kind")
         if kind.text not in TASK_KINDS:
             self.fail(kind, f"unknown task kind {kind.text!r}", expected=TASK_KINDS)
         self.expect("LPAREN", "'('")
-        args = []
-        if self.peek().kind != "RPAREN":
-            args.append(self.parse_task_arg(frame))
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.parse_task_arg(frame))
+        args = self._sep(self.parse_task_arg) if self.peek().kind != "RPAREN" else []
         self.expect("RPAREN", "')'")
-        task = TaskDecl(kind.text, tuple(args), None, kind.line, kind.col)
+        task = TaskDecl(kind.text, tuple(args), None)
         if self.peek().kind == "IDENT" and self.peek().text == "as":
             self.next()
             alias = self.expect_ident("alias")
@@ -624,7 +557,7 @@ class Parser:
         self.expect("SEMI", "';'")
         self.tasks.append(task)
 
-    def parse_task_arg(self, frame: Frame):
+    def parse_task_arg(self):
         tok = self.peek()
         if tok.kind == "INT" and self.tokens[self.pos + 1].kind == "ARROW":
             a = self.next()
@@ -641,10 +574,10 @@ class Parser:
                 return value
             if isinstance(value, (EquationDecl, EquivalenceDecl, TaskDecl)):
                 self.next()
-                return NameRef(tok.text, tok.line, tok.col)
+                return NameRef(tok.text)
         if tok.kind == "LBRACK" and self.tokens[self.pos + 1].kind != "LBRACK":
-            return self.parse_vector_literal(frame)
-        return self.parse_opexpr(frame)
+            return self.parse_vector_literal()
+        return self.parse_opexpr()
 
 
 def parse_program(source: str) -> Program:
@@ -655,7 +588,7 @@ def _parse_fragment(frame: Frame, text: str, parse):
     """Parse all of ``text`` against ``frame`` with the method ``parse``."""
     parser = Parser(text)
     parser.frame = frame
-    value = parse(parser, frame)
+    value = parse(parser)
     parser.expect("EOF", "end of expression")
     return value
 

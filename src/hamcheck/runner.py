@@ -215,34 +215,30 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
         out = system.reduce_vector(vec)
         return OK, {"normal_form": vector_text(system.frame, out)}
 
-    if kind == "symmetry":
+    if kind in ("symmetry", "genfn"):
         args = _args(task, 2)
         system = ctx.need_system(ctx.resolve(args[0]))
         vec = ctx.need_vector(ctx.resolve(args[1]), system)
-        residual = system.symmetry_residual(vec)
+        if kind == "symmetry":
+            residual = system.symmetry_residual(vec)
+        else:
+            residual = system.genfn_residual(vec)
         if residual.is_zero():
-            return OK, {"symmetry": True}
-        return FAIL, {"symmetry": False,
-                      "residual": vector_text(system.frame, residual)}
+            return OK, {kind: True}
+        return FAIL, {kind: False, "residual": vector_text(system.frame, residual)}
 
-    if kind == "genfn":
+    if kind in ("bivector", "hamiltonian"):
         args = _args(task, 2)
         system = ctx.need_system(ctx.resolve(args[0]))
-        vec = ctx.need_vector(ctx.resolve(args[1]), system)
-        residual = system.genfn_residual(vec)
-        if residual.is_zero():
-            return OK, {"genfn": True}
-        return FAIL, {"genfn": False,
-                      "residual": vector_text(system.frame, residual)}
-
-    if kind == "bivector":
-        args = _args(task, 2)
-        system = ctx.need_system(ctx.resolve(args[0]))
-        got = ctx.certify(system, ctx.need_op(ctx.resolve(args[1])))
-        if isinstance(got, NotABivector):
+        biv = ctx.certify(system, ctx.need_op(ctx.resolve(args[1])))
+        if isinstance(biv, NotABivector):
             return FAIL, {"bivector": False,
-                          "residual": op_text(system.frame, got.residual)}
-        return OK, {"bivector": True}
+                          "residual": op_text(system.frame, biv.residual)}
+        if kind == "bivector":
+            return OK, {"bivector": True}
+        verdict = is_zero_trivector(system, schouten(system, biv, biv))
+        detail = {"bivector": True, **_verdict_detail(verdict)}
+        return (OK if verdict.zero else RESIDUAL), detail
 
     if kind == "schouten":
         args = _args(task, 3)
@@ -251,18 +247,6 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
         b2 = ctx.certified(system, ctx.need_op(ctx.resolve(args[2])))
         verdict = is_zero_trivector(system, schouten(system, b1, b2))
         detail = _verdict_detail(verdict)
-        return (OK if verdict.zero else RESIDUAL), detail
-
-    if kind == "hamiltonian":
-        args = _args(task, 2)
-        system = ctx.need_system(ctx.resolve(args[0]))
-        biv = ctx.certify(system, ctx.need_op(ctx.resolve(args[1])))
-        if isinstance(biv, NotABivector):
-            return FAIL, {"bivector": False,
-                          "residual": op_text(system.frame, biv.residual)}
-        verdict = is_zero_trivector(system, schouten(system, biv, biv))
-        detail = {"bivector": True}
-        detail.update(_verdict_detail(verdict))
         return (OK if verdict.zero else RESIDUAL), detail
 
     if kind == "poisson":

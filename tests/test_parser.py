@@ -1,3 +1,4 @@
+import string
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hamcheck.parser import (
     parse_op,
     parse_poly,
     parse_program,
+    tokenize,
 )
 from hamcheck.render import op_text, poly_text
 from hamcheck.runner import run_program
@@ -128,6 +130,125 @@ def test_syntax_error_position_and_expectations():
             )
         assert (err.value.line, err.value.col) == (3, 24)
         assert err.value.expected == ("1->2", "2->1")
+    # An integer literal past the interpreter's limit on digits is reported
+    # at the literal, as a coefficient, a denominator, an exponent or a depth.
+    long = "7" * 5000
+    for line3, col in ((f"vector v = [{long}*u];", 13), (f"vector v = [1/{long}];", 15),
+                       (f"vector v = [u^{long}];", 15),
+                       (f"equation e {{ solve u_t = u_xx; passivity {long}; }}", 42)):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"independents x, t;\ndependents u;\n{line3}\n")
+        assert (err.value.line, err.value.col) == (3, col)
+        assert "longer than 4300 digits" in err.value.msg
+
+
+# -- scanner -------------------------------------------------------------------
+
+_PUNCT_REFERENCE = {
+    ";": "SEMI", ",": "COMMA", "(": "LPAREN", ")": "RPAREN",
+    "{": "LBRACE", "}": "RBRACE", "[": "LBRACK", "]": "RBRACK",
+    "=": "EQ", "+": "PLUS", "*": "STAR", "^": "CARET",
+    ">": "GT", "/": "SLASH", "'": "PRIME",
+}
+
+
+def _tokenize_reference(source):
+    """The scanner as a character loop: (kind, text, line, col) tuples."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    size = len(source)
+    while i < size:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < size and source[i] != "\n":
+                i += 1
+            continue
+        if ch == "-":
+            if i + 1 < size and source[i + 1] == ">":
+                tokens.append(("ARROW", "->", line, col))
+                i += 2
+                col += 2
+                continue
+            tokens.append(("MINUS", "-", line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < size and source[j].isdigit():
+                j += 1
+            tokens.append(("INT", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < size and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("IDENT", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        kind = _PUNCT_REFERENCE.get(ch)
+        if kind is None:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append((kind, ch, line, col))
+        i += 1
+        col += 1
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+# the grammar's punctuation, ASCII letters and digits, a letter and a
+# decimal digit outside ASCII, and '@', which no token takes
+_SCAN_ALPHABET = (
+    ";,(){}[]=+-*^>/'" + string.ascii_letters + string.digits + "_# \t\r\n" + "\u00e9\u0663@"
+)
+
+
+@settings(max_examples=500)
+@example("operator A = Dx; # ends in a comment")
+@example("u_x\n  #")
+@example("a->b -> - > 12ab3 ab12_3 \u00e9\u0663 \u0663\u00e9")
+@given(st.text(st.sampled_from(_SCAN_ALPHABET), max_size=40))
+def test_scanner_matches_reference(source):
+    try:
+        expected = _tokenize_reference(source)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            tokenize(source)
+        assert (err.value.msg, err.value.line, err.value.col) == (exc.msg, exc.line, exc.col)
+        return
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == expected
+
+
+def test_scanner_edge_cases(fr_u):
+    # input that ends in a comment ends at its '#'
+    with pytest.raises(ParseError) as err:
+        parse_program("independents x, t;\ndependents u;\noperator A = Dx + # done")
+    assert (err.value.line, err.value.col) == (3, 19)
+    assert "operand" in err.value.expected
+    # a superscript digit or a vulgar fraction is an identifier character,
+    # never an integer literal
+    for line3, col, msg in (("operator A = Dx^\u00b2;", 17, "unexpected '\u00b2'"),
+                            ("vector v = [\u00b2*u];", 13, "unknown identifier '\u00b2'"),
+                            ("vector v = [\u00bd];", 13, "unknown identifier '\u00bd'")):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"independents x, t;\ndependents u;\n{line3}\n")
+        assert (err.value.line, err.value.col, err.value.msg) == (3, col, msg)
+    # a decimal digit outside ASCII is an integer digit
+    assert parse_poly(fr_u, "\u0663*u") == parse_poly(fr_u, "3*u")
+    assert parse_op(fr_u, "Dx^\u0663") == parse_op(fr_u, "Dx^3")
 
 
 def test_unknown_identifier_is_positioned():
@@ -280,8 +401,11 @@ task bivector ( kdv , A ) ; task poisson ( kdv , A , psi , [ u ] ) ;
 
 # Integer literals stay at 3 or less: an operator power ``A^k`` is
 # evaluated by k compositions, with no bound yet on k or on the result.
+# The one longer literal has more digits than int() converts, so it is a
+# ParseError wherever it lands.
 _TOKENS = sorted(set(_VALID) | set(TASK_KINDS) | {
     "independents", "dependents", "u_q", "u_tx", "v", "w", "Dz", "xi", "d_A1", "/", "@", "\n",
+    "\u00b2", "\u00bd", "\u00e9", "\u0663", "7" * 5000,
 }) + [str(k) for k in range(4)] + [f"{a} / {b}" for a in range(4) for b in range(4)]
 
 
@@ -306,6 +430,8 @@ def test_fuzz_base_program_parses():
 
 
 @settings(max_examples=400)
+@example(" ".join(_VALID).replace("^ 2", "^ \u00b2"))
+@example(" ".join(_VALID).replace("passivity 2", "passivity " + "7" * 5000))
 @given(token_soups())
 def test_parser_fuzz_returns_program_or_parse_error(source):
     try:

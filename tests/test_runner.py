@@ -428,6 +428,17 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "3:14" in proc.stderr and "32768" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # literals that int() rejects: a superscript digit, and more digits
+    # than the interpreter converts
+    for line3, pos in (("operator A = Dx^\u00b2;", "3:17"), ("vector v = [\u00b2*u];", "3:13"),
+                       ("vector v = [" + "7" * 5000 + "*u];", "3:13"),
+                       ("equation e { solve u_t = u_xx; passivity " + "7" * 5000 + "; }",
+                        "3:42")):
+        bad.write_text(f"independents x, t;\ndependents u;\n{line3}\n", encoding="utf-8")
+        proc = _cli(["run", str(bad)])
+        assert proc.returncode == 2
+        assert pos in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_task_failure_exit_1(tmp_path):
