@@ -7,7 +7,10 @@ and ``poisson`` checks that its own arguments are generating functions.
 
 Multivectors are represented directly as multilinear operators evaluated
 on formal argument dependents; skew symmetry enters through explicit
-signed symmetrization, so the whole kernel stays commutative.
+signed symmetrization, so the whole kernel stays commutative.  The
+certification identity theta = l_E o A - A* o l*_E is likewise built on
+formal arguments q, as theta(q) by application: certifying a bivector
+composes no operator.
 """
 
 from __future__ import annotations
@@ -66,40 +69,48 @@ class Bivector:
         return self.home.reduce_vector(adj.apply(psi1))
 
 
-def _theta(system: EquationSystem, op: CDiffOp) -> CDiffOp:
-    """The certification identity theta = l_E o A - A* o l*_E, unreduced.
+def _theta(system: EquationSystem, op: CDiffOp) -> tuple:
+    """The certification identity theta = l_E o A - A* o l*_E, applied to
+    fresh formal arguments q: theta(q) = l_E(A(q)) - A*(l*_E(q)), unreduced.
 
-    Its reduction is the bivector residual; applied to formal arguments
-    and factored through the equation it yields the bilinear remainder.
+    It is built by application, so no operator is composed.  Returns
+    theta(q) with the extended frame and the ids of q.  theta(q) is linear
+    in the jets of q and reduction fixes those jets, so linearizing its
+    reduced entries along q gives the reduced theta: the bivector residual.
+    Factored through the equation, theta(q) yields the bilinear remainder.
     """
     lin = system.linearization()
     if op.rows != lin.cols or op.cols != lin.rows:
         raise DimensionMismatch(
             f"operator must be {lin.cols}x{lin.rows} on this system"
         )
-    return lin.compose(op) - op.adjoint().compose(system.adjoint_linearization())
+    names = system.frame.fresh_names("q", len(system.rules))
+    frame, args = system.frame.extend(names, formal=True)
+    q = formal_vector(system.frame.n, args)
+    theta_q = (lin.apply(op.apply(q))
+               - op.adjoint().apply(system.adjoint_linearization().apply(q)))
+    return theta_q, frame, args
 
 
 def bivector_residual(system: EquationSystem, op: CDiffOp) -> CDiffOp:
     """Reduced defect of the bivector condition; zero iff the condition holds."""
-    return system.restrict_op(_theta(system, op))
+    theta_q, _, args = _theta(system, op)
+    return linearize(theta_q.map(system.reduce), args)
 
 
 def certify_bivector(system: EquationSystem, op: CDiffOp) -> Bivector:
     """Certify the bivector condition and extract the bilinear remainder.
 
-    Both come from one build of theta.  Raises NotABivector carrying the
-    nonzero reduced residual on failure.
+    Both come from one theta(q), built on formal arguments q by application:
+    the residual is its reduced entries linearized along q, the remainder
+    its factorization through the equation.  Raises NotABivector carrying
+    the nonzero reduced residual on failure.
     """
-    theta = _theta(system, op)
-    residual = system.restrict_op(theta)
+    theta_q, b_frame, args = _theta(system, op)
+    residual = linearize(theta_q.map(system.reduce), args)
     if not residual.is_zero():
         raise NotABivector(residual)
-    l = len(system.rules)
-    names = system.frame.fresh_names("q", l)
-    b_frame, args = system.frame.extend(names, formal=True)
-    b_op = system.factor_through_f(theta.apply(formal_vector(system.frame.n, args)))
-    return Bivector(system, op, b_op, b_frame, args)
+    return Bivector(system, op, system.factor_through_f(theta_q), b_frame, args)
 
 
 class TrivectorRep:
@@ -141,13 +152,12 @@ class TrivialityVerdict:
 
 def _lin_a_psi(system: EquationSystem, op: CDiffOp, arg_ids) -> CDiffOp:
     """Linearization of the operator along one formal argument block:
-    l_{A,psi} = l_{A(psi)} - A o l_psi, varying physical dependents only."""
-    n = system.frame.n
-    psi = formal_vector(n, arg_ids)
-    phys = system.frame.physical
-    first = linearize(op.apply(psi), phys)
-    second = op.compose(linearize(psi, phys))
-    return first - second
+    l_{A,psi} = l_{A(psi)} - A o l_psi, varying physical dependents only.
+
+    psi is formal, so l_psi along the physical dependents is zero and
+    l_{A,psi} is l_{A(psi)} alone."""
+    psi = formal_vector(system.frame.n, arg_ids)
+    return linearize(op.apply(psi), system.frame.physical)
 
 
 def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep:

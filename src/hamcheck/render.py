@@ -21,6 +21,28 @@ def jet_text(frame: Frame, jet) -> str:
     return f"{name}_{letters}"
 
 
+def _int_text(k: int) -> str:
+    """Decimal digits of ``k >= 0`` of any size.
+
+    ``str`` refuses an int past the interpreter's digit limit (4,300 digits
+    by default).  The limit holds for the whole process, so it is left as it
+    is: such an int is split by a power of ten into halves, each converted
+    on its own.
+    """
+    try:
+        return str(k)
+    except ValueError:
+        half = k.bit_length() * 3 // 20  # under half the digits: log10(2) > 0.3
+        high, low = divmod(k, 10 ** half)
+        return _int_text(high) + _int_text(low).zfill(half)
+
+
+def _rational_text(c) -> str:
+    """``str`` of a non-negative int or Fraction, whatever its size."""
+    text = _int_text(c.numerator)
+    return text if c.denominator == 1 else f"{text}/{_int_text(c.denominator)}"
+
+
 def poly_text(frame: Frame, p: DiffPoly) -> str:
     if p.is_zero():
         return "0"
@@ -37,12 +59,15 @@ def poly_text(frame: Frame, p: DiffPoly) -> str:
     parts = []
     for factors, c in p.canonical_terms(factor):
         mag = abs(c)
-        if factors:
-            body = "*".join(factors)
-            if mag != 1:
-                body = f"{mag}*{body}"
-        else:
-            body = str(mag)
+        try:
+            if factors:
+                body = "*".join(factors)
+                if mag != 1:
+                    body = f"{mag}*{body}"
+            else:
+                body = str(mag)
+        except ValueError:  # a coefficient past the interpreter's digit limit
+            body = "*".join([_rational_text(mag), *factors])
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

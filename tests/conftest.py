@@ -5,6 +5,7 @@ from hamcheck import (
     Frame,
     Ranking,
     certify_bivector,
+    deform,
     make_system,
     solve_orthonomic,
 )
@@ -44,6 +45,13 @@ def kdv_ops(fr_u):
 def kdv_bivectors(kdv, kdv_ops):
     a1, a2 = kdv_ops
     return certify_bivector(kdv, a1), certify_bivector(kdv, a2)
+
+
+@pytest.fixture(scope="session")
+def kdv6(kdv, kdv_bivectors):
+    """The deformation of the KdV pair, as ``demos/kdv6.ham`` declares it."""
+    b1, b2 = kdv_bivectors
+    return deform(kdv, b1, b2)
 
 
 @pytest.fixture(scope="session")

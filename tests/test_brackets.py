@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcheck import (
     Bivector,
@@ -21,9 +23,11 @@ from hamcheck import (
     schouten,
     solve_orthonomic,
 )
-from hamcheck.brackets import _lin_a_psi, constraint_system
+from hamcheck.brackets import _lin_a_psi, _theta, constraint_system
+from hamcheck.ops import linearize
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.poly import formal_vector
+from test_properties import operators
 
 
 def test_certify_kdv_pair(kdv, kdv_ops):
@@ -41,6 +45,44 @@ def test_certify_rejects_identity_with_residual(kdv, fr_u):
         certify_bivector(kdv, CDiffOp.identity(fr_u.n))
     expected = parse_op(fr_u, "2*Dt - 2*Dx^3 - 12*u*Dx - 6*u_x")
     assert err.value.residual == expected
+
+
+def _theta_reference(system, op):
+    """theta = l_E o A - A* o l*_E by operator composition: a reference
+    implementation of ``_theta``, which applies theta to formal arguments."""
+    lin = system.linearization()
+    return lin.compose(op) - op.adjoint().compose(system.adjoint_linearization())
+
+
+def _check_theta(system, op):
+    """theta(q) linearized along q is the composed theta, and the bivector
+    residual is its reduction; returns that residual."""
+    reference = _theta_reference(system, op)
+    theta_q, frame, args = _theta(system, op)
+    assert args == tuple(range(system.frame.m, frame.m))
+    assert linearize(theta_q, args) == reference
+    residual = bivector_residual(system, op)
+    assert residual == system.restrict_op(reference)
+    return residual
+
+
+def test_theta_by_application_matches_composition(
+    kdv, fr_u, ch2, ch2_ops, kdv3, kdv3_ops, kdv6
+):
+    bivectors = [(kdv, parse_op(fr_u, "Dx")), (kdv, parse_op(fr_u, "Dx^3 + 4*u*Dx + 2*u_x"))]
+    bivectors += [(ch2, op) for op in ch2_ops] + [(kdv3, op) for op in kdv3_ops]
+    bivectors += [(kdv6.system, b.op) for b in (kdv6.a1_til, kdv6.a2_til)]
+    for system, op in bivectors:
+        assert _check_theta(system, op).is_zero()
+    for op in (parse_op(fr_u, "u*Dx"), parse_op(fr_u, "Dx^2"), CDiffOp.identity(fr_u.n)):
+        residual = _check_theta(kdv, op)
+        assert any(sigma[1] for (_, _, sigma) in residual.entries)  # a Dt term
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_theta_matches_composition_on_random_operators(kdv, fr_u, data):
+    _check_theta(kdv, data.draw(operators(fr_u, max_order=3)))
 
 
 def test_certified_bivectors_are_skew_on_evolution(kdv, kdv3, kdv_ops, kdv3_ops):

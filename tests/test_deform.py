@@ -19,12 +19,6 @@ from hamcheck import (
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 
 
-@pytest.fixture(scope="module")
-def kdv6(kdv, kdv_bivectors):
-    b1, b2 = kdv_bivectors
-    return deform(kdv, b1, b2)
-
-
 def test_deform_reproduces_kdv6_modulo_sign_flip(kdv6, fr_u):
     system = kdv6.system
     frame = system.frame

@@ -255,7 +255,9 @@ def test_builders_outside_a_run_leave_no_run_behind():
 
 
 def _cli(args):
-    env = dict(os.environ)
+    # the child imports the package from this checkout, PYTHONPATH set or not
+    path = [str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "hamcheck.cli"] + args,
         capture_output=True, text=True, env=env,
@@ -303,6 +305,28 @@ def test_cli_exponent_overflow_in_a_prolongation_fails_its_task(tmp_path):
     assert tasks[0]["detail"] == {
         "error": "exponent limit exceeded: every exponent must stay below 32768 (2^15)"
     }
+
+
+def test_cli_renders_coefficients_past_the_digit_limit(tmp_path, capsys):
+    # (10^3000 - 1)^2 = 10^6000 - 2*10^3000 + 1 has 6,000 digits, past the
+    # interpreter's 4,300-digit limit on int-to-text conversion
+    nines = "9" * 3000
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"
+    src = tmp_path / "coefficients.ham"
+    src.write_text(
+        "independents x, t;\ndependents u;\n"
+        "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
+        f"vector v = [({nines})^2*u + (1/{nines})^2*u_x - ({nines})^2];\n"
+        "task reduce(kdv, v);\n"
+    )
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(src), "--report", str(out), "--text"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    normal_form = f"[1/{square}*u_x + {square}*u - {square}]"
+    [task] = json.loads(out.read_text())["tasks"]
+    assert task["detail"] == {"normal_form": normal_form}
+    assert f"normal_form: {normal_form}\n" in capsys.readouterr().out
 
 
 def test_cli_unsolvable_constraint_row_fails_its_tasks(tmp_path):
