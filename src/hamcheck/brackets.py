@@ -45,17 +45,16 @@ class Bivector:
 
     ``b_op`` carries the bilinear remainder of the certification identity,
     written as an operator in the first slot whose coefficients are linear
-    in the formal dependents ``b_args`` (the second slot), over ``b_frame``.
+    in the formal dependents ``b_args`` (the second slot).
     """
 
-    __slots__ = ("home", "op", "b_op", "b_frame", "b_args")
+    __slots__ = ("home", "op", "b_op", "b_args")
 
     def __init__(self, home: EquationSystem, op: CDiffOp, b_op: CDiffOp,
-                 b_frame: Frame, b_args: tuple):
+                 b_args: tuple):
         self.home = home
         self.op = op
         self.b_op = b_op
-        self.b_frame = b_frame
         self.b_args = b_args
 
     def b_star(self, psi1: VectorFunction, psi2_args) -> VectorFunction:
@@ -106,21 +105,20 @@ def certify_bivector(system: EquationSystem, op: CDiffOp) -> Bivector:
     its factorization through the equation.  Raises NotABivector carrying
     the nonzero reduced residual on failure.
     """
-    theta_q, b_frame, args = _theta(system, op)
+    theta_q, _, args = _theta(system, op)
     residual = linearize(theta_q.map(system.reduce), args)
     if not residual.is_zero():
         raise NotABivector(residual)
-    return Bivector(system, op, system.factor_through_f(theta_q), b_frame, args)
+    return Bivector(system, op, system.factor_through_f(theta_q), args)
 
 
 class TrivectorRep:
     """Bilinear map (psi1, psi2) -> vector, stored on an extended frame."""
 
-    __slots__ = ("home", "frame", "arg1", "arg2", "entries")
+    __slots__ = ("frame", "arg1", "arg2", "entries")
 
-    def __init__(self, home: EquationSystem, frame: Frame, arg1: tuple,
-                 arg2: tuple, entries: VectorFunction):
-        self.home = home
+    def __init__(self, frame: Frame, arg1: tuple, arg2: tuple,
+                 entries: VectorFunction):
         self.frame = frame
         self.arg1 = arg1
         self.arg2 = arg2
@@ -199,7 +197,7 @@ def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep
     if b1 is b2:
         total = 2 * total
     total = system.reduce_vector(total)
-    return TrivectorRep(system, frame_ext, a1_ids, a2_ids, total)
+    return TrivectorRep(frame_ext, a1_ids, a2_ids, total)
 
 
 def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:

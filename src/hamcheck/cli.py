@@ -1,5 +1,7 @@
 """Command-line entry point: parse a declaration file, run its tasks,
-emit the structured report.
+emit the structured report.  The file is the run's only input: each
+equation's compatibility-check depth is its own ``passivity`` clause, or
+the default.
 
 Exit codes: 0 all tasks ok, 1 any task failed or left a residual,
 2 the input file or the report path cannot be used, or a parse error.
@@ -20,13 +22,6 @@ from .runner import (
     report_text,
     run_program,
 )
-from .systems import PASSIVITY_DEPTH
-
-
-def non_negative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
-    return int(text)
 
 
 def _error(text: str) -> int:
@@ -43,11 +38,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run the tasks in a declaration file")
     runp.add_argument("file", help="declaration file")
     runp.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    runp.add_argument(
-        "--passivity-depth", type=non_negative_int, default=PASSIVITY_DEPTH, metavar="N",
-        help="compatibility-check depth for equations that set none "
-        f"(default {PASSIVITY_DEPTH})",
-    )
     runp.add_argument(
         "--text", action="store_true",
         help="print the full human-readable report to stdout",
@@ -69,16 +59,17 @@ def main(argv=None) -> int:
         return _error(f"{args.file}: {exc}")
 
     # one Run from parsing to the last task: parse-time operator algebra
-    # shares the run's derivative table
+    # and system building share the run's derivative table
     with run_scope():
         try:
             program = parse_program(source)
         except ParseError as exc:
             print(f"{args.file}:{exc}", file=sys.stderr)
             return 2
-        results = run_program(program, args.passivity_depth)
+        results = run_program(program)
+        del program  # its systems hold their reduction caches
 
-    report = build_report(program, results, raw, with_timings=args.timings)
+    report = build_report(results, raw, with_timings=args.timings)
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:

@@ -43,18 +43,17 @@ class DeformedSystem:
     """Deformed system with its assembled block bivectors."""
 
     __slots__ = ("base", "a1", "a2", "system", "w_ids", "constraint",
-                 "lin_block", "a1_til", "a2_til")
+                 "a1_til", "a2_til")
 
     def __init__(self, base: EquationSystem, a1: Bivector, a2: Bivector,
                  system: EquationSystem, w_ids: tuple, constraint: VectorFunction,
-                 lin_block: CDiffOp, a1_til: Bivector, a2_til: Bivector):
+                 a1_til: Bivector, a2_til: Bivector):
         self.base = base
         self.a1 = a1
         self.a2 = a2
         self.system = system
         self.w_ids = w_ids
         self.constraint = constraint  # A2*(w), the added equations
-        self.lin_block = lin_block
         self.a1_til = a1_til
         self.a2_til = a2_til
 
@@ -100,9 +99,7 @@ def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
     a2_til_op = CDiffOp.block([[a2.op, -a2.op], [-lin_block, zero]])
     a1_til = certify_bivector(system, a1_til_op)
     a2_til = certify_bivector(system, a2_til_op)
-    return DeformedSystem(
-        base, a1, a2, system, w_ids, h, lin_block, a1_til, a2_til
-    )
+    return DeformedSystem(base, a1, a2, system, w_ids, h, a1_til, a2_til)
 
 
 class LiftedChain:

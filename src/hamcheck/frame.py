@@ -100,38 +100,30 @@ class Ranking:
     """Prolongation-compatible total order on jet variables.
 
     ``indep_order`` lists independent-variable indices from most to least
-    dominant.  With the default ``lex`` rule two jet variables compare by
-    the precedence-permuted multi-index, lexicographically, and ties (same
-    multi-index, different dependent) go to the lower dependent index.
-    This is a well-order and satisfies v < w  =>  D_i v < D_i w.
-
-    The ``graded`` rule compares total order first, then as above.
+    dominant.  Two jet variables compare by the precedence-permuted
+    multi-index, lexicographically, and ties (same multi-index, different
+    dependent) go to the lower dependent index.  This is a well-order and
+    satisfies v < w  =>  D_i v < D_i w.
     """
 
-    __slots__ = ("indep_order", "rule")
+    __slots__ = ("indep_order",)
 
-    def __init__(self, indep_order: tuple, rule: str = "lex"):
+    def __init__(self, indep_order: tuple):
         if sorted(indep_order) != list(range(len(indep_order))):
             raise ValueError("indep_order must be a permutation of independent indices")
-        if rule not in ("lex", "graded"):
-            raise ValueError(f"unknown ranking rule {rule!r}")
         self.indep_order = indep_order
-        self.rule = rule
 
     def key(self, jet: JetVar):
         dep, idx = jet
-        perm = tuple(idx[i] for i in self.indep_order)
-        if self.rule == "graded":
-            return (sum(idx), perm, -dep)
-        return (perm, -dep)
+        return (tuple(idx[i] for i in self.indep_order), -dep)
 
     def max_jet(self, jets):
         return max(jets, key=self.key)
 
     @staticmethod
-    def of(frame: Frame, *indep_names, rule: str = "lex") -> "Ranking":
+    def of(frame: Frame, *indep_names) -> "Ranking":
         """Build a ranking from independent names, most dominant first."""
         order = tuple(frame.indep_index(nm) for nm in indep_names)
         if sorted(order) != list(range(frame.n)):
             raise ValueError("ranking must mention every independent exactly once")
-        return Ranking(order, rule)
+        return Ranking(order)

@@ -5,9 +5,12 @@ operators (scalar expressions or row-major bracket matrices), vectors of
 densities, equivalence data blocks, and a task list.  ``tokenize`` scans
 the source with one compiled regex, ``_SCAN``; the parser reads its
 token list.  Every declared name lives in one table.  Expressions are
-evaluated during parsing against the declared frame, and equation blocks
-are checked against it; task arguments that name equations, equivalences
-or the outputs of deform tasks stay symbolic until run time.
+evaluated during parsing against the declared frame, and each declaration
+is built where it is parsed: an equation into its ``EquationSystem``, an
+equivalence into its ``EquivalenceData``.  A declaration the kernel
+rejects holds that error instead, so only the tasks that name it fail.
+Task arguments that name equations, equivalences or the outputs of deform
+tasks are looked up at run time.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ import re
 import sys
 from fractions import Fraction
 
+from .equivalence import EquivalenceData
 from .frame import Frame, Ranking
 from .ops import CDiffOp, DimensionMismatch
-from .poly import DiffPoly, ExponentOverflow, VectorFunction
+from .poly import DiffPoly, ExponentOverflow, HamcheckError, VectorFunction
+from .systems import PASSIVITY_DEPTH, EquationSystem, make_system
 
 TASK_KINDS = (
     "reduce", "symmetry", "genfn", "bivector", "schouten", "hamiltonian",
@@ -94,8 +99,8 @@ def tokenize(source: str):
 
 
 class NameRef:
-    """A name whose value is built at run time: an equation, an
-    equivalence or a deform output."""
+    """A task argument that names an equation, an equivalence or a deform
+    output, looked up when the task runs."""
 
     __slots__ = ("name",)
 
@@ -119,42 +124,17 @@ class TaskDecl:
         self.alias = alias
 
 
-class EquationDecl:
-    """An equation block, checked against its frame but not yet solved.
-
-    ``frame`` is the declared frame, or its initial segment of dependents
-    when the block restricts them; ``solved`` holds the (lead jet, rhs)
-    pairs as written; ``passivity`` is None when the block sets no depth.
-    """
-
-    __slots__ = ("frame", "solved", "ranking", "passivity")
-
-    def __init__(self, frame: Frame, solved: tuple, ranking: Ranking, passivity: int):
-        self.frame = frame
-        self.solved = solved
-        self.ranking = ranking
-        self.passivity = passivity
-
-
 # the connecting operators of an equivalence block, in the order
 # EquivalenceData takes them
 EQUIVALENCE_FIELDS = ("alpha", "alpha'", "beta", "beta'", "s1", "s2")
 
 
-class EquivalenceDecl:
-    __slots__ = ("system1", "system2", "ops")
-
-    def __init__(self, system1: str, system2: str, ops: tuple):
-        self.system1 = system1
-        self.system2 = system2
-        self.ops = ops
-
-
 class Program:
     """A parsed file: its frame, its names in declaration order and its tasks.
 
-    A name's value is an ``EquationDecl``, an operator (``CDiffOp``), a
-    vector (``VectorFunction``), an ``EquivalenceDecl``, or the deform
+    A name's value is an ``EquationSystem``, an operator (``CDiffOp``), a
+    vector (``VectorFunction``), an ``EquivalenceData``, the error with
+    which the kernel rejected an equation or equivalence, or the deform
     ``TaskDecl`` that produces it at run time.
     """
 
@@ -174,6 +154,7 @@ class Parser:
         self.dependents = None
         self.frame = None
         self.names = {}
+        self.equations = set()  # the names declared by equation blocks
         self.tasks = []
         self.nesting = 0  # open '(' and '[' around the current operand
 
@@ -234,6 +215,15 @@ class Parser:
             self.fail(tok, f"dimension mismatch: {exc}")
         except ExponentOverflow as exc:
             self.fail(tok, str(exc))
+
+    @staticmethod
+    def _or_error(build):
+        """``build()``, or the error with which the kernel rejects it, kept
+        without its traceback so that it holds no frames of the build."""
+        try:
+            return build()
+        except (HamcheckError, ValueError) as exc:
+            return exc.with_traceback(None)
 
     # -- names ------------------------------------------------------------
 
@@ -441,7 +431,7 @@ class Parser:
         self.expect("LBRACE", "'{'")
         deps_tok = ranking_tok = None
         solves = []
-        passivity = None
+        passivity = PASSIVITY_DEPTH
         while self.peek().kind != "RBRACE":
             word = self.expect_ident("equation clause")
             if word.text == "dependents":
@@ -485,7 +475,11 @@ class Parser:
         except ValueError as exc:
             self.fail(ranking_tok, str(exc))
         solved = tuple((jet, rhs) for _tok, jet, rhs in solves)
-        self.declare(name, EquationDecl(frame, solved, ranking, passivity))
+        self.declare(name, self._or_error(lambda: make_system(
+            frame, [DiffPoly.jet(frame.n, *jet) - rhs for jet, rhs in solved],
+            solved, ranking, passivity,
+        )))
+        self.equations.add(name.text)
 
     def parse_value(self, parse):
         """``operator name = ...;`` or ``vector name = ...;``, the value
@@ -510,7 +504,7 @@ class Parser:
         s2 = self.expect_ident("system name")
         self.expect("SEMI", "';'")
         for s in (s1, s2):
-            if not isinstance(self.names.get(s.text), EquationDecl):
+            if s.text not in self.equations:
                 self.fail(s, f"unknown system {s.text!r}")
         ops = {}
         while self.peek().kind != "RBRACE":
@@ -531,8 +525,10 @@ class Parser:
         missing = set(EQUIVALENCE_FIELDS) - set(ops)
         if missing:
             self.fail(kw, f"equivalence {name.text!r} is missing " + ", ".join(sorted(missing)))
-        self.declare(name, EquivalenceDecl(
-            s1.text, s2.text, tuple(ops[f] for f in EQUIVALENCE_FIELDS)
+        systems = [self.names[s1.text], self.names[s2.text]]
+        rejected = [e for e in systems if isinstance(e, Exception)]
+        self.declare(name, rejected[0] if rejected else self._or_error(
+            lambda: EquivalenceData(*systems, *(ops[f] for f in EQUIVALENCE_FIELDS))
         ))
 
     # -- tasks -------------------------------------------------------------------
@@ -572,7 +568,7 @@ class Parser:
             if isinstance(value, VectorFunction):
                 self.next()
                 return value
-            if isinstance(value, (EquationDecl, EquivalenceDecl, TaskDecl)):
+            if isinstance(value, (EquationSystem, EquivalenceData, TaskDecl, Exception)):
                 self.next()
                 return NameRef(tok.text)
         if tok.kind == "LBRACK" and self.tokens[self.pos + 1].kind != "LBRACK":

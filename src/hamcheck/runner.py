@@ -1,8 +1,9 @@
 """Task execution and deterministic report assembly.
 
-Tasks run one after another in declaration order, so a task sees the
-outputs of every deform before it.  Reports are built from canonical
-renderings only, so identical inputs produce identical bytes.
+The parser has built every declaration; tasks run one after another in
+declaration order, so a task sees the outputs of every deform before it.
+Reports are built from canonical renderings only, so identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -28,15 +29,10 @@ from .equivalence import (
     transport,
 )
 from .ops import CDiffOp
-from .parser import Direction, EquationDecl, EquivalenceDecl, NameRef, Program, TaskDecl
+from .parser import Direction, NameRef, Program, TaskDecl
 from .poly import DiffPoly, VectorFunction, as_vector, run_scope
 from .render import op_text, poly_text, vector_text
-from .systems import (
-    PASSIVITY_DEPTH,
-    EquationSystem,
-    HamcheckError,
-    make_system,
-)
+from .systems import EquationSystem, HamcheckError
 
 OK = "ok"
 FAIL = "fail"
@@ -58,33 +54,15 @@ class TaskResult:
 class RunContext:
     """The value of every name of a program, and the bivector memo.
 
-    Every declaration is built when the context is made.  One that the
-    kernel rejects keeps its error instead, and each task that names it
-    fails with that error; an equivalence over such a system keeps the
-    system's error.  A deform output's name holds its task until the task
-    has run.
+    The values are the ones the parser built, copied so that a run's
+    deform outputs stay out of the program.  A name the kernel rejected
+    holds its error, and each task that names it fails with that error.
+    A deform output's name holds its task until the task has run.
     """
 
-    def __init__(self, program: Program, passivity_depth: int = PASSIVITY_DEPTH):
-        self.values = {}
+    def __init__(self, program: Program):
+        self.values = dict(program.names)
         self.bivectors = {}
-        for name, value in program.names.items():
-            try:
-                self.values[name] = self._build(value, passivity_depth)
-            except (HamcheckError, ValueError) as exc:
-                self.values[name] = exc.with_traceback(None)
-
-    def _build(self, decl, passivity_depth):
-        if isinstance(decl, EquationDecl):
-            n = decl.frame.n
-            originals = [DiffPoly.jet(n, jet[0], jet[1]) - rhs for jet, rhs in decl.solved]
-            depth = decl.passivity if decl.passivity is not None else passivity_depth
-            return make_system(decl.frame, originals, decl.solved, decl.ranking, depth)
-        if isinstance(decl, EquivalenceDecl):
-            return EquivalenceData(
-                self.lookup(decl.system1), self.lookup(decl.system2), *decl.ops
-            )
-        return decl
 
     # -- argument resolution ------------------------------------------------
 
@@ -360,18 +338,17 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
     raise HamcheckError(f"unhandled task kind {kind!r}")
 
 
-def run_program(program: Program, passivity_depth: int = PASSIVITY_DEPTH) -> list:
+def run_program(program: Program) -> list:
     """Execute all tasks; never aborts mid-suite, results in declaration order.
 
-    ``passivity_depth`` is the compatibility-check depth of the equations
-    that set none.  A declaration the kernel rejects fails the tasks that
-    name it.  The declarations and the tasks share one ``Run``, joined if
-    the caller opened one (the CLI opens it before parsing): a derivative
+    A declaration the kernel rejected fails the tasks that name it.  The
+    tasks share one ``Run``, joined if the caller opened one (the CLI opens
+    it before parsing, so the declarations share it too): a derivative
     taken once is not taken again, and the table is released when the
     outermost scope ends.
     """
     with run_scope():
-        ctx = RunContext(program, passivity_depth)
+        ctx = RunContext(program)
         results = []
         for i, task in enumerate(program.tasks):
             result = run_task(ctx, task)
@@ -380,8 +357,7 @@ def run_program(program: Program, passivity_depth: int = PASSIVITY_DEPTH) -> lis
     return results
 
 
-def build_report(program: Program, results, source_bytes: bytes,
-                 with_timings: bool = False) -> dict:
+def build_report(results, source_bytes: bytes, with_timings: bool = False) -> dict:
     """Structured report; byte-deterministic unless timings are requested."""
     tasks = []
     counts = {OK: 0, FAIL: 0, RESIDUAL: 0}

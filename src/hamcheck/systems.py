@@ -192,20 +192,8 @@ class EquationSystem:
 
     # -- membership checks -------------------------------------------------
 
-    def is_symmetry(self, phi) -> bool:
-        phi = as_vector(phi)
-        if len(phi) != len(self.frame.physical):
-            raise DimensionMismatch("symmetry candidate has wrong length")
-        return self.reduce_vector(self.linearization().apply(phi)).is_zero()
-
     def symmetry_residual(self, phi) -> VectorFunction:
         return self.reduce_vector(self.linearization().apply(as_vector(phi)))
-
-    def is_genfn(self, psi) -> bool:
-        psi = as_vector(psi)
-        if len(psi) != len(self.rules):
-            raise DimensionMismatch("generating-function candidate has wrong length")
-        return self.reduce_vector(self.adjoint_linearization().apply(psi)).is_zero()
 
     def genfn_residual(self, psi) -> VectorFunction:
         return self.reduce_vector(self.adjoint_linearization().apply(as_vector(psi)))

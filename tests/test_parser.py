@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamcheck import CDiffOp, DiffPoly, VectorFunction
+from hamcheck.equivalence import EquivalenceData
 from hamcheck.parser import (
     MAX_NESTING,
     TASK_KINDS,
-    EquationDecl,
     ParseError,
     Program,
     parse_op,
@@ -19,6 +19,7 @@ from hamcheck.parser import (
 )
 from hamcheck.render import op_text, poly_text
 from hamcheck.runner import run_program
+from hamcheck.systems import PASSIVITY_DEPTH, EquationSystem, NonOrthonomic
 
 
 def test_simple_operator(fr_u):
@@ -278,10 +279,34 @@ def test_program_declarations():
         """
     )
     assert list(program.names) == ["kdv", "A1", "psi"]
-    assert isinstance(program.names["kdv"], EquationDecl)
+    assert isinstance(program.names["kdv"], EquationSystem)
     assert isinstance(program.names["A1"], CDiffOp)
     assert isinstance(program.names["psi"], VectorFunction)
     assert [t.kind for t in program.tasks] == ["bivector", "schouten"]
+
+
+def test_declarations_are_built_where_they_are_parsed():
+    program = parse_program(
+        "independents x, t;\ndependents u;\n"
+        "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
+        "equation heat { solve u_t = u_xx; ranking t > x; passivity 3; }\n"
+        "equation bad { solve u_t = u_xxx; ranking x > t; }\n"
+        "equivalence same { systems kdv, kdv; alpha = 1; alpha' = 1; beta = 1;\n"
+        "  beta' = 1; s1 = 0; s2 = 0; }\n"
+        "equivalence over_bad { systems kdv, bad; alpha = 1; alpha' = 1; beta = 1;\n"
+        "  beta' = 1; s1 = 0; s2 = 0; }\n"
+    )
+    kdv, heat, bad = (program.names[k] for k in ("kdv", "heat", "bad"))
+    # an equation's depth is its own clause's, or the default
+    assert isinstance(kdv, EquationSystem) and kdv.passivity_depth == PASSIVITY_DEPTH
+    assert isinstance(heat, EquationSystem) and heat.passivity_depth == 3
+    same = program.names["same"]
+    assert isinstance(same, EquivalenceData) and same.e1 is same.e2 is kdv
+    # a rejected equation's name holds the kernel's error, without its
+    # traceback, and so does an equivalence over it
+    assert isinstance(bad, NonOrthonomic) and bad.__traceback__ is None
+    assert str(bad) == "equation 0: lead is not ranking-maximal in its solved form"
+    assert program.names["over_bad"] is bad
 
 
 def test_duplicate_names_rejected():

@@ -13,13 +13,12 @@ from hamcheck import brackets, cli, poly, runner
 from hamcheck.ops import CDiffOp
 from hamcheck.parser import parse_program
 from hamcheck.runner import (
-    RunContext,
     build_report,
     exit_code,
     report_json,
     run_program,
 )
-from hamcheck.systems import PASSIVITY_DEPTH, EquationSystem
+from hamcheck.systems import EquationSystem
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -113,11 +112,11 @@ def test_runner_never_aborts_on_task_errors(monkeypatch, capsys):
 
 
 def test_report_is_byte_deterministic():
-    program, results = run_source(KDV_SOURCE)
+    _, results = run_source(KDV_SOURCE)
     raw = KDV_SOURCE.encode()
-    a = report_json(build_report(program, results, raw))
-    program2, results2 = run_source(KDV_SOURCE)
-    b = report_json(build_report(program2, results2, raw))
+    a = report_json(build_report(results, raw))
+    _, results2 = run_source(KDV_SOURCE)
+    b = report_json(build_report(results2, raw))
     assert a == b
     report = json.loads(a)
     assert report["tool"] == "hamcheck"
@@ -483,39 +482,19 @@ def test_cli_text_report(tmp_path):
     assert "normal_form" in proc.stdout
 
 
-def test_cli_passivity_depth_flag(tmp_path, monkeypatch):
-    f = tmp_path / "depth.ham"
-    f.write_text(
-        "independents x, t;\ndependents u;\n"
-        "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
-        "equation heat { solve u_t = u_xx; ranking t > x; passivity 3; }\n"
-        "task reduce(kdv, u_t);\n"
+def test_cli_run_options_shape_only_the_report(capsys):
+    # the file is the run's only input: no option reaches the kernel
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--help"])
+    assert exit_.value.code == 0
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert options == {"--report", "--text", "--timings"}
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", str(DEMOS / "kdv.ham"), "--passivity-depth", "2"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --passivity-depth 2\n"
     )
-    proc = _cli(["run", str(f), "--passivity-depth", "2"])
-    assert proc.returncode == 0
-
-    seen = {}
-
-    def parse(source):
-        seen["parsed"] = parse_program(source)
-        return seen["parsed"]
-
-    def run(program, passivity_depth):
-        seen["values"] = RunContext(program, passivity_depth).values
-        return run_program(program, passivity_depth)
-
-    monkeypatch.setattr(cli, "parse_program", parse)
-    monkeypatch.setattr(cli, "run_program", run)
-    assert cli.main(["run", str(f), "--passivity-depth", "2"]) == 0
-    # the flag fills in only the depths the file leaves open ...
-    assert seen["values"]["kdv"].passivity_depth == 2
-    assert seen["values"]["heat"].passivity_depth == 3
-    # ... and leaves the parser's output as it was
-    assert seen["parsed"].names["kdv"].passivity is None
-    assert seen["parsed"].names["heat"].passivity == 3
-    # without the flag, the default depth
-    assert cli.main(["run", str(f)]) == 0
-    assert seen["values"]["kdv"].passivity_depth == PASSIVITY_DEPTH
 
 
 def test_cli_timings_flag_adds_seconds(tmp_path):
@@ -684,13 +663,19 @@ def test_cli_report_in_a_missing_directory_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("depth", ["-1", "x"])
-def test_cli_negative_passivity_depth_is_rejected(capsys, depth):
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(["run", str(DEMOS / "kdv.ham"), "--passivity-depth", depth])
-    assert exit_.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        f"error: argument --passivity-depth: expected an integer 0 or more, got {depth!r}\n"
+def test_cli_negative_passivity_depth_is_rejected(tmp_path, depth):
+    # a depth is an equation's own passivity clause, so one that is not an
+    # integer 0 or more is a parse error at the clause
+    src = tmp_path / "depth.ham"
+    src.write_text(
+        "independents x, t;\ndependents u;\n"
+        f"equation e {{ solve u_t = u_xx; ranking t > x; passivity {depth}; }}\n"
+        "task reduce(e, u_t);\n"
     )
+    proc = _cli(["run", str(src)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{src}:3:57: unexpected {depth[0]!r} (expected: depth)\n"
 
 
 def test_cli_parses_inside_the_run_its_tasks_see(monkeypatch):
