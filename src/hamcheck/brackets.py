@@ -240,10 +240,7 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
             originals.append(row)
             rules.append(rule)
     try:
-        return seal(
-            frame_ext, as_vector(originals), rules, system.ranking,
-            system.passivity_depth,
-        )
+        return seal(frame_ext, as_vector(originals), rules, system.ranking)
     except NonOrthonomic as exc:
         raise ConstraintNotOrthonomic(str(exc)) from exc
 

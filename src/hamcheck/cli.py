@@ -1,7 +1,6 @@
 """Command-line entry point: parse a declaration file, run its tasks,
-emit the structured report.  The file is the run's only input: each
-equation's compatibility-check depth is its own ``passivity`` clause, or
-the default.
+emit the structured report.  The file is the run's only input: options
+shape only the report.
 
 Exit codes: 0 all tasks ok, 1 any task failed or left a residual,
 2 the input file or the report path cannot be used, or a parse error.

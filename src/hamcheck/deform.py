@@ -91,7 +91,7 @@ def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
     theta = g + h
     originals = VectorFunction(list(g) + list(h))
 
-    system = solve_orthonomic(frame, originals, base.ranking, base.passivity_depth)
+    system = solve_orthonomic(frame, originals, base.ranking)
 
     lin_block = linearize(theta, frame0.physical).adjoint()
     zero = CDiffOp.zero(n, l, l)

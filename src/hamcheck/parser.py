@@ -23,7 +23,7 @@ from .equivalence import EquivalenceData
 from .frame import Frame, Ranking
 from .ops import CDiffOp, DimensionMismatch
 from .poly import DiffPoly, ExponentOverflow, HamcheckError, VectorFunction
-from .systems import PASSIVITY_DEPTH, EquationSystem, make_system
+from .systems import EquationSystem, make_system
 
 TASK_KINDS = (
     "reduce", "symmetry", "genfn", "bivector", "schouten", "hamiltonian",
@@ -431,7 +431,6 @@ class Parser:
         self.expect("LBRACE", "'{'")
         deps_tok = ranking_tok = None
         solves = []
-        passivity = PASSIVITY_DEPTH
         while self.peek().kind != "RBRACE":
             word = self.expect_ident("equation clause")
             if word.text == "dependents":
@@ -450,12 +449,9 @@ class Parser:
                 ranking = [tok.text for tok in self._sep(
                     lambda: self.expect_ident("independent name"), "GT")]
                 self.expect("SEMI", "';'")
-            elif word.text == "passivity":
-                passivity = self._int(self.expect("INT", "depth"))
-                self.expect("SEMI", "';'")
             else:
                 self.fail(word, f"unknown equation clause {word.text!r}",
-                          expected=("dependents", "solve", "ranking", "passivity"))
+                          expected=("dependents", "solve", "ranking"))
         self.expect("RBRACE", "'}'")
         if not solves:
             self.fail(kw, f"equation {name.text!r} has no solve clauses")
@@ -477,7 +473,7 @@ class Parser:
         solved = tuple((jet, rhs) for _tok, jet, rhs in solves)
         self.declare(name, self._or_error(lambda: make_system(
             frame, [DiffPoly.jet(frame.n, *jet) - rhs for jet, rhs in solved],
-            solved, ranking, passivity,
+            solved, ranking,
         )))
         self.equations.add(name.text)
 

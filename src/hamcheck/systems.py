@@ -21,10 +21,7 @@ from .poly import (
     current_run,
     total_memo,
 )
-
-
-# Depth of the cross-derivative check when no equation sets its own.
-PASSIVITY_DEPTH = 4
+from .render import jet_text, poly_text
 
 
 class NonOrthonomic(HamcheckError):
@@ -36,10 +33,16 @@ class MismatchedSolvedForm(HamcheckError):
 
 
 class PassivityFailure(HamcheckError):
-    def __init__(self, depth, residual):
-        self.depth = depth
+    """Equations ``a`` and ``b`` have an integrability condition at the jet
+    ``lcm`` that does not reduce to zero; ``residual`` is its normal form."""
+
+    def __init__(self, frame, a, b, lcm, residual):
+        self.lcm = lcm
         self.residual = residual
-        super().__init__(f"passivity check failed at depth {depth}")
+        super().__init__(
+            f"equations {a} and {b}: the integrability condition at "
+            f"{jet_text(frame, lcm)} reduces to {poly_text(frame, residual)}, not 0"
+        )
 
 
 class NotOnEquation(HamcheckError):
@@ -81,12 +84,11 @@ class EquationSystem:
     of the immutable state.
     """
 
-    def __init__(self, frame, originals, rules, ranking, passivity_depth):
+    def __init__(self, frame, originals, rules, ranking):
         self.frame = frame
         self.originals = originals
         self.rules = tuple(rules)
         self.ranking = ranking
-        self.passivity_depth = passivity_depth
         self._by_dep = {}
         for k, rule in enumerate(self.rules):
             self._by_dep.setdefault(rule.lead[0], []).append(k)
@@ -262,7 +264,7 @@ def solve_for(k, f, lead) -> Rule:
     return Rule(lead, rhs, rhs, scale)
 
 
-def seal(frame, originals, rules, ranking, passivity_depth) -> EquationSystem:
+def seal(frame, originals, rules, ranking) -> EquationSystem:
     """Check solved rules and build the system they form.
 
     Every lead must be ranking-maximal in its rule and no lead may be a
@@ -270,8 +272,12 @@ def seal(frame, originals, rules, ranking, passivity_depth) -> EquationSystem:
     Right-hand sides are then brought to normal form in one pass:
     ``reduce`` leaves no reducible jet, and which jets are reducible
     depends on the leads alone, so the rebuilt system's rules are already
-    normal.  Last, overlapping rules are checked for cross-derivative
-    compatibility to ``passivity_depth`` (PassivityFailure).
+    normal.  Last, the system is checked for passivity (PassivityFailure):
+    by Riquier's criterion, an autoreduced orthonomic system under a
+    ranking compatible with differentiation is passive if and only if, for
+    every two rules of one dependent, the integrability condition at the
+    lcm of their leads reduces to zero (Riquier 1910; Reid, Wittkopf and
+    Boulton, Eur. J. Appl. Math. 7, 1996).  So one check per pair is exact.
     """
     for k, rule in enumerate(rules):
         jets = rule.rhs_exact.jetvars()
@@ -287,20 +293,18 @@ def seal(frame, originals, rules, ranking, passivity_depth) -> EquationSystem:
                         f"lead of equation {b} is a prolongation of equation {a}'s"
                     )
 
-    system = EquationSystem(frame, originals, rules, ranking, passivity_depth)
+    system = EquationSystem(frame, originals, rules, ranking)
     normal = [system.reduce(r.rhs) for r in rules]
     if any(p != r.rhs for p, r in zip(normal, rules)):
         rules = [
             Rule(r.lead, p, r.rhs_exact, r.scale) for r, p in zip(rules, normal)
         ]
-        system = EquationSystem(frame, originals, rules, ranking, passivity_depth)
-    _check_passivity(system, passivity_depth)
+        system = EquationSystem(frame, originals, rules, ranking)
+    _check_passivity(system)
     return system
 
 
-def make_system(
-    frame, originals, solved, ranking, passivity_depth=PASSIVITY_DEPTH
-) -> EquationSystem:
+def make_system(frame, originals, solved, ranking) -> EquationSystem:
     """Validate a solved form against the original equations and build a system.
 
     ``solved`` is a list of (lead jet, rhs) pairs, one per component of
@@ -320,29 +324,13 @@ def make_system(
                 f"equation {k}: F != scale*(lead - rhs) for the given solved form"
             )
         rules.append(rule)
-    return seal(frame, originals, rules, ranking, passivity_depth)
+    return seal(frame, originals, rules, ranking)
 
 
-def _multi_indices_upto(n, depth):
-    if depth < 0:
-        return
-    stack = [(0,) * n]
-    seen = set(stack)
-    while stack:
-        idx = stack.pop()
-        yield idx
-        if sum(idx) < depth:
-            for i in range(n):
-                up = tuple(q + 1 if k == i else q for k, q in enumerate(idx))
-                if up not in seen:
-                    seen.add(up)
-                    stack.append(up)
-
-
-def _check_passivity(system: EquationSystem, depth: int):
-    """Cross-derivative compatibility of overlapping rules, to finite depth."""
+def _check_passivity(system: EquationSystem):
+    """The integrability condition of every two rules of one dependent, at
+    the lcm of their leads, reduces to zero (else PassivityFailure)."""
     rules = system.rules
-    n = system.frame.n
     run = current_run()
     for a in range(len(rules)):
         for b in range(a + 1, len(rules)):
@@ -350,21 +338,16 @@ def _check_passivity(system: EquationSystem, depth: int):
                 continue
             la, lb = rules[a].lead[1], rules[b].lead[1]
             lcm = tuple(max(p, q) for p, q in zip(la, lb))
-            ta = index_sub(lcm, la)
-            tb = index_sub(lcm, lb)
-            for nu in _multi_indices_upto(n, depth):
-                da = system.reduce(
-                    run.total(rules[a].rhs, tuple(p + q for p, q in zip(ta, nu))))
-                db = system.reduce(
-                    run.total(rules[b].rhs, tuple(p + q for p, q in zip(tb, nu))))
-                residual = da - db
-                if not residual.is_zero():
-                    raise PassivityFailure(sum(nu), residual)
+            residual = (
+                system.reduce(run.total(rules[a].rhs, index_sub(lcm, la)))
+                - system.reduce(run.total(rules[b].rhs, index_sub(lcm, lb)))
+            )
+            if not residual.is_zero():
+                raise PassivityFailure(
+                    system.frame, a, b, (rules[a].lead[0], lcm), residual)
 
 
-def solve_orthonomic(
-    frame, originals, ranking, passivity_depth=PASSIVITY_DEPTH
-) -> EquationSystem:
+def solve_orthonomic(frame, originals, ranking) -> EquationSystem:
     """Solve each equation for its ranking-maximal jet and build the system."""
     originals = as_vector(originals)
     rules = []
@@ -373,7 +356,7 @@ def solve_orthonomic(
         if not jets:
             raise NonOrthonomic(f"equation {k} contains no jet variables")
         rules.append(solve_for(k, f_k, ranking.max_jet(jets)))
-    return seal(frame, originals, rules, ranking, passivity_depth)
+    return seal(frame, originals, rules, ranking)
 
 
 # -- conservation laws ---------------------------------------------------

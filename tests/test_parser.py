@@ -19,7 +19,7 @@ from hamcheck.parser import (
 )
 from hamcheck.render import op_text, poly_text
 from hamcheck.runner import run_program
-from hamcheck.systems import PASSIVITY_DEPTH, EquationSystem, NonOrthonomic
+from hamcheck.systems import EquationSystem, NonOrthonomic
 
 
 def test_simple_operator(fr_u):
@@ -132,11 +132,10 @@ def test_syntax_error_position_and_expectations():
         assert (err.value.line, err.value.col) == (3, 24)
         assert err.value.expected == ("1->2", "2->1")
     # An integer literal past the interpreter's limit on digits is reported
-    # at the literal, as a coefficient, a denominator, an exponent or a depth.
+    # at the literal, as a coefficient, a denominator or an exponent.
     long = "7" * 5000
     for line3, col in ((f"vector v = [{long}*u];", 13), (f"vector v = [1/{long}];", 15),
-                       (f"vector v = [u^{long}];", 15),
-                       (f"equation e {{ solve u_t = u_xx; passivity {long}; }}", 42)):
+                       (f"vector v = [u^{long}];", 15)):
         with pytest.raises(ParseError) as err:
             parse_program(f"independents x, t;\ndependents u;\n{line3}\n")
         assert (err.value.line, err.value.col) == (3, col)
@@ -289,17 +288,14 @@ def test_declarations_are_built_where_they_are_parsed():
     program = parse_program(
         "independents x, t;\ndependents u;\n"
         "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
-        "equation heat { solve u_t = u_xx; ranking t > x; passivity 3; }\n"
         "equation bad { solve u_t = u_xxx; ranking x > t; }\n"
         "equivalence same { systems kdv, kdv; alpha = 1; alpha' = 1; beta = 1;\n"
         "  beta' = 1; s1 = 0; s2 = 0; }\n"
         "equivalence over_bad { systems kdv, bad; alpha = 1; alpha' = 1; beta = 1;\n"
         "  beta' = 1; s1 = 0; s2 = 0; }\n"
     )
-    kdv, heat, bad = (program.names[k] for k in ("kdv", "heat", "bad"))
-    # an equation's depth is its own clause's, or the default
-    assert isinstance(kdv, EquationSystem) and kdv.passivity_depth == PASSIVITY_DEPTH
-    assert isinstance(heat, EquationSystem) and heat.passivity_depth == 3
+    kdv, bad = program.names["kdv"], program.names["bad"]
+    assert isinstance(kdv, EquationSystem)
     same = program.names["same"]
     assert isinstance(same, EquivalenceData) and same.e1 is same.e2 is kdv
     # a rejected equation's name holds the kernel's error, without its
@@ -307,6 +303,15 @@ def test_declarations_are_built_where_they_are_parsed():
     assert isinstance(bad, NonOrthonomic) and bad.__traceback__ is None
     assert str(bad) == "equation 0: lead is not ranking-maximal in its solved form"
     assert program.names["over_bad"] is bad
+    # passivity is decided exactly, so there is no depth clause
+    with pytest.raises(ParseError) as err:
+        parse_program(
+            "independents x, t;\ndependents u;\n"
+            "equation heat { solve u_t = u_xx; ranking t > x; passivity 3; }\n"
+        )
+    assert (err.value.line, err.value.col) == (3, 50)
+    assert err.value.msg == "unknown equation clause 'passivity'"
+    assert err.value.expected == ("dependents", "ranking", "solve")
 
 
 def test_duplicate_names_rejected():
@@ -414,7 +419,7 @@ def test_direction_token():
 
 _VALID = """
 independents x , t ; dependents u ;
-equation kdv { solve u_t = u_xxx + 6 * u * u_x ; ranking t > x ; passivity 2 ; }
+equation kdv { solve u_t = u_xxx + 6 * u * u_x ; ranking t > x ; }
 operator A = Dx ^ 3 + 4 * u * Dx + 2 * u_x ;
 operator M = [ [ Dx , - 1 ] , [ 0 , Dt ] ] ;
 vector psi = [ 3 * u ^ 2 + u_xx ] ;
@@ -456,7 +461,7 @@ def test_fuzz_base_program_parses():
 
 @settings(max_examples=400)
 @example(" ".join(_VALID).replace("^ 2", "^ \u00b2"))
-@example(" ".join(_VALID).replace("passivity 2", "passivity " + "7" * 5000))
+@example(" ".join(_VALID).replace("^ 3", "^ " + "7" * 5000))
 @given(token_soups())
 def test_parser_fuzz_returns_program_or_parse_error(source):
     try:

@@ -1,23 +1,28 @@
 """Randomized invariant suites for the kernel (at least 100 cases each)."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamcheck import (
     CDiffOp,
     DiffPoly,
+    EquationSystem,
     Frame,
+    NonOrthonomic,
+    PassivityFailure,
+    Ranking,
     VectorFunction,
     euler,
     linearize,
 )
 from hamcheck.poly import _IDS, LIMIT, decode, encode, run_scope, total_memo
 from hamcheck.render import jet_text, poly_text
+from hamcheck.systems import Rule, seal, solve_for
 from oracle_sympy import (
     formal_args,
     from_kernel_equal,
@@ -797,6 +802,79 @@ def test_prolonged_rhs_is_reduced_raw_prolongation(kdv, ch, ch2, kdv3, fr_u):
             for tau in _multi_indices(system.frame.n, 4):
                 expect = system.reduce(total_memo(raw, k, tau, rule.rhs))
                 assert system.prolonged_rhs(k, tau) == expect
+
+
+# -- passivity ------------------------------------------------------------------
+
+_FR_PASS = Frame(("x", "y", "t"), ("u", "v"))
+_RANK_PASS = Ranking.of(_FR_PASS, "t", "y", "x")
+# every jet of order 2 or less, lowest-ranked first
+_JETS_PASS = sorted(((d, idx) for d in range(2) for idx in _multi_indices(3, 2)),
+                    key=_RANK_PASS.key)
+
+
+@st.composite
+def solved_rules(draw):
+    """2 or 3 equations solved for leads of order 1 or 2; each right-hand
+    side has up to 2 terms of degree 2 or less in jets ranked below its
+    lead, with small integer coefficients."""
+    rules = []
+    for k in range(draw(st.integers(2, 3))):
+        lead = draw(st.sampled_from([j for j in _JETS_PASS if sum(j[1])]))
+        lower = _JETS_PASS[:_JETS_PASS.index(lead)]
+        rhs = DiffPoly.zero(3)
+        for _ in range(draw(st.integers(0, 2))):
+            term = DiffPoly.const(3, draw(st.integers(-3, 3)))
+            for _ in range(draw(st.integers(0, 2))):
+                term = term * DiffPoly.jet(3, *draw(st.sampled_from(lower)))
+            rhs = rhs + term
+        rules.append(solve_for(k, DiffPoly.jet(3, *lead) - rhs, lead))
+    return rules
+
+
+def _passivity_depth_reference(originals, rules, depth):
+    """The depth-N walk that the lcm check replaced: every two rules of one
+    dependent agree on D_nu of their lcm condition for every |nu| <= depth.
+    The right-hand sides are normalised as ``seal`` does, and passivity is
+    not checked while the system is built."""
+    system = EquationSystem(_FR_PASS, originals, rules, _RANK_PASS)
+    rules = [Rule(r.lead, system.reduce(r.rhs), r.rhs_exact, r.scale) for r in rules]
+    system = EquationSystem(_FR_PASS, originals, rules, _RANK_PASS)
+    for a, b in combinations(rules, 2):
+        if a.lead[0] != b.lead[0]:
+            continue
+        lcm = tuple(max(p, q) for p, q in zip(a.lead[1], b.lead[1]))
+        for nu in _multi_indices(3, depth):
+            da = _total_chain(a.rhs, [l - p + q for l, p, q in zip(lcm, a.lead[1], nu)])
+            db = _total_chain(b.rhs, [l - p + q for l, p, q in zip(lcm, b.lead[1], nu)])
+            if system.reduce(da) != system.reduce(db):
+                return False
+    return True
+
+
+def test_lcm_passivity_agrees_with_a_depth_3_walk():
+    verdicts = []
+
+    @settings(max_examples=200)
+    @given(solved_rules())
+    def agree(rules):
+        deps = [r.lead[0] for r in rules]
+        assume(len(set(deps)) < len(deps))  # two leads on one dependent
+        originals = VectorFunction([DiffPoly.jet(3, *r.lead) - r.rhs for r in rules])
+        try:
+            seal(_FR_PASS, originals, rules, _RANK_PASS)
+            passive = True
+        except PassivityFailure:
+            passive = False
+        except NonOrthonomic:  # one lead is a prolongation of another
+            passive = None
+        assume(passive is not None)
+        assert _passivity_depth_reference(originals, rules, 3) == passive
+        verdicts.append(passive)
+
+    agree()
+    # both verdicts occur, so agreement is not vacuous
+    assert set(verdicts) == {True, False}
 
 
 # -- brackets -----------------------------------------------------------------
