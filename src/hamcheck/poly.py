@@ -54,7 +54,8 @@ table is unreachable when the run ends.  The table holds each base polynomial's 
 and the passivity check share what any of them took.  A builder called
 outside a run gets a throwaway ``Run`` of its own, kept only while the
 call lasts.  Restricted derivatives D̄_sigma, which depend on an
-equation, are cached by the equation instead.
+equation, are cached per system instead, in one table keyed by the jet:
+each reducible jet's normal form, or None for an irreducible one.
 """
 
 from __future__ import annotations
@@ -657,18 +658,18 @@ def formal_vector(n: int, dep_ids) -> VectorFunction:
 # -- operations of the jet algebra ------------------------------------
 
 
-def total_memo(cache: dict, key, sigma, base: DiffPoly, image=None) -> DiffPoly:
+def total_memo(cache: dict, key, sigma, base: DiffPoly) -> DiffPoly:
     """D_sigma(base), memoized in ``cache`` under ``(key, sigma)``.
 
     ``sigma`` is lowered in its first nonzero direction until it meets a
-    cached index or zero; the path is then climbed back with
-    ``total(i, image)``, caching every index on the way.  Iterative, so
-    the jet order is not limited by the recursion depth.
+    cached index or zero; the path is then climbed back with ``total(i)``,
+    caching every index on the way.  Iterative, so the jet order is not
+    limited by the recursion depth.
 
-    Plain derivatives go through the run's table: ``Run.total`` climbs
-    here in the table of its base, with ``key`` None, so a derivative is
-    taken once per run.  A restricted D̄_sigma, with an ``image``, is
-    cached by its equation (``EquationSystem.prolonged_rhs``).
+    ``Run.total`` climbs here in the table of its base, with ``key`` None,
+    so a derivative is taken once per run.  Restricted derivatives D̄_sigma
+    climb the same way in their system's own table, which is keyed by the
+    jet (``EquationSystem.prolonged_rhs``).
     """
     path = []
     while any(sigma) and (key, sigma) not in cache:
@@ -677,7 +678,7 @@ def total_memo(cache: dict, key, sigma, base: DiffPoly, image=None) -> DiffPoly:
         sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
     p = cache[(key, sigma)] if any(sigma) else base
     for up, i in reversed(path):
-        p = cache[(key, up)] = p.total(i, image)
+        p = cache[(key, up)] = p.total(i)
     return p
 
 

@@ -19,7 +19,6 @@ from .poly import (
     VectorFunction,
     as_vector,
     current_run,
-    total_memo,
 )
 from .render import jet_text, poly_text
 
@@ -92,7 +91,7 @@ class EquationSystem:
         self._by_dep = {}
         for k, rule in enumerate(self.rules):
             self._by_dep.setdefault(rule.lead[0], []).append(k)
-        self._prol = {}
+        self._normal = {}
         self._lin = None
         self._lin_adj = None
 
@@ -107,24 +106,50 @@ class EquationSystem:
         return None
 
     def prolonged_rhs(self, k: int, tau) -> DiffPoly:
-        """Normal form of D_tau applied to rule k's right-hand side.
+        """Normal form of D_tau applied to rule k's right-hand side, where k
+        is ``rule_for`` of the jet lead_k + tau.
 
-        It climbs from the normal form of the right-hand side one restricted
-        total derivative D̄_i = ``total(i, self._image)`` at a time: D_i of a
-        normal form whose raised reducible jets are replaced by their own
-        normal forms, in one pass, is again a normal form.
+        The jet is lowered in the first direction where it exceeds the lead
+        until it meets a jet in the system's table or the lead, whose entry
+        is the normal form of the right-hand side.  The path is then climbed
+        back one restricted total derivative D̄_i = ``total(i, self._image)``
+        at a time, storing each jet: D_i of a normal form whose raised
+        reducible jets are replaced by their own normal forms, in one pass,
+        is again a normal form.  Every jet on the path gets rule k from
+        ``rule_for`` too (a rule before k that divided it would divide the
+        jet as well), so each entry is the same whichever jet asked for it
+        first.  Iterative, so the jet order is not limited by the recursion
+        depth.
         """
-        zero = (k, (0,) * len(tau))
-        base = self._prol.get(zero)
-        if base is None:
-            base = self._prol[zero] = self.reduce(self.rules[k].rhs)
-        return total_memo(self._prol, k, tau, base, self._image)
+        table = self._normal
+        dep, lead = self.rules[k].lead
+        idx = tuple(a + b for a, b in zip(lead, tau))
+        path = []
+        while idx != lead and (dep, idx) not in table:
+            i = next(i for i, (a, b) in enumerate(zip(idx, lead)) if a > b)
+            path.append((idx, i))
+            idx = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
+        p = table.get((dep, idx))
+        if p is None:
+            p = table[(dep, idx)] = self.reduce(self.rules[k].rhs)
+        for up, i in reversed(path):
+            p = table[(dep, up)] = p.total(i, self._image)
+        return p
 
     def _image(self, jet):
-        """Normal form of a reducible jet, or None if no rule reduces it."""
+        """Normal form of a reducible jet, or None if no rule reduces it.
+
+        Both answers are kept in the system's table, by jet, so a jet asked
+        for again costs one lookup.
+        """
+        table = self._normal
+        if jet in table:
+            return table[jet]
         k = self.rule_for(jet)
-        if k is not None:
-            return self.prolonged_rhs(k, index_sub(jet[1], self.rules[k].lead[1]))
+        if k is None:
+            table[jet] = None
+            return None
+        return self.prolonged_rhs(k, index_sub(jet[1], self.rules[k].lead[1]))
 
     def _rewrite(self, p: DiffPoly, image) -> DiffPoly:
         """Substitute ``image(jet)`` for every jet of ``p`` for which it is not

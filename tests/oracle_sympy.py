@@ -4,7 +4,8 @@ Translates kernel polynomials into sympy expressions over opaque symbols
 and computes the total derivative with sympy's own differentiation (the
 function-substitution trick), so the comparison does not share code with
 the kernel's chain-rule implementation.  Jet substitution goes through
-sympy's ``xreplace``.  Operators are applied to formal
+sympy's ``xreplace``; a naive rewriter built on both gives normal forms
+on an orthonomic system.  Operators are applied to formal
 arguments with those derivatives: composition against successive
 application, and the adjoint against sympy's product rule.  The Euler
 operator and the linearization are built from sympy's partial
@@ -88,6 +89,30 @@ def sympy_total_multi(expr, sigma):
         for _ in range(k):
             expr = sympy_total(expr, i)
     return expr
+
+
+def sympy_reduce(expr, rules):
+    """Normal form of a sympy expression on an orthonomic system, by naive
+    rewriting.  ``rules`` lists ``(dep, lead index, solved form)`` with the
+    solved form as a sympy expression.  Every jet that is a prolongation
+    lead + tau of a lead (the first such rule) is replaced by D_tau of its
+    solved form, taken with ``sympy_total_multi``, and this repeats until
+    no such jet is left.  On a passive system the result is the unique
+    normal form."""
+    while True:
+        table = {}
+        for sym in expr.free_symbols:
+            jet = _jet_of(sym)
+            if jet is None:
+                continue
+            for dep, lead, rhs in rules:
+                if dep == jet[0] and all(a <= b for a, b in zip(lead, jet[1])):
+                    tau = tuple(b - a for a, b in zip(lead, jet[1]))
+                    table[sym] = sympy_total_multi(rhs, tau)
+                    break
+        if not table:
+            return expr
+        expr = sympy.expand(expr.xreplace(table))
 
 
 def sympy_euler(expr, deps):

@@ -20,6 +20,7 @@ from hamcheck import (
     euler,
     linearize,
 )
+from hamcheck.frame import index_sub
 from hamcheck.poly import _IDS, LIMIT, decode, encode, run_scope, total_memo
 from hamcheck.render import jet_text, poly_text
 from hamcheck.systems import Rule, seal, solve_for
@@ -31,6 +32,7 @@ from oracle_sympy import (
     sympy_equal,
     sympy_euler,
     sympy_linearize,
+    sympy_reduce,
     sympy_substitute,
     sympy_total_derivative,
     to_sympy,
@@ -802,6 +804,38 @@ def test_prolonged_rhs_is_reduced_raw_prolongation(kdv, ch, ch2, kdv3, fr_u):
             for tau in _multi_indices(system.frame.n, 4):
                 expect = system.reduce(total_memo(raw, k, tau, rule.rhs))
                 assert system.prolonged_rhs(k, tau) == expect
+
+
+@given(st.sampled_from(["kdv", "ch", "ch2", "kdv3"]), st.data())
+def test_image_does_not_depend_on_the_order_of_questions(kdv, ch, ch2, kdv3, name, data):
+    # a new system per example starts with an empty table of normal forms
+    system = {"kdv": kdv, "ch": ch, "ch2": ch2, "kdv3": kdv3}[name]
+    fresh = EquationSystem(system.frame, system.originals, system.rules, system.ranking)
+    jets = [(d, idx) for d in range(system.frame.m)
+            for idx in _multi_indices(system.frame.n, 4)]
+    answers = {jet: fresh._image(jet) for jet in data.draw(st.permutations(jets))}
+    assert None in answers.values() and any(q is not None for q in answers.values())
+    raw = {}
+    for jet, q in answers.items():
+        k = system.rule_for(jet)
+        if k is None:
+            assert q is None
+        else:
+            rule = system.rules[k]
+            tau = index_sub(jet[1], rule.lead[1])
+            assert q == system.reduce(total_memo(raw, k, tau, rule.rhs))
+        assert fresh._image(jet) is q
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(["kdv", "ch", "ch2", "kdv3"]), st.data())
+def test_reduce_matches_sympy_oracle(kdv, ch, ch2, kdv3, name, data):
+    # on a passive system the normal form is unique, so naive rewriting by
+    # the solved forms as given must reach the kernel's normal form
+    system = {"kdv": kdv, "ch": ch, "ch2": ch2, "kdv3": kdv3}[name]
+    _, raw = data.draw(polys(system.frame, max_terms=2, max_degree=2, max_order=3))
+    rules = [(r.lead[0], r.lead[1], to_sympy(r.rhs_exact)) for r in system.rules]
+    assert from_kernel_equal(system.reduce(raw), sympy_reduce(to_sympy(raw), rules))
 
 
 # -- passivity ------------------------------------------------------------------

@@ -458,6 +458,19 @@ def test_workload_reports_match_pinned_digests(tmp_path, capsys):
         _check_report_digests(path, json_digest, text_digest, tmp_path, capsys)
 
 
+# The recursion probe climbs 1,199 restricted derivatives in one table;
+# bench/digests.json pins no digest for it, so it has its own.
+PROBE_DIGESTS = (
+    "d1cfca2493598385cac60455a7e0832241ce845348379d3b146d38211046d60e",
+    "6fc32575f10ca88d36e9cb3342aef3c3c81adc2a7d7473433d03d581c8cc8624",
+)
+
+
+def test_recursion_probe_report_matches_pinned_digests(tmp_path, capsys):
+    path = BENCH / "inputs" / "recursion_probe.ham"
+    _check_report_digests(path, *PROBE_DIGESTS, tmp_path, capsys)
+
+
 def test_cli_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.ham"
     bad.write_text("independents x, t;\ndependents u;\noperator Bad = Dx +;\n")

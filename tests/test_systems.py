@@ -168,6 +168,18 @@ def test_reduce_deep_jet_without_recursion(fr_u):
     assert e.reduce_vector(deep) == VectorFunction([P(fr_u, "u")])
 
 
+def test_reduce_deep_climb_across_two_rules():
+    # every step of the climb to u_{x^k} or v_{x^k} takes its images from
+    # the other rule's climb, in t, so each climb is past the recursion
+    # limit and each needs the other's table entries
+    fr = Frame(("x", "t"), ("u", "v"))
+    e = make_system(fr, [P(fr, "u_x - v"), P(fr, "v_x - u_t")],
+                    [((0, (1, 0)), P(fr, "v")), ((1, (1, 0)), P(fr, "u_t"))],
+                    Ranking.of(fr, "x", "t"))
+    assert e.reduce(DiffPoly.jet(2, 0, (2400, 0))) == DiffPoly.jet(2, 0, (0, 1200))
+    assert e.reduce(DiffPoly.jet(2, 0, (2401, 0))) == DiffPoly.jet(2, 1, (0, 1200))
+
+
 def test_reduce_three_component(kdv3, fr_uvw):
     assert kdv3.reduce(P(fr_uvw, "u_xx")) == P(fr_uvw, "w")
     assert kdv3.reduce(P(fr_uvw, "u_xxx")) == P(fr_uvw, "u_t - 6*u*v")
