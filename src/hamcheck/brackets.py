@@ -19,7 +19,14 @@ import itertools
 
 from .frame import Frame
 from .ops import CDiffOp, DimensionMismatch, linearize
-from .poly import DiffPoly, VectorFunction, as_vector, euler, formal_vector
+from .poly import (
+    DiffPoly,
+    VectorFunction,
+    _guarded,
+    as_vector,
+    euler,
+    formal_vector,
+)
 from .render import poly_text
 from .systems import (
     EquationSystem,
@@ -148,26 +155,20 @@ class TrivialityVerdict:
         self.residual_dep = residual_dep
 
 
-def _lin_a_psi(system: EquationSystem, op: CDiffOp, arg_ids) -> CDiffOp:
-    """Linearization of the operator along one formal argument block:
-    l_{A,psi} = l_{A(psi)} - A o l_psi, varying physical dependents only.
-
-    psi is formal, so l_psi along the physical dependents is zero and
-    l_{A,psi} is l_{A(psi)} alone."""
-    psi = formal_vector(system.frame.n, arg_ids)
-    return linearize(op.apply(psi), system.frame.physical)
-
-
 def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep:
     """Variational Schouten bracket of two certified bivectors.
 
-    Evaluates the six-term formula on two fresh formal argument blocks;
-    when ``b1 is b2`` the six terms are three equal pairs, so three are
-    evaluated and their sum doubled.  The remainder terms always come from
-    the certified factorization: on evolution systems with skew operators
-    this agrees with taking the adjoint of the argument-linearization
-    directly, but the factorization stays correct for non-skew
-    representatives as well.
+    Evaluates the six-term formula on two fresh formal argument blocks.
+    Each of the four images A_i(psi_j) is built once: it is an argument
+    of one term and, linearized along the physical dependents, the
+    operator l_{A_i,psi_j} = l_{A_i(psi_j)} - A_i o l_{psi_j} of another
+    (psi_j is formal, so l_{psi_j} vanishes there).  When ``b1 is b2`` the
+    six terms are three equal pairs, so two images are built, three terms
+    are evaluated and their sum doubled.  The remainder terms always come
+    from the certified factorization: on evolution systems with skew
+    operators this agrees with taking the adjoint of the argument
+    linearization directly, but the factorization stays correct for
+    non-skew representatives as well.
     """
     if b1.home is not system or b2.home is not system:
         raise HamcheckError("bivectors must be certified on the given system")
@@ -180,15 +181,21 @@ def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep
     psi2 = formal_vector(n, a2_ids)
 
     a1, a2 = b1.op, b2.op
+    phys = system.frame.physical
+    a1_psi1, a1_psi2 = a1.apply(psi1), a1.apply(psi2)
+    if b1 is b2:
+        a2_psi1, a2_psi2 = a1_psi1, a1_psi2
+    else:
+        a2_psi1, a2_psi2 = a2.apply(psi1), a2.apply(psi2)
     terms = [
-        _lin_a_psi(system, a1, a1_ids).apply(a2.apply(psi2)),
-        -_lin_a_psi(system, a1, a2_ids).apply(a2.apply(psi1)),
+        linearize(a1_psi1, phys).apply(a2_psi2),
+        -linearize(a1_psi2, phys).apply(a2_psi1),
         -a1.apply(b2.b_star(psi1, a2_ids)),
     ]
     if b1 is not b2:
         terms += [
-            _lin_a_psi(system, a2, a1_ids).apply(a1.apply(psi2)),
-            -_lin_a_psi(system, a2, a2_ids).apply(a1.apply(psi1)),
+            linearize(a2_psi1, phys).apply(a1_psi2),
+            -linearize(a2_psi2, phys).apply(a1_psi1),
             -a2.apply(b1.b_star(psi1, a2_ids)),
         ]
     total = terms[0]
@@ -201,9 +208,11 @@ def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep
 
 
 def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
-    """Sum of sgn(pi) * density with argument blocks permuted by pi."""
+    """Sum of sgn(pi) * density with argument blocks permuted by pi, added
+    into one term dict."""
     k = len(blocks)
-    out = DiffPoly.zero(density.n)
+    res = {}
+    get = res.get
     for perm in itertools.permutations(range(k)):
         # the sign is the parity of the number of inversions
         odd = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)) % 2
@@ -211,9 +220,9 @@ def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
         for i in range(k):
             for a, b in zip(blocks[i], blocks[perm[i]]):
                 mapping[a] = b
-        piece = density.relabel_deps(mapping)
-        out = out + (-piece if odd else piece)
-    return out
+        for m, c in density.relabel_deps(mapping).terms.items():
+            res[m] = get(m, 0) - c if odd else get(m, 0) + c
+    return _guarded(density.n, res)
 
 
 def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):

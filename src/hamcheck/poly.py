@@ -50,8 +50,8 @@ to the last task.  ``run_scope`` makes it the active one in a
 ``contextvars`` variable and resets that on the way out, so the run's
 table is unreachable when the run ends.  The table holds each base polynomial's derivatives by
 ``sigma``, found by the base's ``id`` or, for a copy, by its value, so
-``apply``, ``compose``, ``adjoint``, ``euler``, ``subst_deps``, factoring
-and the passivity check share what any of them took.  A builder called
+``apply``, ``compose``, ``adjoint``, ``subst_deps``, factoring and the
+passivity check share what any of them took.  A builder called
 outside a run gets a throwaway ``Run`` of its own, kept only while the
 call lasts.  Restricted derivatives D̄_sigma, which depend on an
 equation, are cached per system instead, in one table keyed by the jet:
@@ -552,36 +552,33 @@ class DiffPoly:
     def relabel_deps(self, mapping: dict) -> "DiffPoly":
         """Rename dependent indices (used to permute formal argument slots).
 
-        Each term keeps its factors on jets that are not renamed and adds
-        the renamed fields of the others, which are worked out once per
-        call for each distinct part ``hit = m & mask``.  Two factors that
+        Each term keeps its factors on jets that are not renamed and moves
+        each renamed factor to the field of its renamed jet, found in a
+        table from field to field built once per call.  Two factors that
         land on the same jet merge into one power; the guard is checked
         after each addition, as in ``encode``.
         """
+        to = {}
         mask = 0
         for k, _ in _fields(reduce(or_, self.terms, 0)):
             v = _VARS[k]
             if type(v) is not int and mapping.get(v[0], v[0]) != v[0]:
+                to[W * k] = W * _id((mapping[v[0]], v[1]))
                 mask |= _FIELD << (W * k)
         if not mask:
             return self
-        moved = {}
         res = {}
         get = res.get
         for m, c in self.terms.items():
             hit = m & mask
-            out = moved.get(hit)
-            if out is None:
-                out = 0
-                for k, e in _fields(hit):
-                    dep, idx = _VARS[k]
-                    out += e << (W * _id((mapping[dep], idx)))
-                    if out & _GUARD:
-                        raise ExponentOverflow()
-                moved[hit] = out
-            out += m - hit
-            if out & _GUARD:
-                raise ExponentOverflow()
+            out = m - hit
+            while hit:
+                s = (hit.bit_length() - 1) & -W
+                e = hit >> s
+                hit -= e << s
+                out += e << to[s]
+                if out & _GUARD:
+                    raise ExponentOverflow()
             res[out] = get(out, 0) + c
         return _guarded(self.n, res)
 
@@ -748,6 +745,12 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
 
     By default only physical dependents are differentiated; pass ``deps``
     to include formal argument slots.
+
+    The sum is taken in nested (Horner) form, one direction at a time:
+    with Q_k the part whose index has k in direction i, it is
+    Q_0 - D_i(Q_1 - D_i(Q_2 - ...)), so each direction costs one plain
+    ``total(i)`` per order.  The partials are used once, so they do not
+    enter the run's derivative table.
     """
     if deps is None:
         deps = frame.physical
@@ -758,19 +761,23 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
                 f"density involves non-physical dependents ({names}); "
                 "pass deps explicitly to vary them"
             )
-    run = current_run()
+    n = frame.n
     jets = density.jetvars()
     out = []
     for j in deps:
-        acc = {}
-        get = acc.get
-        for v in jets:
-            if v[0] != j:
-                continue
-            idx = v[1]
-            sign = -1 if sum(idx) % 2 else 1
-            for m, c in run.total(density.partial(v), idx).terms.items():
-                acc[m] = get(m, 0) + sign * c
-        out.append(_guarded(frame.n, acc))
+        parts = {v[1]: density.partial(v) for v in jets if v[0] == j}
+        for i in range(n):
+            # the parts by their index outside direction i, then by order in i
+            rows = {}
+            for idx, p in parts.items():
+                rows.setdefault(idx[:i] + (0,) + idx[i + 1:], {})[idx[i]] = p
+            parts = {}
+            for idx, row in rows.items():
+                top = max(row)
+                acc = row[top]
+                for k in range(top - 1, -1, -1):
+                    q = row.get(k)
+                    acc = -acc.total(i) if q is None else q - acc.total(i)
+                parts[idx] = acc
+        out.append(parts.get((0,) * n, DiffPoly.zero(n)))
     return VectorFunction(out)
-

@@ -237,7 +237,8 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
         return OK, {"bracket": vector_text(system.frame, out)}
 
     if kind == "magri":
-        args = _args(task, 4, 64)
+        # a relation needs two vectors; with one the check would be vacuous
+        args = _args(task, 5, 64)
         system = ctx.need_system(ctx.resolve(args[0]))
         b1 = ctx.certified(system, ctx.need_op(ctx.resolve(args[1])))
         b2 = ctx.certified(system, ctx.need_op(ctx.resolve(args[2])))

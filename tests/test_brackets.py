@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hamcheck import (
     Bivector,
     CDiffOp,
     DiffPoly,
+    Frame,
     HamcheckError,
     NotABivector,
     Ranking,
@@ -23,10 +25,11 @@ from hamcheck import (
     schouten,
     solve_orthonomic,
 )
-from hamcheck.brackets import _lin_a_psi, _theta, constraint_system
+from hamcheck.brackets import _signed_symmetrization, _theta, constraint_system
 from hamcheck.ops import linearize
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.poly import formal_vector
+from hamcheck.systems import EquationSystem
 from test_properties import operators
 
 
@@ -92,6 +95,16 @@ def test_certified_bivectors_are_skew_on_evolution(kdv, kdv3, kdv_ops, kdv3_ops)
             assert system.restrict_op(op.adjoint() + op).is_zero()
 
 
+def _lin_a_psi(system, op, arg_ids):
+    """Linearization of the operator along one formal argument block:
+    l_{A,psi} = l_{A(psi)} - A o l_psi, varying physical dependents only.
+
+    psi is formal, so l_psi along the physical dependents is zero and
+    l_{A,psi} is l_{A(psi)} alone."""
+    psi = formal_vector(system.frame.n, arg_ids)
+    return linearize(op.apply(psi), system.frame.physical)
+
+
 def test_remainder_matches_argument_linearization_on_evolution(kdv, kdv_bivectors):
     # For an evolution system the extracted remainder operator coincides
     # with the linearization of the operator along its argument.
@@ -155,6 +168,124 @@ def test_schouten_of_one_bivector_matches_six_term_path(
             system, b, Bivector(b.home, b.op, b.b_op, b.b_args)
         ).entries
     assert not same.is_zero()
+
+
+def _schouten_reference(system, b1, b2, a1_ids, a2_ids):
+    """The six-term Schouten sum before reduction, each term building its
+    own images A_i(psi_j): a reference for ``schouten``, which builds each
+    image once."""
+    n = system.frame.n
+    psi1 = formal_vector(n, a1_ids)
+    psi2 = formal_vector(n, a2_ids)
+    a1, a2 = b1.op, b2.op
+    terms = [
+        _lin_a_psi(system, a1, a1_ids).apply(a2.apply(psi2)),
+        -_lin_a_psi(system, a1, a2_ids).apply(a2.apply(psi1)),
+        -a1.apply(b2.b_star(psi1, a2_ids)),
+    ]
+    if b1 is not b2:
+        terms += [
+            _lin_a_psi(system, a2, a1_ids).apply(a1.apply(psi2)),
+            -_lin_a_psi(system, a2, a2_ids).apply(a1.apply(psi1)),
+            -a2.apply(b1.b_star(psi1, a2_ids)),
+        ]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return 2 * total if b1 is b2 else total
+
+
+def test_schouten_matches_six_term_reference_before_reduction(
+    monkeypatch, kdv, kdv_bivectors, ch2, ch2_ops, kdv3, kdv3_ops, kdv6
+):
+    # the argument of schouten's last reduce_vector call is its unreduced sum
+    sums = []
+    reduce_vector = EquationSystem.reduce_vector
+
+    def spy(self, v):
+        sums.append(v)
+        return reduce_vector(self, v)
+
+    monkeypatch.setattr(EquationSystem, "reduce_vector", spy)
+    b1, b2 = kdv_bivectors
+    pairs = [
+        (kdv, b1, b2),
+        (kdv, b2, b2),
+        (ch2, *(certify_bivector(ch2, op) for op in ch2_ops)),
+        (kdv3, *(certify_bivector(kdv3, op) for op in kdv3_ops)),
+        (kdv6.system, kdv6.a1_til, kdv6.a2_til),
+    ]
+    for system, c1, c2 in pairs:
+        tri = schouten(system, c1, c2)
+        unreduced = sums[-1]
+        expected = _schouten_reference(system, c1, c2, tri.arg1, tri.arg2)
+        assert unreduced == expected
+        assert tri.entries == system.reduce_vector(expected)
+
+
+def test_schouten_builds_each_image_once(monkeypatch, kdv, kdv_bivectors):
+    # four images, four linearizations applied and two remainder terms of
+    # two applications each; with one bivector, two images and half the rest
+    b1, b2 = kdv_bivectors
+    calls = []
+    apply = CDiffOp.apply
+
+    def counting(self, v):
+        calls.append(self)
+        return apply(self, v)
+
+    monkeypatch.setattr(CDiffOp, "apply", counting)
+    schouten(kdv, b1, b2)
+    assert len(calls) == 12
+    calls.clear()
+    schouten(kdv, b2, b2)
+    assert len(calls) == 6
+
+
+def _symmetrization_reference(density, blocks):
+    """The signed sum of the relabelled copies, added one at a time."""
+    out = DiffPoly.zero(density.n)
+    for perm in itertools.permutations(range(len(blocks))):
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        mapping = {
+            a: b for i, j in enumerate(perm) for a, b in zip(blocks[i], blocks[j])
+        }
+        piece = density.relabel_deps(mapping)
+        out = out + (-piece if odd else piece)
+    return out
+
+
+@st.composite
+def trilinear_densities(draw):
+    """A frame extended by three argument blocks of one size, and a density
+    linear in each block with coefficients in the physical jets."""
+    fr = Frame(("x", "t"), ("u", "v")[: draw(st.integers(1, 2))])
+    size = draw(st.integers(1, 2))
+    frame, ids = fr.extend(fr.fresh_names("p", 3 * size), formal=True)
+    blocks = tuple(ids[k * size:(k + 1) * size] for k in range(3))
+    n = frame.n
+    idx = st.tuples(st.integers(0, 2), st.integers(0, 1))
+    density = DiffPoly.zero(n)
+    for _ in range(draw(st.integers(1, 4))):
+        term = DiffPoly.const(n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
+        for block in blocks:
+            term = term * DiffPoly.jet(n, draw(st.sampled_from(block)), draw(idx))
+        for _ in range(draw(st.integers(0, 2))):
+            term = term * DiffPoly.jet(n, draw(st.sampled_from(fr.physical)), draw(idx))
+        density = density + term
+    return density, blocks
+
+
+@settings(max_examples=30)
+@given(trilinear_densities())
+def test_signed_symmetrization_matches_sequential_sum(db):
+    density, blocks = db
+    skew = _signed_symmetrization(density, blocks)
+    assert skew == _symmetrization_reference(density, blocks)
+    # swapping any two blocks negates the skew density
+    for i, j in itertools.combinations(range(3), 2):
+        swap = {**dict(zip(blocks[i], blocks[j])), **dict(zip(blocks[j], blocks[i]))}
+        assert skew.relabel_deps(swap) == -skew
 
 
 def test_schouten_requires_same_home(kdv, kdv3, kdv_bivectors, kdv3_ops):

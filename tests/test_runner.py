@@ -111,6 +111,20 @@ def test_runner_never_aborts_on_task_errors(monkeypatch, capsys):
     assert err.endswith("KeyError: 'lost'\n")
 
 
+def test_magri_with_one_vector_fails_and_names_the_count():
+    # one vector states no relation A1(psi_i) = A2(psi_{i+1}), so the check
+    # would pass vacuously; two vectors state one
+    source = KDV_SOURCE.replace("task genfn(kdv, u_x);\n", "")
+    _, results = run_source(source + "task magri(kdv, A1, A2, psi1);\n")
+    assert results[-1].status == "fail"
+    assert results[-1].detail == {"error": "magri expects 5..64 arguments, got 4"}
+    assert exit_code(results) == 1
+    _, results = run_source(source + "task magri(kdv, A1, A2, psi1, [u]);\n")
+    assert results[-1].status == "ok"
+    assert results[-1].detail == {"magri": True, "pairs_checked": 1}
+    assert exit_code(results) == 0
+
+
 def test_report_is_byte_deterministic():
     _, results = run_source(KDV_SOURCE)
     raw = KDV_SOURCE.encode()
