@@ -43,19 +43,26 @@ same way and end in ``_guarded`` too.  ``mul_into`` is the one product
 loop: a sum of products, such as an operator applied to a vector, fills
 one dict per result.
 
+``DiffPoly.total`` takes each jet's D_i-raised jet from ``_RAISE``, a
+map beside the variable table that outlives runs as the table does: it
+holds jets and ints, never a polynomial, and ids never change meaning,
+so no report depends on what the process ran before.  A raised jet gets
+its id only when a result keeps it.
+
 Total derivatives D_sigma of a polynomial are taken once per run.  A
 ``Run`` lives as long as its outermost ``run_scope``: one
 ``runner.run_program``, or for the command line one file from parsing
 to the last task.  ``run_scope`` makes it the active one in a
 ``contextvars`` variable and resets that on the way out, so the run's
-table is unreachable when the run ends.  The table holds each base polynomial's derivatives by
-``sigma``, found by the base's ``id`` or, for a copy, by its value, so
-``apply``, ``compose``, ``adjoint``, ``subst_deps``, factoring and the
-passivity check share what any of them took.  A builder called
-outside a run gets a throwaway ``Run`` of its own, kept only while the
-call lasts.  Restricted derivatives D̄_sigma, which depend on an
-equation, are cached per system instead, in one table keyed by the jet:
-each reducible jet's normal form, or None for an irreducible one.
+table is unreachable when the run ends.  The table holds each base
+polynomial's derivatives keyed by ``sigma`` alone, found by the base's
+``id`` or, for a copy, by its value, so ``apply``, ``compose``,
+``adjoint``, ``subst_deps``, factoring and the passivity check share
+what any of them took.  A builder called outside a run gets a
+throwaway ``Run`` of its own, kept only while the call lasts.
+Restricted derivatives D̄_sigma, which depend on an equation, are
+cached per system instead, in one table keyed by the jet: each
+reducible jet's normal form, or None for an irreducible one.
 """
 
 from __future__ import annotations
@@ -76,12 +83,17 @@ _FIELD = (1 << W) - 1
 
 # The kernel-wide variable table: _VARS[k] is the variable with id k,
 # _IDS maps it back, and _GUARD holds the guard bit of every field given
-# out.  It is only appended to and an id never changes meaning, so a
-# monomial means the same everywhere in the process; this is the one
-# piece of module state that outlives a run (see ``Run``).
+# out.  Beside it, _RAISE maps (k, i), for the jet with id k, to the jet
+# D_i raises it to and that jet's bit offset, None until the jet has an
+# id.  Both are only appended to (an offset only ever replaces a None),
+# and an id never changes meaning, so a monomial and a raise step mean
+# the same everywhere in the process.  They are the only module state
+# that outlives a run (see ``Run``); they hold jets and ints, never a
+# polynomial, so no run's results outlive it through them.
 _VARS = []
 _IDS = {}
 _GUARD = 0
+_RAISE = {}
 
 
 class HamcheckError(Exception):
@@ -450,6 +462,9 @@ class DiffPoly:
         jet with an image trades its power for that polynomial in the same
         pass.  On a normal form, with normal forms as images, this gives the
         normal form of D_i: the total derivative restricted to the equation.
+
+        The raised jet comes from ``_RAISE``.  It gets an id, and so a field
+        in every later monomial, only when the result keeps it.
         """
         steps = {}
         res = {}
@@ -462,17 +477,25 @@ class DiffPoly:
                 rest -= e << s
                 step = steps.get(s)
                 if step is None:
-                    v, one = _VARS[s // W], 1 << s
+                    k, one = s // W, 1 << s
+                    v = _VARS[k]
                     if type(v) is int:
                         step = -one if v == i else 0
                     else:
-                        dep, idx = v
-                        up = (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
+                        r = _RAISE.get((k, i))
+                        if r is None:
+                            dep, idx = v
+                            up = (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
+                            r = _RAISE[(k, i)] = (up, None)
+                        up, t = r
                         q = image(up) if image else None
-                        step = (
-                            (1 << (W * _id(up))) - one if q is None
-                            else (one, tuple(q.terms.items()))
-                        )
+                        if q is None:
+                            if t is None:
+                                t = W * _id(up)
+                                _RAISE[(k, i)] = (up, t)
+                            step = (1 << t) - one
+                        else:
+                            step = (one, tuple(q.terms.items()))
                     steps[s] = step
                 if type(step) is int:
                     if step:
@@ -655,37 +678,13 @@ def formal_vector(n: int, dep_ids) -> VectorFunction:
 # -- operations of the jet algebra ------------------------------------
 
 
-def total_memo(cache: dict, key, sigma, base: DiffPoly) -> DiffPoly:
-    """D_sigma(base), memoized in ``cache`` under ``(key, sigma)``.
-
-    ``sigma`` is lowered in its first nonzero direction until it meets a
-    cached index or zero; the path is then climbed back with ``total(i)``,
-    caching every index on the way.  Iterative, so the jet order is not
-    limited by the recursion depth.
-
-    ``Run.total`` climbs here in the table of its base, with ``key`` None,
-    so a derivative is taken once per run.  Restricted derivatives D̄_sigma
-    climb the same way in their system's own table, which is keyed by the
-    jet (``EquationSystem.prolonged_rhs``).
-    """
-    path = []
-    while any(sigma) and (key, sigma) not in cache:
-        i = next(k for k, q in enumerate(sigma) if q)
-        path.append((sigma, i))
-        sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
-    p = cache[(key, sigma)] if any(sigma) else base
-    for up, i in reversed(path):
-        p = cache[(key, up)] = p.total(i)
-    return p
-
-
 class Run:
     """What lives exactly as long as one run; for now, its derivative table.
 
     The table holds, for each base polynomial, its total derivatives
-    D_sigma by ``sigma``.  A base is found first by ``id``; its entry keeps
-    the base alive, so the id is not reused while the run lasts.  A base
-    not seen as an object is found by value, ``(n, frozenset(terms))``,
+    D_sigma keyed by ``sigma``.  A base is found first by ``id``; its entry
+    keeps the base alive, so the id is not reused while the run lasts.  A
+    base not seen as an object is found by value, ``(n, frozenset(terms))``,
     a key built once per distinct base object, so value-equal copies share
     one table.
     """
@@ -697,7 +696,7 @@ class Run:
         self._by_value = {}
 
     def table(self, base: DiffPoly) -> dict:
-        """The derivatives of ``base`` taken in this run, by ``(None, sigma)``."""
+        """The derivatives of ``base`` taken in this run, keyed by ``sigma``."""
         entry = self._by_id.get(id(base))
         if entry is None:
             table = self._by_value.setdefault((base.n, frozenset(base.terms.items())), {})
@@ -706,10 +705,28 @@ class Run:
 
     def total(self, base: DiffPoly, sigma) -> DiffPoly:
         """D_sigma(base), taken at most once per run; D_0 is ``base`` itself
-        and is not stored."""
+        and is not stored.
+
+        A taken ``sigma`` costs one lookup in the base's table.  Otherwise
+        ``sigma`` is lowered in its first nonzero direction until it meets
+        a taken index or zero, and the path is climbed back with
+        ``total(i)``, storing every index on the way.  Iterative, so the
+        jet order is not limited by the recursion depth.
+        """
         if not any(sigma):
             return base
-        return total_memo(self.table(base), None, sigma, base)
+        table = self.table(base)
+        p = table.get(sigma)
+        if p is None:
+            path = []
+            while p is None:
+                i = next(k for k, q in enumerate(sigma) if q)
+                path.append((sigma, i))
+                sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
+                p = table.get(sigma) if any(sigma) else base
+            for up, i in reversed(path):
+                p = table[up] = p.total(i)
+        return p
 
 
 _RUN = ContextVar("hamcheck_run", default=None)

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,7 @@ from hamcheck import (
     linearize,
 )
 from hamcheck.parser import parse_poly
+from hamcheck.poly import _IDS, _RAISE, _VARS, W
 from hamcheck.render import poly_text
 
 
@@ -119,6 +125,76 @@ def test_subst_dep_prolongs(fr_u):
     val = P(fr_u, "u*u_x")
     out = p.subst_deps({w: val})
     assert out == val.total(0).total(0) + val
+
+
+# -- ids of raised jets ------------------------------------------------------------
+# A jet gets an id, and so a field in every later monomial, only when a
+# result keeps it; a jet that D_i raises to and that an image replaces
+# gets none.
+
+
+def test_restricted_total_gives_no_id_to_a_replaced_jet(kdv):
+    # D_t raises u_{x^40}, which no other test uses, and u to reducible jets
+    n = kdv.frame.n
+    p = DiffPoly.jet(n, 0, (40, 0)) * (DiffPoly.jet(n, 0, (0, 0)) + 1)
+    ups = [(0, (40, 1)), (0, (0, 1))]
+    # the images, and the ids of the jets they keep, exist before the step
+    assert all(kdv._image(v) is not None for v in ups)
+    before = len(_VARS)
+    out = p.total(1, kdv._image)
+    assert len(_VARS) == before
+    assert (0, (40, 1)) not in _IDS
+    assert out.jetvars() <= set(_VARS)
+
+
+def test_deep_reduction_gives_ids_only_to_jets_its_normal_forms_use():
+    # In a fresh process, so that no other test has given these ids.  Each
+    # new id is a jet of the normal form or of a normal form the system
+    # stored on the way: u_{x^23}, for one, occurs only in D̄_x^20 of the
+    # right-hand side, the image of u_{x^20 t}.  No reducible jet gets one.
+    child = """
+import json
+from hamcheck import DiffPoly, Frame, Ranking, make_system
+from hamcheck.parser import parse_poly
+from hamcheck.poly import _VARS
+fr = Frame(("x", "t"), ("u",))
+f = parse_poly(fr, "u_t - u_xxx - 6*u*u_x")
+rhs = parse_poly(fr, "u_xxx + 6*u*u_x")
+kdv = make_system(fr, [f], [((0, (0, 1)), rhs)], Ranking.of(fr, "t", "x"))
+u_t8 = DiffPoly.jet(2, 0, (0, 8))
+before = len(_VARS)
+nf = kdv.reduce(u_t8)
+stored = set().union(*(q.jetvars() for q in kdv._normal.values() if q is not None))
+print(json.dumps({
+    "given": _VARS[before:],
+    "normal_form": sorted(nf.jetvars()),
+    "stored": sorted(stored),
+    "reducible": [v for v in _VARS[before:] if kdv.rule_for(v) is not None],
+}))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    # D_t^8 u has weight 26, so its normal form uses u_{x^24} at the top
+    assert [0, [24, 0]] in out["normal_form"]
+    assert out["given"] and all(v in out["stored"] for v in out["given"])
+    assert [0, [23, 0]] in out["given"] and [0, [23, 0]] not in out["normal_form"]
+    assert out["reducible"] == []
+
+
+def test_raise_map_holds_jets_and_offsets_only(kdv):
+    kdv.reduce(DiffPoly.jet(2, 0, (1, 3)) * DiffPoly.jet(2, 0, (2, 0)))
+    assert _RAISE
+    for (k, i), (up, t) in _RAISE.items():
+        dep, idx = _VARS[k]
+        assert up == (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
+        assert t is None or t == W * _IDS[up]
+        assert not any(isinstance(x, DiffPoly) for x in (k, i, up, t))
 
 
 def test_relabel_deps_merges_factors_on_one_jet():

@@ -21,7 +21,7 @@ from hamcheck import (
     linearize,
 )
 from hamcheck.frame import index_sub
-from hamcheck.poly import _IDS, LIMIT, decode, encode, run_scope, total_memo
+from hamcheck.poly import _IDS, LIMIT, decode, encode, run_scope
 from hamcheck.render import jet_text, poly_text
 from hamcheck.systems import Rule, seal, solve_for
 from oracle_sympy import (
@@ -247,6 +247,28 @@ def test_divergence_pairing(data):
     assert euler(frame, pairing, deps=deps).is_zero()
 
 
+# -- reference memo ----------------------------------------------------------------
+
+
+def total_memo(cache: dict, key, sigma, base: DiffPoly) -> DiffPoly:
+    """D_sigma(base), memoized in ``cache`` under ``(key, sigma)``: the
+    memo the reference builders below share per call.
+
+    ``sigma`` is lowered in its first nonzero direction until it meets a
+    cached index or zero; the path is then climbed back with ``total(i)``,
+    caching every index on the way.
+    """
+    path = []
+    while any(sigma) and (key, sigma) not in cache:
+        i = next(k for k, q in enumerate(sigma) if q)
+        path.append((sigma, i))
+        sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
+    p = cache[(key, sigma)] if any(sigma) else base
+    for up, i in reversed(path):
+        p = cache[(key, up)] = p.total(i)
+    return p
+
+
 # -- fused builders against the unfused loops ---------------------------------
 # The loops the fused builders replaced: each product is built as a
 # polynomial and then added to a copy of the accumulator.  Every builder
@@ -391,12 +413,32 @@ def test_run_table_matches_plain_total_chain(fp, data):
         # D_0 is the base itself and is not stored
         zero = (0,) * n
         assert run.total(p, zero) is p
-        assert all(any(sigma) for _, sigma in run.table(p))
+        assert all(any(s) for s in run.table(p))
         # builders that share the run's table agree with those that do not
         op = CDiffOp(n, 1, 1, {(0, 0, s): p for s in sigmas[:2]})
         inside = (op.compose(op), op.adjoint(), op.apply(VectorFunction([p])))
     assert inside == (op.compose(op), op.adjoint(), op.apply(VectorFunction([p])))
     assert inside[0] == _compose_reference(op, op) and inside[1] == _adjoint_reference(op)
+
+
+@given(polys(FRAMES[2], max_order=3), st.data())
+def test_total_matches_the_chain_whatever_order_filled_the_raise_map(fp, data):
+    frame, p = fp
+    n = frame.n
+    # explicit x_i and both dependents in every case
+    p = p + DiffPoly.coord(n, 1) * DiffPoly.jet(n, 1, (1, 0)) * DiffPoly.jet(n, 0, (0, 2))
+    sigma = data.draw(st.sampled_from(_multi_indices(n, 3)))
+    # the directions in reverse order first, so that the chains below take
+    # raise steps that another order put in the map
+    back = p
+    for i in reversed(range(n)):
+        for _ in range(sigma[i]):
+            back = back.total(i)
+    assert _total_chain(p, sigma) == back
+    with run_scope() as run:
+        assert run.total(p, sigma) == back
+    i = data.draw(st.integers(0, n - 1))
+    assert from_kernel_equal(p.total(i), sympy_total_derivative(p, i))
 
 
 def test_run_table_value_key_carries_the_base_dimension():

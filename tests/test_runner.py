@@ -267,13 +267,16 @@ def test_builders_outside_a_run_leave_no_run_behind():
     assert poly._RUN.get() is None
 
 
-def _cli(args):
+def _child_env():
     # the child imports the package from this checkout, PYTHONPATH set or not
     path = [str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def _cli(args):
     proc = subprocess.run(
         [sys.executable, "-m", "hamcheck.cli"] + args,
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     return proc
 
@@ -382,6 +385,53 @@ def test_kdv_pencil_members_are_hamiltonian_and_compatible():
     ]
 
 
+# A metamorphic case: reordering the dependents and the equations of the
+# three-component KdV system, with each operator conjugated to P*A*P^T,
+# leaves every verdict and exact flag as it was.
+_KDV3_DEPS = ("u", "v", "w")
+_KDV3_EQS = ("u_x = v", "v_x = w", "w_x = u_t - 6*u*v")
+_KDV3_OPS = {
+    "B1": [["0", "-1", "0"], ["1", "0", "-6*u"], ["0", "6*u", "Dt"]],
+    "B2": [
+        ["0", "-2*u", "-Dt - 2*v"],
+        ["2*u", "Dt", "-12*u^2 - 2*w"],
+        ["-Dt + 2*v", "12*u^2 + 2*w", "8*u*Dt + 4*u_t"],
+    ],
+    # skew, but not a bivector of kdv3
+    "C": [["0", "-u", "0"], ["u", "0", "0"], ["0", "0", "Dt"]],
+}
+_KDV3_TASKS = (
+    "bivector(kdv3, B1)", "bivector(kdv3, B2)", "bivector(kdv3, C)",
+    "schouten(kdv3, B1, B2)", "schouten(kdv3, B2, B2)",
+    "hamiltonian(kdv3, B2)", "hamiltonian(kdv3, C)",
+)
+
+
+def _kdv3_source(perm):
+    """The program with dependent perm[j] in slot j."""
+    lines = ["independents x, t;", f"dependents {', '.join(_KDV3_DEPS[a] for a in perm)};"]
+    lines += ["equation kdv3 {", *(f"solve {_KDV3_EQS[a]};" for a in perm), "ranking x > t;", "}"]
+    for name, rows in _KDV3_OPS.items():
+        conj = ", ".join("[" + ", ".join(rows[a][b] for b in perm) + "]" for a in perm)
+        lines.append(f"operator {name} = [{conj}];")
+    lines += [f"task {t};" for t in _KDV3_TASKS]
+    return "\n".join(lines) + "\n"
+
+
+def test_permuted_dependents_keep_every_verdict():
+    def verdicts(perm):
+        _, results = run_source(_kdv3_source(perm))
+        return [
+            (r.kind, r.status, *(r.detail.get(k) for k in ("bivector", "zero", "exact")))
+            for r in results
+        ]
+
+    base = verdicts((0, 1, 2))
+    assert [v[1] for v in base] == ["ok", "ok", "fail", "ok", "ok", "ok", "fail"]
+    assert all(v[4] is True for v in base if v[0] == "schouten")
+    assert verdicts((2, 0, 1)) == base
+
+
 def test_readme_declaration_example_runs():
     readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Declaration language\n", 1)[1]
@@ -435,6 +485,43 @@ def test_demo_reports_match_pinned_digests(tmp_path, capsys):
     assert sorted(DEMO_DIGESTS) == sorted(p.stem for p in DEMOS.glob("*.ham"))
     for name, (json_digest, text_digest) in DEMO_DIGESTS.items():
         _check_report_digests(DEMOS / f"{name}.ham", json_digest, text_digest, tmp_path, capsys)
+
+
+# The id table and the raise map outlive runs, so a file's ids depend on
+# what the process ran before it; its report must not.
+_ORDER_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from hamcheck import cli
+demos, out = Path(sys.argv[1]), Path(sys.argv[2])
+seen = []
+for name in sys.argv[3:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["run", str(demos / f"{name}.ham"), "--report", str(out)])
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli.main(["run", str(demos / f"{name}.ham"), "--text"])
+    seen.append([
+        name,
+        hashlib.sha256(out.read_bytes()).hexdigest(),
+        hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest(),
+    ])
+print(json.dumps(seen))
+"""
+
+
+def test_demo_reports_do_not_depend_on_the_order_ids_were_given(tmp_path):
+    # one fresh process runs the files in one order, then in another
+    order = ["camassa_holm", "kdv6", "kdv", "kdv", "camassa_holm", "kdv6"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORDER_CHILD, str(DEMOS), str(tmp_path / "r.json"), *order],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert [name for name, _, _ in seen] == order
+    for name, json_digest, text_digest in seen:
+        assert (json_digest, text_digest) == DEMO_DIGESTS[name], name
 
 
 # The same for the benchmark's workload inputs; the JSON digests are the
