@@ -32,6 +32,7 @@ from .systems import (
     EquationSystem,
     HamcheckError,
     NonOrthonomic,
+    PassivityFailure,
     seal,
     solve_for,
 )
@@ -228,7 +229,8 @@ def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
 def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
     """Joint rewrite system: the equation's rules plus the adjoint-linearization
     constraints on each formal argument block, each solved for its maximal
-    argument jet."""
+    argument jet.  ConstraintNotOrthonomic if it cannot be built or is not
+    passive."""
     n = system.frame.n
     lstar = system.restrict_op(system.adjoint_linearization())
     originals = list(system.originals)
@@ -252,6 +254,11 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
         return seal(frame_ext, as_vector(originals), rules, system.ranking)
     except NonOrthonomic as exc:
         raise ConstraintNotOrthonomic(str(exc)) from exc
+    except PassivityFailure as exc:
+        raise ConstraintNotOrthonomic(
+            "the joint system of the equation and the argument constraints is "
+            f"not passive, so the bracket is not decided (joint {exc})"
+        ) from exc
 
 
 def euler_residuals(frame: Frame, density: DiffPoly) -> VectorFunction:

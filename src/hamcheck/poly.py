@@ -57,12 +57,13 @@ to the last task.  ``run_scope`` makes it the active one in a
 table is unreachable when the run ends.  The table holds each base
 polynomial's derivatives keyed by ``sigma`` alone, found by the base's
 ``id`` or, for a copy, by its value, so ``apply``, ``compose``,
-``adjoint``, ``subst_deps``, factoring and the passivity check share
-what any of them took.  A builder called outside a run gets a
-throwaway ``Run`` of its own, kept only while the call lasts.
-Restricted derivatives D̄_sigma, which depend on an equation, are
-cached per system instead, in one table keyed by the jet: each
-reducible jet's normal form, or None for an irreducible one.
+``adjoint``, ``subst_deps`` and the passivity check share what any of
+them took.  A builder called outside a run gets a throwaway ``Run`` of
+its own, kept only while the call lasts.  Restricted derivatives
+D̄_sigma, which depend on an equation, are cached per system instead,
+in one table keyed by the jet: each reducible jet's normal form, or
+None for an irreducible one.  Factoring reduces on a twin of the
+system, so it uses the twin's table and not the run's.
 """
 
 from __future__ import annotations

@@ -57,7 +57,8 @@ class RunContext:
     The values are the ones the parser built, copied so that a run's
     deform outputs stay out of the program.  A name the kernel rejected
     holds its error, and each task that names it fails with that error.
-    A deform output's name holds its task until the task has run.
+    A deform output's name holds its task until the task has run, and
+    the task's error if it failed.
     """
 
     def __init__(self, program: Program):
@@ -298,11 +299,18 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
         return OK, detail
 
     if kind == "deform":
-        args = _args(task, 3)
-        system = ctx.need_system(ctx.resolve(args[0]))
-        b1 = ctx.certified(system, ctx.need_op(ctx.resolve(args[1])))
-        b2 = ctx.certified(system, ctx.need_op(ctx.resolve(args[2])))
-        deformed = deform(system, b1, b2)
+        names = (task.alias, f"{task.alias}_A1", f"{task.alias}_A2") if task.alias else ()
+        try:
+            args = _args(task, 3)
+            system = ctx.need_system(ctx.resolve(args[0]))
+            b1 = ctx.certified(system, ctx.need_op(ctx.resolve(args[1])))
+            b2 = ctx.certified(system, ctx.need_op(ctx.resolve(args[2])))
+            deformed = deform(system, b1, b2)
+        except (HamcheckError, ValueError) as exc:
+            # the outputs' names hold the error, as a rejected declaration's do
+            for name in names:
+                ctx.values[name] = HamcheckError(str(exc))
+            raise
         ctx.remember(deformed.a1_til)
         ctx.remember(deformed.a2_til)
         frame = deformed.system.frame
@@ -310,11 +318,9 @@ def _dispatch(ctx: RunContext, task: TaskDecl):
             "equations": vector_text(frame, deformed.system.originals),
             "block_operators_certified": True,
         }
-        if task.alias:
-            ctx.values[task.alias] = deformed
-            ctx.values[f"{task.alias}_A1"] = deformed.a1_til.op
-            ctx.values[f"{task.alias}_A2"] = deformed.a2_til.op
-            detail["registered"] = [task.alias, f"{task.alias}_A1", f"{task.alias}_A2"]
+        if names:
+            ctx.values.update(zip(names, (deformed, deformed.a1_til.op, deformed.a2_til.op)))
+            detail["registered"] = list(names)
         return OK, detail
 
     if kind == "lift":

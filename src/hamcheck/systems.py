@@ -5,6 +5,8 @@ variable strictly greater (under a prolongation-compatible ranking) than
 everything in the right-hand sides.  Reduction to normal form realizes
 restriction to the infinite prolongation; factoring an on-shell
 expression through the equation recovers the operator that produced it.
+Factoring is a reduction too, on the system's tagged twin, whose rule k
+carries a fresh jet standing for the equation F_k.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class Rule:
     """One solved equation.
 
     ``rhs_exact`` satisfies F_k = scale * (lead - rhs_exact) on the nose
-    and drives factoring through the equation; ``rhs`` is its normal form
-    with respect to the other rules and drives reduction.
+    and drives factoring through the equation, as the rule of the
+    system's tagged twin; ``rhs`` is its normal form with respect to the
+    other rules and drives reduction.
     """
 
     __slots__ = ("lead", "rhs", "rhs_exact", "scale")
@@ -94,6 +97,7 @@ class EquationSystem:
         self._normal = {}
         self._lin = None
         self._lin_adj = None
+        self._twin = None
 
     # -- reduction ------------------------------------------------------
 
@@ -151,28 +155,15 @@ class EquationSystem:
             return None
         return self.prolonged_rhs(k, index_sub(jet[1], self.rules[k].lead[1]))
 
-    def _rewrite(self, p: DiffPoly, image) -> DiffPoly:
-        """Substitute ``image(jet)`` for every jet of ``p`` for which it is not
-        None, all at once, until no jet has an image.
-
-        ``image`` gives each reducible jet always the same polynomial and the
-        ranking makes rewriting terminate, so the result does not depend on
-        the order.
-        """
-        while True:
-            images = {}
-            for jet in p.jetvars():
-                q = image(jet)
-                if q is not None:
-                    images[jet] = q
-            if not images:
-                return p
-            p = p.substitute(images)
-
     def reduce(self, p: DiffPoly) -> DiffPoly:
-        """Normal form.  Every image is already a normal form, so the first
-        substitution is final and the second scan only confirms it."""
-        return self._rewrite(p, self._image)
+        """Normal form: every reducible jet replaced by its image, at once.
+        Every image is already a normal form, so one substitution is final."""
+        images = {}
+        for jet in p.jetvars():
+            q = self._image(jet)
+            if q is not None:
+                images[jet] = q
+        return p.substitute(images) if images else p
 
     def reduce_vector(self, v) -> VectorFunction:
         return as_vector(v).map(self.reduce)
@@ -230,43 +221,39 @@ class EquationSystem:
     def factor_through_f(self, g) -> CDiffOp:
         """Find the operator Delta with g = Delta(F) modulo higher F-degree.
 
-        Every reducible jet u_{lead+tau} is replaced by D_tau(rhs) plus a
-        fresh jet of dependent ``offset + k`` standing for D_tau(F_k)/scale_k,
-        until no jet is reducible.  With every such F-jet set to zero, a row
-        must vanish (else NotOnEquation); the entry (comp, k, tau) of Delta
-        is the partial derivative of the row by the F-jet (offset + k, tau),
-        taken at F = 0, so the terms of F-degree 2 and more drop out.  No
-        reducible jet is left to rewrite, so every entry is a normal form.
+        Each row is reduced on the system's tagged twin: the same leads and
+        rule order, with rule k read as lead = rhs_exact + F_k/scale_k, where
+        F_k is the jet of the dependent -1 - k, which no rule reduces and no
+        frame uses.  Every rewrite there is an identity once the jet
+        (-1 - k, tau) stands for D_tau(F_k).  The twin is built on first use
+        and keeps its own table, so each tagged image is climbed once per
+        system.  With at most one rule per dependent it is confluent and
+        Delta is unique; otherwise Delta is still exact, up to identities
+        among the equations.  With every F-jet set to zero,
+        a row must vanish (else NotOnEquation); the entry (comp, k, tau) of
+        Delta is the partial derivative of the row by the F-jet
+        (-1 - k, tau), taken at F = 0, so the terms of F-degree 2 and more
+        drop out.  The row is a normal form, so every entry is one too.
         """
-        g = as_vector(g)
         n = self.frame.n
-        base = self.frame.m
-        deps_used = set()
-        for p in g:
-            deps_used |= p.deps()
-        for rule in self.rules:
-            deps_used |= rule.rhs.deps()
-            deps_used.add(rule.lead[0])
-        offset = max(deps_used | {base - 1}) + 1
-
-        run = current_run()
-
-        def image(jet):
-            k = self.rule_for(jet)
-            if k is not None:
-                rule = self.rules[k]
-                tau = index_sub(jet[1], rule.lead[1])
-                raw = run.total(rule.rhs_exact, tau)
-                return raw + DiffPoly.jet(n, offset + k, tau) * Fraction(1, rule.scale)
-
+        twin = self._twin
+        if twin is None:
+            zero = (0,) * n
+            rules = []
+            for k, r in enumerate(self.rules):
+                rhs = r.rhs_exact + DiffPoly.jet(n, -1 - k, zero) * Fraction(1, r.scale)
+                rules.append(Rule(r.lead, rhs, rhs, r.scale))
+            twin = self._twin = EquationSystem(
+                self.frame, self.originals, rules, self.ranking)
+        g = as_vector(g)
         entries = {}
         for comp, p in enumerate(g):
-            p = self._rewrite(p, image)
-            zeros = {v: DiffPoly.zero(n) for v in p.jetvars() if v[0] >= offset}
+            p = twin.reduce(p)
+            zeros = {v: DiffPoly.zero(n) for v in p.jetvars() if v[0] < 0}
             if p.substitute(zeros):
                 raise NotOnEquation("expression does not vanish on the equation")
             for v in zeros:
-                entries[(comp, v[0] - offset, v[1])] = p.partial(v).substitute(zeros)
+                entries[(comp, -1 - v[0], v[1])] = p.partial(v).substitute(zeros)
         return CDiffOp(n, len(g), len(self.rules), entries)
 
 

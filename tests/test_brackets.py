@@ -146,6 +146,26 @@ def test_schouten_symmetric_in_slots(kdv, kdv_bivectors):
     assert t12.entries == t21.entries
 
 
+@pytest.mark.parametrize("lam", [Fraction(3, 7), Fraction(-2)])
+def test_schouten_of_a_pencil_expands_bilinearly(kdv, kdv_bivectors, kdv6, lam):
+    # [[b, b]] = [[A1, A1]] + 2λ[[A1, A2]] + λ²[[A2, A2]] for b = A1 + λ*A2
+    # (Magri 1978; Olver §7.3).  The remainder of b is the factorization of
+    # its theta, so this checks that factoring is linear.  On KdV every
+    # reduced bracket is 0, so the deformed blocks, whose brackets are not,
+    # are checked too.
+    for system, b1, b2 in ((kdv, *kdv_bivectors), (kdv6.system, kdv6.a1_til, kdv6.a2_til)):
+        b = certify_bivector(system, b1.op + lam * b2.op)
+        assert b.b_op == b1.b_op + lam * b2.b_op
+
+        def s(x, y):
+            return schouten(system, x, y).entries
+
+        assert s(b1, b2) == s(b2, b1)
+        assert s(b, b) == s(b1, b1) + (2 * lam) * s(b1, b2) + (lam * lam) * s(b2, b2)
+    assert not s(b2, b2).is_zero()
+    assert is_hamiltonian(kdv, kdv_bivectors[0].op + lam * kdv_bivectors[1].op)
+
+
 def test_schouten_of_one_bivector_matches_six_term_path(
     kdv, kdv3, kdv_bivectors, kdv3_ops, fr_u
 ):

@@ -14,15 +14,18 @@ from hamcheck import (
     EquationSystem,
     Frame,
     NonOrthonomic,
+    NotOnEquation,
     PassivityFailure,
     Ranking,
     VectorFunction,
     euler,
     linearize,
+    solve_orthonomic,
 )
 from hamcheck.frame import index_sub
-from hamcheck.poly import _IDS, LIMIT, decode, encode, run_scope
-from hamcheck.render import jet_text, poly_text
+from hamcheck.parser import parse_vector
+from hamcheck.poly import _IDS, _VARS, LIMIT, as_vector, decode, encode, run_scope
+from hamcheck.render import jet_text, op_text, poly_text
 from hamcheck.systems import Rule, seal, solve_for
 from oracle_sympy import (
     formal_args,
@@ -819,6 +822,105 @@ def test_factor_soundness_on_f_linear_input(kdv, kdv3, kdv_scaled, name, data):
         g = g + c * (fs[k].total(sigma.index(1)) if any(sigma) else fs[k])
         expected[(0, k, sigma)] = system.reduce(c)
     assert system.factor_through_f(g) == CDiffOp(n, 1, l, expected)
+
+
+def _factor_reference(system, g):
+    """Factoring by a rewriting loop on the system itself: every reducible
+    jet u_{lead+tau} becomes D_tau(rhs_exact) plus a fresh jet of dependent
+    ``offset + k`` standing for D_tau(F_k)/scale_k, round after round,
+    until no jet is reducible; ``offset`` is above every dependent in use.
+    The entries are read off as ``factor_through_f`` reads them."""
+    g = as_vector(g)
+    n = system.frame.n
+    used = {system.frame.m - 1}
+    for p in g:
+        used |= p.deps()
+    for rule in system.rules:
+        used |= rule.rhs.deps() | {rule.lead[0]}
+    offset = max(used) + 1
+    raw = {}
+
+    def image(jet):
+        k = system.rule_for(jet)
+        if k is not None:
+            rule = system.rules[k]
+            tau = index_sub(jet[1], rule.lead[1])
+            return (total_memo(raw, k, tau, rule.rhs_exact)
+                    + DiffPoly.jet(n, offset + k, tau) * Fraction(1, rule.scale))
+
+    entries = {}
+    for comp, p in enumerate(g):
+        while True:
+            images = {v: q for v in p.jetvars() if (q := image(v)) is not None}
+            if not images:
+                break
+            p = p.substitute(images)
+        zeros = {v: DiffPoly.zero(n) for v in p.jetvars() if v[0] >= offset}
+        if p.substitute(zeros):
+            raise NotOnEquation("expression does not vanish on the equation")
+        for v in zeros:
+            entries[(comp, v[0] - offset, v[1])] = p.partial(v).substitute(zeros)
+    return CDiffOp(n, len(g), len(system.rules), entries)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["kdv", "kdv_scaled", "ch", "ch2", "kdv3", "kdv6"]), st.data())
+def test_factor_matches_rewriting_reference(
+        kdv, kdv_scaled, ch, ch2, kdv3, kdv6, name, data):
+    # every system here has at most one rule per dependent, so its tagged
+    # twin is confluent and the two normal forms, and so the two Deltas,
+    # agree; Delta mentions no F-jet, and factoring g again gives no id
+    system = {"kdv": kdv, "kdv_scaled": kdv_scaled, "ch": ch, "ch2": ch2,
+              "kdv3": kdv3, "kdv6": kdv6.system}[name]
+    frame, fs = system.frame, system.originals
+    l = len(fs)
+    sigmas = [(0, 0), (1, 0), (0, 1)]  # 1, D_x, D_t
+    coeffs = polys(frame, max_terms=2, max_degree=2, max_order=2)
+    g = data.draw(coeffs)[1] * fs[0] * fs[l - 1].total(0)
+    for k, sigma in data.draw(st.lists(
+            st.tuples(st.integers(0, l - 1), st.sampled_from(sigmas)),
+            min_size=1, max_size=4, unique=True)):
+        _, c = data.draw(coeffs)
+        g = g + c * (fs[k].total(sigma.index(1)) if any(sigma) else fs[k])
+    delta = system.factor_through_f(g)
+    assert delta == _factor_reference(system, g)
+    assert all(min(a.deps(), default=0) >= 0 for a in delta.entries.values())
+    ids = len(_VARS)
+    assert system.factor_through_f(g) == delta
+    assert len(_VARS) == ids
+
+
+def test_factor_on_a_passive_two_rule_system():
+    # u_t = u and u_x = u: F_1 = u_t - u, F_2 = u_x - u, and D_x F_1 - D_t F_2
+    # = F_1 - F_2 is the one syzygy; the rule for u_t reduces u_xt
+    fr = Frame(("x", "t"), ("u",))
+    system = solve_orthonomic(
+        fr, parse_vector(fr, "[u_t - u, u_x - u]"), Ranking.of(fr, "t", "x"))
+    f1, f2 = system.originals
+    u_x = DiffPoly.jet(2, 0, (1, 0))
+    cases = [
+        (f1.total(0), "[[Dx, 0]]"),
+        (f2.total(1), "[[-1 + Dx, 1]]"),
+        (f1.total(0) - f2.total(1), "[[1, -1]]"),
+        (u_x * f1 * f1.total(0) + f2.total(1).total(0), "[[-Dx + Dx^2, Dx]]"),
+    ]
+    for g, text in cases:
+        delta = system.factor_through_f(g)
+        assert op_text(fr, delta) == text
+        assert delta == _factor_reference(system, g)
+
+
+def test_factor_uses_the_exact_right_hand_sides():
+    # v_t = u_xx has the normal form v_t -> v_x, which drops D_x F_1, so
+    # only the exact right-hand side factors F_2 back to F_2
+    fr = Frame(("x", "t"), ("u", "v"))
+    system = solve_orthonomic(
+        fr, parse_vector(fr, "[u_x - v, v_t - u_xx]"), Ranking.of(fr, "t", "x"))
+    assert system.rules[1].rhs != system.rules[1].rhs_exact
+    g = system.originals[1]
+    delta = system.factor_through_f(g)
+    assert op_text(fr, delta) == "[[0, 1]]"
+    assert delta == _factor_reference(system, g)
 
 
 # -- restricted total derivatives -------------------------------------------

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -156,6 +158,36 @@ task lift(sys6, psi1, psi2);
     assert [r.status for r in results] == ["ok", "ok", "ok"]
     assert results[2].detail["genfn_certified"] == [True]
     assert results[2].detail["conserved"] == [True]
+
+
+_FAILED_DEFORM_SOURCE = """
+independents x, t;
+dependents u;
+equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }
+operator Z = 0;
+vector c = [u];
+task deform(kdv, Z, Z) as d;
+task lift(d, c, c);
+task bivector(d, d_A2);
+"""
+
+
+def test_failed_deform_names_hold_its_error():
+    _, results = run_source(_FAILED_DEFORM_SOURCE)
+    error = {"error": "equation 1 contains no jet variables"}
+    assert [r.status for r in results] == ["fail", "fail", "fail"]
+    assert [r.detail for r in results] == [error, error, error]
+
+
+def test_deform_name_used_before_its_task_runs_is_not_produced_yet():
+    program = parse_program(_FAILED_DEFORM_SOURCE)
+    ctx = runner.RunContext(program)
+    lift, deform = program.tasks[1], program.tasks[0]
+    assert runner.run_task(ctx, lift).detail == {"error": "'d' has not been produced yet"}
+    assert runner.run_task(ctx, deform).status == "fail"
+    assert runner.run_task(ctx, lift).detail == {
+        "error": "equation 1 contains no jet variables"
+    }
 
 
 def test_theta_built_once_per_system_and_operator(monkeypatch):
@@ -712,6 +744,32 @@ def test_cli_lift_on_a_non_evolution_base_keeps_its_verdicts(tmp_path):
     }
 
 
+def test_cli_names_a_joint_system_that_is_not_passive(tmp_path):
+    # deforming KdV by (A1, A1) gives a non-evolution system whose joint
+    # system with the argument constraints has a nonzero integrability
+    # condition; the file itself declares neither those equations nor p1
+    src = tmp_path / "joint.ham"
+    src.write_text(
+        "independents x, t;\ndependents u;\n"
+        "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
+        "operator A1 = Dx;\n"
+        "task deform(kdv, A1, A1) as e;\n"
+        "task schouten(e, e_A1, e_A2);\n"
+    )
+    out = tmp_path / "report.json"
+    proc = _cli(["run", str(src), "--report", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [t["status"] for t in tasks] == ["ok", "fail"]
+    assert tasks[1]["detail"] == {"error": (
+        "the joint system of the equation and the argument constraints is not "
+        "passive, so the bracket is not decided (joint equations 2 and 3: the "
+        "integrability condition at p1_xt reduces to -6*u_x*p2_x - 6*u*p2_xx "
+        "- p2_xxxx + p2_xt, not 0)"
+    )}
+
+
 @pytest.mark.parametrize("source, message", [
     (
         "independents x, t;\ndependents u;\n"
@@ -905,3 +963,20 @@ def test_cli_lift_checks_each_base_identity_once(tmp_path, monkeypatch):
     assert seen["evolution"] == [base]
     # three generating-function residuals and two Magri defects on the base
     assert sum(system is base for system in seen["reduce"]) == 5
+
+
+def test_every_tracer_target_exists():
+    # the tracer skips a target it cannot find, which would read as a
+    # per-layer metric of 0; these two are known stale (ROADMAP item 1)
+    path = DEMOS.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("hamcheck_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _, module, attr_path in tracing.TARGETS:
+        target = importlib.import_module(f"hamcheck.{module}")
+        for part in attr_path.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module}.{attr_path}")
+    assert missing == ["poly.DiffPoly.subst_jet", "deform.check_conserved"]
