@@ -53,10 +53,11 @@ class Bivector:
 
     ``b_op`` carries the bilinear remainder of the certification identity,
     written as an operator in the first slot whose coefficients are linear
-    in the formal dependents ``b_args`` (the second slot).
+    in the formal dependents ``b_args`` (the second slot).  Its adjoint is
+    taken on the first ``b_star`` and kept.
     """
 
-    __slots__ = ("home", "op", "b_op", "b_args")
+    __slots__ = ("home", "op", "b_op", "b_args", "_b_adj")
 
     def __init__(self, home: EquationSystem, op: CDiffOp, b_op: CDiffOp,
                  b_args: tuple):
@@ -64,6 +65,7 @@ class Bivector:
         self.op = op
         self.b_op = b_op
         self.b_args = b_args
+        self._b_adj = None
 
     def b_star(self, psi1: VectorFunction, psi2_args) -> VectorFunction:
         """Remainder adjoint in the first slot, evaluated at two argument blocks.
@@ -71,8 +73,10 @@ class Bivector:
         ``psi2_args`` are dependent indices substituted for the stored
         formal slot; ``psi1`` is the vector the adjoint acts on.
         """
+        if self._b_adj is None:
+            self._b_adj = self.b_op.adjoint()
         relabel = {a: b for a, b in zip(self.b_args, psi2_args)}
-        adj = self.b_op.adjoint().map_coeffs(lambda p: p.relabel_deps(relabel))
+        adj = self._b_adj.map_coeffs(lambda p: p.relabel_deps(relabel))
         return self.home.reduce_vector(adj.apply(psi1))
 
 
@@ -230,7 +234,29 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
     """Joint rewrite system: the equation's rules plus the adjoint-linearization
     constraints on each formal argument block, each solved for its maximal
     argument jet.  ConstraintNotOrthonomic if it cannot be built or is not
-    passive."""
+    passive.
+
+    Built once per (argument blocks, extended frame's dependents) and kept
+    on ``system``, the error as well as the joint system.
+    """
+    key = (tuple(map(tuple, blocks)), frame_ext.dependents)
+    joint = system._joint.get(key)
+    if joint is None:
+        try:
+            joint = _build_constraint_system(system, frame_ext, blocks)
+        except ConstraintNotOrthonomic as exc:
+            # without tracebacks the memo keeps no frames of the build alive
+            if exc.__cause__ is not None:
+                exc.__cause__.with_traceback(None)
+            joint = exc.with_traceback(None)
+        system._joint[key] = joint
+    if isinstance(joint, ConstraintNotOrthonomic):
+        # each raise starts a fresh traceback, so none piles up on the memo
+        raise joint.with_traceback(None)
+    return joint
+
+
+def _build_constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
     n = system.frame.n
     lstar = system.restrict_op(system.adjoint_linearization())
     originals = list(system.originals)

@@ -28,7 +28,7 @@ def _error(text: str) -> int:
     return 2
 
 
-def main(argv=None) -> int:
+def _argument_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hamcheck",
         description="verify Hamiltonian structures of PDE systems, exactly",
@@ -45,7 +45,16 @@ def main(argv=None) -> int:
         "--timings", action="store_true",
         help="include wall-clock timings (breaks byte determinism)",
     )
-    args = ap.parse_args(argv)
+    return ap
+
+
+# built once: parse_args keeps no state between calls, so every main()
+# in a process shares it
+_ARGS = _argument_parser()
+
+
+def main(argv=None) -> int:
+    args = _ARGS.parse_args(argv)
 
     try:
         with open(args.file, "rb") as fh:

@@ -5,12 +5,13 @@ operators (scalar expressions or row-major bracket matrices), vectors of
 densities, equivalence data blocks, and a task list.  ``tokenize`` scans
 the source with one compiled regex, ``_SCAN``; the parser reads its
 token list.  Every declared name lives in one table.  Expressions are
-evaluated during parsing against the declared frame, and each declaration
-is built where it is parsed: an equation into its ``EquationSystem``, an
-equivalence into its ``EquivalenceData``.  A declaration the kernel
-rejects holds that error instead, so only the tasks that name it fail.
-Task arguments that name equations, equivalences or the outputs of deform
-tasks are looked up at run time.
+evaluated during parsing against the declared frame, as polynomials until
+an operator enters them, and each declaration is built where it is
+parsed: an equation into its ``EquationSystem``, an equivalence into its
+``EquivalenceData``.  A declaration the kernel rejects holds that error
+instead, so only the tasks that name it fail.  Task arguments that name
+equations, equivalences or the outputs of deform tasks are looked up at
+run time.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ class Parser:
         self.equations = set()  # the names declared by equation blocks
         self.tasks = []
         self.nesting = 0  # open '(' and '[' around the current operand
+        self.atoms = {}  # identifier -> its jet, coordinate or D_i, once resolved
 
     # -- token helpers --------------------------------------------------
 
@@ -240,7 +242,7 @@ class Parser:
             "independents": self.parse_independents,
             "dependents": self.parse_dependents,
             "equation": self.parse_equation,
-            "operator": lambda: self.parse_value(self.parse_opexpr),
+            "operator": lambda: self.parse_value(self.parse_operator),
             "vector": lambda: self.parse_value(self.parse_vector_literal),
             "equivalence": self.parse_equivalence,
             "task": self.parse_task,
@@ -312,37 +314,57 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_opexpr(self) -> CDiffOp:
+    # An expression's value is a DiffPoly while it is a polynomial and a
+    # CDiffOp once an operator enters it: D_i, a named operator or a matrix.
+    # Two polynomials combine by DiffPoly arithmetic; any other pair is
+    # lifted by ``_op`` and combined as operators.
+
+    @staticmethod
+    def _op(value) -> CDiffOp:
+        """``value`` as an operator: a polynomial p becomes multiplication by p."""
+        return CDiffOp.mult(value) if type(value) is DiffPoly else value
+
+    def parse_expr(self):
         left = self.parse_term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.next()
             right = self.parse_term()
+            if type(left) is not type(right):
+                left, right = self._op(left), self._op(right)
             add = op.kind == "PLUS"
             left = self._at(op, lambda: left + right if add else left - right)
         return left
 
-    def parse_term(self) -> CDiffOp:
+    def parse_operator(self) -> CDiffOp:
+        return self._op(self.parse_expr())
+
+    def parse_term(self):
         left = self.parse_unary()
         while self.peek().kind == "STAR":
             star = self.next()
             right = self.parse_unary()
-            left = self._at(star, lambda: left.compose(right))
+            if type(left) is type(right) is DiffPoly:
+                left = self._at(star, lambda: left * right)
+            else:
+                left = self._at(star, lambda: self._op(left).compose(self._op(right)))
         return left
 
-    def parse_unary(self) -> CDiffOp:
+    def parse_unary(self):
         negate = False
         while self.peek().kind == "MINUS":
             self.next()
             negate = not negate
         out = self.parse_power()
-        return -1 * out if negate else out
+        return -out if negate else out
 
-    def parse_power(self) -> CDiffOp:
+    def parse_power(self):
         base = self.parse_atom()
         if self.peek().kind != "CARET":
             return base
         caret = self.next()
         k = self._int(self.expect("INT", "integer exponent"))
+        if type(base) is DiffPoly:
+            return self._at(caret, lambda: base ** k)
         if base.rows != base.cols:
             self.fail(caret, "power of a non-square operator")
         out = CDiffOp.identity(base.n, base.rows)
@@ -361,12 +383,12 @@ class Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def parse_atom(self) -> CDiffOp:
+    def parse_atom(self):
         frame = self.frame
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return CDiffOp.mult(DiffPoly.const(frame.n, self._rational(tok)))
+            return DiffPoly.const(frame.n, self._rational(tok))
         if tok.kind in ("LPAREN", "LBRACK"):
             if self.nesting >= MAX_NESTING:
                 self.fail(tok, f"brackets nested deeper than {MAX_NESTING} levels")
@@ -375,20 +397,25 @@ class Parser:
                 inner = self.parse_matrix()
             else:
                 self.next()
-                inner = self.parse_opexpr()
+                inner = self.parse_expr()
                 self.expect("RPAREN", "')'")
             self.nesting -= 1
             return inner
         if tok.kind == "IDENT":
             self.next()
             text = tok.text
+            value = self.atoms.get(text)
+            if value is not None:
+                return value
             if len(text) == 2 and text[0] == "D" and text[1] in frame.independents:
-                return CDiffOp.d(frame.n, frame.independents.index(text[1]))
-            jet = self.resolve_jet(tok)
-            if jet is not None:
-                return CDiffOp.mult(DiffPoly.jet(frame.n, jet[0], jet[1]))
-            if text in frame.independents:
-                return CDiffOp.mult(DiffPoly.coord(frame.n, frame.indep_index(text)))
+                value = CDiffOp.d(frame.n, frame.independents.index(text[1]))
+            elif (jet := self.resolve_jet(tok)) is not None:
+                value = DiffPoly.jet(frame.n, jet[0], jet[1])
+            elif text in frame.independents:
+                value = DiffPoly.coord(frame.n, frame.indep_index(text))
+            if value is not None:
+                self.atoms[text] = value
+                return value
             value = self.names.get(text)
             if isinstance(value, CDiffOp):
                 return value
@@ -401,7 +428,7 @@ class Parser:
         open_tok = self.expect("LBRACK", "'['")
         if self.peek().kind != "LBRACK":
             self.fail(self.peek(), "matrix rows must be bracketed", expected=("'['",))
-        rows = self._sep(lambda: self._bracketed(self.parse_opexpr))
+        rows = self._sep(lambda: self._bracketed(self.parse_operator))
         self.expect("RBRACK", "']'")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -414,7 +441,9 @@ class Parser:
 
     def parse_poly(self) -> DiffPoly:
         tok = self.peek()
-        p = self.parse_opexpr().as_poly()
+        p = self.parse_expr()
+        if type(p) is not DiffPoly:
+            p = p.as_poly()
         if p is None:
             self.fail(tok, "expected a polynomial (no derivative operators)")
         return p
@@ -515,7 +544,7 @@ class Parser:
             if fname in ops:
                 self.fail(field_tok, f"duplicate field {fname!r}")
             self.expect("EQ", "'='")
-            ops[fname] = self.parse_opexpr()
+            ops[fname] = self.parse_operator()
             self.expect("SEMI", "';'")
         self.expect("RBRACE", "'}'")
         missing = set(EQUIVALENCE_FIELDS) - set(ops)
@@ -569,7 +598,7 @@ class Parser:
                 return NameRef(tok.text)
         if tok.kind == "LBRACK" and self.tokens[self.pos + 1].kind != "LBRACK":
             return self.parse_vector_literal()
-        return self.parse_opexpr()
+        return self.parse_operator()
 
 
 def parse_program(source: str) -> Program:
@@ -592,7 +621,7 @@ def parse_poly(frame: Frame, text: str) -> DiffPoly:
 
 def parse_op(frame: Frame, text: str) -> CDiffOp:
     """Parse an operator expression against a frame (test helper)."""
-    return _parse_fragment(frame, text, Parser.parse_opexpr)
+    return _parse_fragment(frame, text, Parser.parse_operator)
 
 
 def parse_vector(frame: Frame, text: str) -> VectorFunction:

@@ -98,6 +98,7 @@ class EquationSystem:
         self._lin = None
         self._lin_adj = None
         self._twin = None
+        self._joint = {}  # brackets.constraint_system's, by (blocks, dependents)
 
     # -- reduction ------------------------------------------------------
 

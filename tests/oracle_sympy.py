@@ -9,10 +9,15 @@ on an orthonomic system.  Operators are applied to formal
 arguments with those derivatives: composition against successive
 application, and the adjoint against sympy's product rule.  The Euler
 operator and the linearization are built from sympy's partial
-derivatives and the same total derivative.
+derivatives and the same total derivative.  A scalar declaration
+expression is read by sympy's own parser, with each jet or coordinate
+name bound to its symbol.
 """
 
+import re
+
 import sympy
+from sympy.parsing.sympy_parser import convert_xor, standard_transformations
 
 from hamcheck import DiffPoly
 
@@ -42,6 +47,27 @@ def sympy_substitute(p: DiffPoly, images: dict):
     """Replace jets by polynomials with sympy's simultaneous ``xreplace``."""
     table = {_jet_symbol(dep, idx): to_sympy(q) for (dep, idx), q in images.items()}
     return sympy.expand(to_sympy(p).xreplace(table))
+
+
+def sympy_parse(frame, text: str):
+    """The scalar expression ``text`` of the declaration language, read by
+    sympy's parser: ``^`` is a power, ``p/q`` a rational, a dependent name
+    with an optional ``_suffix`` of independent letters a jet, and an
+    independent name its coordinate."""
+    names = {}
+    for name in set(re.findall(r"[^\W\d]\w*", text)):
+        if name in frame.independents:
+            names[name] = _x_symbol(frame.independents.index(name))
+            continue
+        stem, _, suffix = name.partition("_")
+        idx = [0] * frame.n
+        for ch in suffix:
+            idx[frame.independents.index(ch)] += 1
+        names[name] = _jet_symbol(frame.dependents.index(stem), tuple(idx))
+    return sympy.expand(sympy.parse_expr(
+        text, local_dict=names,
+        transformations=standard_transformations + (convert_xor,),
+    ))
 
 
 def from_kernel_equal(p: DiffPoly, expr) -> bool:

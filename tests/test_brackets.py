@@ -126,6 +126,18 @@ def test_remainder_is_skew_after_symmetrization(kdv, kdv_bivectors):
     assert (value + swapped).map(kdv.reduce).is_zero()
 
 
+def test_remainder_adjoint_is_taken_once_per_bivector(kdv, kdv_ops, monkeypatch):
+    biv = certify_bivector(kdv, kdv_ops[1])
+    calls = []
+    adjoint = CDiffOp.adjoint
+    monkeypatch.setattr(CDiffOp, "adjoint",
+                        lambda self: calls.append(self) or adjoint(self))
+    frame, ids = kdv.frame.extend(kdv.frame.fresh_names("p", 2))
+    psi1 = formal_vector(kdv.frame.n, ids[:1])
+    assert biv.b_star(psi1, ids[1:]) == biv.b_star(psi1, ids[1:])
+    assert calls == [biv.b_op]
+
+
 def test_schouten_dx_dx_vanishes_identically(kdv, kdv_bivectors):
     b1, _ = kdv_bivectors
     tri = schouten(kdv, b1, b1)
@@ -513,6 +525,7 @@ def test_constraint_system_non_unit_scale_stays_exact(fr_u):
     )
     frame, ids = system.frame.extend(system.frame.fresh_names("p", 1))
     joint = constraint_system(system, frame, [ids])
+    assert constraint_system(system, frame, [ids]) is joint  # kept on system
     rule = joint.rules[1]
     assert rule.lead == (ids[0], (0, 1))
     assert type(rule.scale) is int and rule.scale == -3

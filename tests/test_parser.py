@@ -1,5 +1,7 @@
+import re
 import string
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -486,3 +488,22 @@ def test_fuzz_programs_that_parse_run_every_task(source):
     assert not any("internal error" in str(r.detail) for r in first)
     second = run_program(program)
     assert [(r.status, r.detail) for r in first] == [(r.status, r.detail) for r in second]
+
+
+def test_polynomial_declarations_compose_no_operator(monkeypatch):
+    # an expression stays a polynomial until an operator enters it, so the
+    # solve right-hand sides and vectors of the seventh-order suite are
+    # parsed with no composition; its operator lines compose
+    suite = (Path(__file__).resolve().parent.parent
+             / "bench" / "inputs" / "kdv7_suite.ham").read_text()
+    calls = []
+    compose = CDiffOp.compose
+    monkeypatch.setattr(CDiffOp, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    scalar = re.sub(r"^(operator|task) .*$", "", suite, flags=re.M)
+    program = parse_program(scalar)
+    assert isinstance(program.names["kdv7"], EquationSystem)
+    assert sum(isinstance(v, VectorFunction) for v in program.names.values()) == 5
+    assert calls == []
+    parse_program(suite)
+    assert calls

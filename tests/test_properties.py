@@ -23,7 +23,7 @@ from hamcheck import (
     solve_orthonomic,
 )
 from hamcheck.frame import index_sub
-from hamcheck.parser import parse_vector
+from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.poly import _IDS, _VARS, LIMIT, as_vector, decode, encode, run_scope
 from hamcheck.render import jet_text, op_text, poly_text
 from hamcheck.systems import Rule, seal, solve_for
@@ -35,6 +35,7 @@ from oracle_sympy import (
     sympy_equal,
     sympy_euler,
     sympy_linearize,
+    sympy_parse,
     sympy_reduce,
     sympy_substitute,
     sympy_total_derivative,
@@ -1053,6 +1054,92 @@ def test_lcm_passivity_agrees_with_a_depth_3_walk():
     agree()
     # both verdicts occur, so agreement is not vacuous
     assert set(verdicts) == {True, False}
+
+
+# -- declaration expressions ----------------------------------------------------
+#
+# An expression tree is ("atom", name), ("num", p, q), ("neg", a),
+# (op, a, b) for op in "+", "-", "*", or ("^", a, k).  ``_expr_text``
+# writes it in the declaration language with only the parentheses the
+# grammar needs; ``_old_op`` builds it the way every value was built before
+# polynomials were kept apart: each atom an operator, ``*`` and ``^`` by
+# composition.
+
+
+def _expr_trees(names):
+    leaves = st.one_of(
+        st.sampled_from(names).map(lambda name: ("atom", name)),
+        st.tuples(st.just("num"), st.integers(0, 9), st.integers(1, 5)),
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.just("neg"), sub),
+            st.tuples(st.sampled_from("+-*"), sub, sub),
+            st.tuples(st.just("^"), sub, st.integers(0, 3)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _expr_text(tree):
+    """(text, level): 1 a sum, 2 a product, 3 a negation, 4 a power or a
+    fraction literal, 5 an atom or an integer.  An operand below the level
+    its place needs is parenthesized; a fraction is never a power's base,
+    where the grammar's ``p/q^k`` and sympy's differ."""
+    def at(sub, level):
+        text, got = _expr_text(sub)
+        return text if got >= level else f"({text})"
+
+    kind = tree[0]
+    if kind == "atom":
+        return tree[1], 5
+    if kind == "num":
+        return (f"{tree[1]}/{tree[2]}", 4) if tree[2] != 1 else (str(tree[1]), 5)
+    if kind == "neg":
+        return "-" + at(tree[1], 3), 3
+    if kind == "^":
+        return f"{at(tree[1], 5)}^{tree[2]}", 4
+    if kind == "*":
+        return f"{at(tree[1], 2)}*{at(tree[2], 3)}", 2
+    return f"{at(tree[1], 1)} {kind} {at(tree[2], 2)}", 1
+
+
+def _old_op(frame, tree) -> CDiffOp:
+    n = frame.n
+    kind = tree[0]
+    if kind == "atom":
+        name = tree[1]
+        if name == "Dx":
+            return CDiffOp.d(n, 0)
+        if name in frame.independents:
+            return CDiffOp.mult(DiffPoly.coord(n, frame.indep_index(name)))
+        return CDiffOp.mult(DiffPoly.jet(n, 0, (name.count("x"), name.count("t"))))
+    if kind == "num":
+        return CDiffOp.mult(DiffPoly.const(n, Fraction(tree[1], tree[2])))
+    if kind == "neg":
+        return -1 * _old_op(frame, tree[1])
+    if kind == "^":
+        base, out = _old_op(frame, tree[1]), CDiffOp.identity(n)
+        for _ in range(tree[2]):
+            out = out.compose(base)
+        return out
+    a, b = _old_op(frame, tree[1]), _old_op(frame, tree[2])
+    return a + b if kind == "+" else a - b if kind == "-" else a.compose(b)
+
+
+@settings(max_examples=40)
+@given(_expr_trees(["u", "u_x", "x"]))
+def test_scalar_expressions_parse_to_their_sympy_value(fr_u, tree):
+    text, _ = _expr_text(tree)
+    assert from_kernel_equal(parse_poly(fr_u, text), sympy_parse(fr_u, text))
+
+
+@settings(max_examples=40)
+@given(_expr_trees(["u", "u_x", "x", "Dx"]))
+def test_operator_expressions_parse_as_composed_atoms(fr_u, tree):
+    text, _ = _expr_text(tree)
+    assert parse_op(fr_u, text) == _old_op(fr_u, tree)
 
 
 # -- brackets -----------------------------------------------------------------

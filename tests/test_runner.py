@@ -666,6 +666,25 @@ def test_cli_run_options_shape_only_the_report(capsys):
     )
 
 
+def test_cli_main_repeats_alike_in_one_process(tmp_path, capsys):
+    # one argument parser serves every call: a good run, a bad option and
+    # the good run again give the same exit codes, output and report bytes
+    out = tmp_path / "r.json"
+    good = ["run", str(DEMOS / "kdv.ham"), "--report", str(out)]
+    assert cli.main(good) == 0
+    first, first_out = out.read_bytes(), capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", str(DEMOS / "kdv.ham"), "--bogus"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hamcheck ")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+    out.unlink()
+    assert cli.main(good) == 0
+    assert out.read_bytes() == first
+    assert capsys.readouterr().out == first_out
+
+
 def test_cli_timings_flag_adds_seconds(tmp_path):
     out = tmp_path / "r.json"
     proc = _cli(["run", str(DEMOS / "kdv.ham"), "--report", str(out), "--timings"])
@@ -768,6 +787,26 @@ def test_cli_names_a_joint_system_that_is_not_passive(tmp_path):
         "integrability condition at p1_xt reduces to -6*u_x*p2_x - 6*u*p2_xx "
         "- p2_xxxx + p2_xt, not 0)"
     )}
+
+
+def test_joint_system_is_built_once_and_its_error_raised_again(monkeypatch):
+    # two equal brackets on the deformed system ask for one joint system,
+    # which is not passive: it is built once and both tasks fail alike
+    builds = []
+    build = brackets._build_constraint_system
+    monkeypatch.setattr(brackets, "_build_constraint_system",
+                        lambda *args: builds.append(1) or build(*args))
+    _, results = run_source(
+        "independents x, t;\ndependents u;\n"
+        "equation kdv { solve u_t = u_xxx + 6*u*u_x; ranking t > x; }\n"
+        "operator A1 = Dx;\n"
+        "task deform(kdv, A1, A1) as e;\n"
+        + "task schouten(e, e_A1, e_A2);\n" * 2
+    )
+    assert [r.status for r in results] == ["ok", "fail", "fail"]
+    assert results[1].detail == results[2].detail
+    assert "joint equations 2 and 3" in results[1].detail["error"]
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("source, message", [
