@@ -33,6 +33,7 @@ from .systems import (
     HamcheckError,
     NonOrthonomic,
     PassivityFailure,
+    Rule,
     seal,
     solve_for,
 )
@@ -256,34 +257,73 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
     return joint
 
 
+_ORDINALS = ("first", "second", "third")
+
+
 def _build_constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
+    """The system's rules, then block by block the rows of l*_E(p) = 0 on
+    each argument block p, each solved for its maximal argument jet.
+
+    Only the first block is solved; every other block's rows and rules are
+    the first block's, relabeled slot for slot.  That is exact: the
+    coefficients of l*_E are physical, and ``Ranking.key`` breaks ties by
+    dependent index, so it orders the jets of one block, and those against
+    the physical jets, alike in every block (the blocks are fresh slots
+    from ``Frame.extend``: each ascends, above every physical dependent).
+    So ``max_jet`` picks the corresponding lead in each block, and the
+    relabeled rules are those that solving each block would give, in the
+    same order.  Hence permuting the blocks maps the joint system onto
+    itself, rule for rule, which ``skew_density_verdict`` relies on.
+
+    Messages name the joint equations as a reader of the input finds
+    them: the system's own equations, or the constraints on an argument.
+    """
     n = system.frame.n
     lstar = system.restrict_op(system.adjoint_linearization())
+    first = tuple(blocks[0])
+    l, rows = len(system.rules), lstar.rows
+
+    def name(ks):
+        s = "s" if len(ks) > 1 else ""
+        if ks[0] < l:
+            return f"the system's equation{s} " + " and ".join(map(str, ks))
+        b = (ks[0] - l) // rows
+        which = _ORDINALS[b] if b < len(_ORDINALS) else f"{b + 1}th"
+        slots = ", ".join(frame_ext.dependents[j] for j in blocks[b])
+        nums = " and ".join(str((k - l) % rows) for k in ks)
+        return f"constraint{s} {nums} on the {which} argument ({slots})"
+
+    solved = []
+    for row in lstar.apply(formal_vector(n, first)):
+        jets = [v for v in row.jetvars() if v[0] in first]
+        if not jets:
+            raise ConstraintNotOrthonomic(
+                "constraint row contains no argument jets"
+            )
+        try:
+            rule = solve_for(l + len(solved), row, system.ranking.max_jet(jets))
+        except NonOrthonomic:
+            raise ConstraintNotOrthonomic(
+                "constraint cannot be solved for its maximal argument jet"
+            ) from None
+        solved.append((row, rule))
     originals = list(system.originals)
     rules = list(system.rules)
     for ids in blocks:
-        for row in lstar.apply(formal_vector(n, ids)):
-            jets = [v for v in row.jetvars() if v[0] in ids]
-            if not jets:
-                raise ConstraintNotOrthonomic(
-                    "constraint row contains no argument jets"
-                )
-            try:
-                rule = solve_for(len(rules), row, system.ranking.max_jet(jets))
-            except NonOrthonomic:
-                raise ConstraintNotOrthonomic(
-                    "constraint cannot be solved for its maximal argument jet"
-                ) from None
-            originals.append(row)
-            rules.append(rule)
+        relabel = dict(zip(first, ids))
+        for row, rule in solved:
+            rhs = rule.rhs.relabel_deps(relabel)
+            originals.append(row.relabel_deps(relabel))
+            rules.append(Rule((relabel[rule.lead[0]], rule.lead[1]), rhs, rhs,
+                              rule.scale))
     try:
-        return seal(frame_ext, as_vector(originals), rules, system.ranking)
+        return seal(frame_ext, as_vector(originals), rules, system.ranking, name)
     except NonOrthonomic as exc:
         raise ConstraintNotOrthonomic(str(exc)) from exc
     except PassivityFailure as exc:
         raise ConstraintNotOrthonomic(
             "the joint system of the equation and the argument constraints is "
-            f"not passive, so the bracket is not decided (joint {exc})"
+            f"not passive, so the bracket is not decided ({exc})"
         ) from exc
 
 
@@ -309,18 +349,28 @@ def _pick_residual(frame: Frame, residuals: VectorFunction):
 def skew_density_verdict(
     system: EquationSystem, frame_ext: Frame, density: DiffPoly, blocks
 ) -> TrivialityVerdict:
-    """Decide whether a fully skew density is a trivial functional.
+    """Decide whether the signed symmetrization of ``density`` over the
+    argument blocks, its skew density, is a trivial functional.
 
-    On evolution systems whose density avoids the evolution direction the
-    free-jet Euler test is exact; otherwise the density is reduced modulo
-    the equation together with the orthonomized argument constraints, and
-    a zero verdict of the Euler test is a sound semi-decision.
+    On an evolution system whose skew density avoids the evolution
+    direction the free-jet Euler test of the skew density is exact.
+    Otherwise ``density`` is reduced modulo the equation together with the
+    orthonomized argument constraints, the normal form is symmetrized, and
+    a zero verdict of the Euler test is a sound semi-decision.  Reducing
+    before symmetrizing gives the same polynomial as reducing the skew
+    density: permuting the blocks maps the joint system onto itself, rule
+    for rule (see ``_build_constraint_system``), so reduction commutes with
+    every block relabeling, and reduce(skew(density)) ==
+    skew(reduce(density)).  It is cheaper: the unsymmetrized density has a
+    fraction of the skew density's terms, and its normal form is often 0.
     """
     e = system.is_evolution()
-    exact = e is not None and not density.involves_direction(e)
+    skew = None if e is None else _signed_symmetrization(density, blocks)
+    exact = skew is not None and not skew.involves_direction(e)
     if not exact:
         density = constraint_system(system, frame_ext, blocks).reduce(density)
-    picked = _pick_residual(frame_ext, euler_residuals(frame_ext, density))
+        skew = _signed_symmetrization(density, blocks)
+    picked = _pick_residual(frame_ext, euler_residuals(frame_ext, skew))
     if picked is None:
         return TrivialityVerdict(True, exact, frame_ext)
     return TrivialityVerdict(False, exact, frame_ext, picked[1], picked[0])
@@ -330,18 +380,19 @@ def skew_pairing_verdict(
     system: EquationSystem, frame_ext: Frame, image: VectorFunction, blocks
 ) -> TrivialityVerdict:
     """Triviality test of the pairing sum_k q_k * image[k], where q is the
-    last argument block, signed-symmetrized over all the blocks."""
+    last argument block, signed-symmetrized over all the blocks.  The
+    pairing goes to the test unsymmetrized, so that the constrained path
+    reduces it before symmetrizing."""
     n = system.frame.n
     density = DiffPoly.zero(n)
     for k, q in enumerate(blocks[-1]):
         density = density + DiffPoly.jet(n, q, (0,) * n) * image[k]
-    skew = _signed_symmetrization(density, blocks)
-    return skew_density_verdict(system, frame_ext, skew, blocks)
+    return skew_density_verdict(system, frame_ext, density, blocks)
 
 
 def is_zero_trivector(system: EquationSystem, tri: TrivectorRep) -> TrivialityVerdict:
-    """Zero test for a trivector: skew-symmetrize the pairing with a third
-    argument block and run the triviality test on the resulting density."""
+    """Zero test for a trivector: the triviality test of its pairing with a
+    third argument block, skew-symmetrized over the three blocks."""
     l = len(system.rules)
     if len(tri.entries) != l:
         raise DimensionMismatch("trivector arity does not match the system")

@@ -34,14 +34,15 @@ class MismatchedSolvedForm(HamcheckError):
 
 
 class PassivityFailure(HamcheckError):
-    """Equations ``a`` and ``b`` have an integrability condition at the jet
-    ``lcm`` that does not reduce to zero; ``residual`` is its normal form."""
+    """Two equations, named by ``which``, have an integrability condition at
+    the jet ``lcm`` that does not reduce to zero; ``residual`` is its normal
+    form."""
 
-    def __init__(self, frame, a, b, lcm, residual):
+    def __init__(self, frame, which, lcm, residual):
         self.lcm = lcm
         self.residual = residual
         super().__init__(
-            f"equations {a} and {b}: the integrability condition at "
+            f"{which}: the integrability condition at "
             f"{jet_text(frame, lcm)} reduces to {poly_text(frame, residual)}, not 0"
         )
 
@@ -277,7 +278,12 @@ def solve_for(k, f, lead) -> Rule:
     return Rule(lead, rhs, rhs, scale)
 
 
-def seal(frame, originals, rules, ranking) -> EquationSystem:
+def _numbered(ks) -> str:
+    """Equations named by their numbers: "equation 3", "equations 2 and 3"."""
+    return ("equation " if len(ks) == 1 else "equations ") + " and ".join(map(str, ks))
+
+
+def seal(frame, originals, rules, ranking, name=_numbered) -> EquationSystem:
     """Check solved rules and build the system they form.
 
     Every lead must be ranking-maximal in its rule and no lead may be a
@@ -291,19 +297,22 @@ def seal(frame, originals, rules, ranking) -> EquationSystem:
     every two rules of one dependent, the integrability condition at the
     lcm of their leads reduces to zero (Riquier 1910; Reid, Wittkopf and
     Boulton, Eur. J. Appl. Math. 7, 1996).  So one check per pair is exact.
+
+    Messages name rules by ``name``, which maps a tuple of rule numbers,
+    all of one dependent's rules, to text.
     """
     for k, rule in enumerate(rules):
         jets = rule.rhs_exact.jetvars()
         if rule.lead in jets or ranking.max_jet(jets | {rule.lead}) != rule.lead:
             raise NonOrthonomic(
-                f"equation {k}: lead is not ranking-maximal in its solved form"
+                f"{name((k,))}: lead is not ranking-maximal in its solved form"
             )
     for a in range(len(rules)):
         for b in range(len(rules)):
             if a != b and rules[a].lead[0] == rules[b].lead[0]:
                 if index_le(rules[a].lead[1], rules[b].lead[1]):
                     raise NonOrthonomic(
-                        f"lead of equation {b} is a prolongation of equation {a}'s"
+                        f"lead of {name((b,))} is a prolongation of {name((a,))}'s"
                     )
 
     system = EquationSystem(frame, originals, rules, ranking)
@@ -313,7 +322,7 @@ def seal(frame, originals, rules, ranking) -> EquationSystem:
             Rule(r.lead, p, r.rhs_exact, r.scale) for r, p in zip(rules, normal)
         ]
         system = EquationSystem(frame, originals, rules, ranking)
-    _check_passivity(system)
+    _check_passivity(system, name)
     return system
 
 
@@ -340,9 +349,10 @@ def make_system(frame, originals, solved, ranking) -> EquationSystem:
     return seal(frame, originals, rules, ranking)
 
 
-def _check_passivity(system: EquationSystem):
+def _check_passivity(system: EquationSystem, name):
     """The integrability condition of every two rules of one dependent, at
-    the lcm of their leads, reduces to zero (else PassivityFailure)."""
+    the lcm of their leads, reduces to zero (else PassivityFailure, naming
+    the rules by ``name``)."""
     rules = system.rules
     run = current_run()
     for a in range(len(rules)):
@@ -357,7 +367,7 @@ def _check_passivity(system: EquationSystem):
             )
             if not residual.is_zero():
                 raise PassivityFailure(
-                    system.frame, a, b, (rules[a].lead[0], lcm), residual)
+                    system.frame, name((a, b)), (rules[a].lead[0], lcm), residual)
 
 
 def solve_orthonomic(frame, originals, ranking) -> EquationSystem:

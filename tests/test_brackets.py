@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,17 @@ from hamcheck import (
     schouten,
     solve_orthonomic,
 )
+from hamcheck import brackets
 from hamcheck.brackets import _signed_symmetrization, _theta, constraint_system
 from hamcheck.ops import linearize
-from hamcheck.parser import parse_op, parse_poly, parse_vector
-from hamcheck.poly import formal_vector
-from hamcheck.systems import EquationSystem
-from test_properties import operators
+from hamcheck.parser import parse_op, parse_poly, parse_program, parse_vector
+from hamcheck.poly import as_vector, formal_vector
+from hamcheck.runner import run_program
+from hamcheck.systems import EquationSystem, seal, solve_for
+from test_properties import operators, polys, three_block_joint
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+BENCH_INPUTS = DEMOS.parent / "bench" / "inputs"
 
 
 def test_certify_kdv_pair(kdv, kdv_ops):
@@ -539,3 +545,95 @@ def test_constraint_system_non_unit_scale_stays_exact(fr_u):
             type(c) is int or (type(c) is Fraction and c.denominator > 1)
             for c in rhs.terms.values()
         )
+
+
+# -- the joint constraint system ------------------------------------------------
+
+
+def _block_permutations(blocks):
+    """The relabeling of every permutation of the argument blocks."""
+    for perm in itertools.permutations(range(len(blocks))):
+        yield {a: b for i, j in enumerate(perm) for a, b in zip(blocks[i], blocks[j])}
+
+
+@settings(max_examples=15)
+@given(st.sampled_from(["kdv6", "ch2"]), st.data())
+def test_joint_reduction_commutes_with_block_permutations(kdv6, ch2, name, data):
+    # permuting the blocks maps the joint system onto itself, so reduction
+    # commutes with every relabeling, and reducing then symmetrizing is
+    # symmetrizing then reducing
+    joint, blocks = three_block_joint({"kdv6": kdv6.system, "ch2": ch2}[name])
+    _, f = data.draw(polys(joint.frame, max_terms=3, max_degree=3, max_order=3))
+    reduced = joint.reduce(f)
+    for sigma in _block_permutations(blocks):
+        assert joint.reduce(f.relabel_deps(sigma)) == reduced.relabel_deps(sigma)
+    assert (_signed_symmetrization(reduced, blocks)
+            == joint.reduce(_signed_symmetrization(f, blocks)))
+
+
+def _joint_reference(system, frame_ext, blocks):
+    """The joint system with each block's constraint rows solved on their
+    own: a reference for the system built from the first block alone."""
+    n = system.frame.n
+    lstar = system.restrict_op(system.adjoint_linearization())
+    originals, rules = list(system.originals), list(system.rules)
+    for ids in blocks:
+        for row in lstar.apply(formal_vector(n, ids)):
+            jets = [v for v in row.jetvars() if v[0] in ids]
+            rules.append(solve_for(len(rules), row, system.ranking.max_jet(jets)))
+            originals.append(row)
+    return seal(frame_ext, as_vector(originals), rules, system.ranking)
+
+
+def test_joint_system_from_one_block_matches_solving_every_block(monkeypatch):
+    built = []
+    build = brackets._build_constraint_system
+
+    def recording_build(*args):
+        joint = build(*args)
+        built.append((args, joint))
+        return joint
+
+    monkeypatch.setattr(brackets, "_build_constraint_system", recording_build)
+    inputs = sorted(DEMOS.glob("*.ham")) + sorted(BENCH_INPUTS.glob("*.ham"))
+    for path in inputs:
+        run_program(parse_program(path.read_text()))
+    # each bracket on a non-evolution system (three blocks) and each
+    # equivalence (two) builds one
+    assert sorted(len(args[2]) for args, _ in built) == [2, 2, 3, 3, 3, 3, 3]
+    for args, joint in built:
+        reference = _joint_reference(*args)
+        assert joint.originals == reference.originals
+        assert ([(r.lead, r.rhs, r.rhs_exact, r.scale) for r in joint.rules]
+                == [(r.lead, r.rhs, r.rhs_exact, r.scale) for r in reference.rules])
+
+
+def test_constrained_verdict_reduces_the_pairing_before_symmetrizing(kdv6, monkeypatch):
+    # on the deformed KdV bracket the joint system reduces the unsymmetrized
+    # pairing, not its skew density, and symmetrizes the normal form, 0
+    system = kdv6.system
+    tri = schouten(system, kdv6.a1_til, kdv6.a2_til)
+    reduced, symmetrized = [], []
+    joint_of = brackets.constraint_system
+    symmetrize = brackets._signed_symmetrization
+
+    class Spy:
+        def __init__(self, joint):
+            self.joint = joint
+
+        def reduce(self, p):
+            reduced.append(p)
+            return self.joint.reduce(p)
+
+    monkeypatch.setattr(brackets, "constraint_system", lambda *a: Spy(joint_of(*a)))
+    monkeypatch.setattr(brackets, "_signed_symmetrization",
+                        lambda p, blocks: symmetrized.append((p, blocks))
+                        or symmetrize(p, blocks))
+    verdict = is_zero_trivector(system, tri)
+    assert verdict.zero and not verdict.exact
+    pairing_terms = sum(len(p.terms) for p in tri.entries)
+    [density] = reduced
+    [(normal_form, blocks)] = symmetrized
+    assert len(density.terms) == pairing_terms
+    assert len(symmetrize(density, blocks).terms) != pairing_terms
+    assert normal_form.is_zero()

@@ -22,6 +22,7 @@ from hamcheck import (
     linearize,
     solve_orthonomic,
 )
+from hamcheck.brackets import constraint_system
 from hamcheck.frame import index_sub
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.poly import _IDS, _VARS, LIMIT, as_vector, decode, encode, run_scope
@@ -972,13 +973,33 @@ def test_image_does_not_depend_on_the_order_of_questions(kdv, ch, ch2, kdv3, nam
         assert fresh._image(jet) is q
 
 
-@settings(max_examples=20)
-@given(st.sampled_from(["kdv", "ch", "ch2", "kdv3"]), st.data())
-def test_reduce_matches_sympy_oracle(kdv, ch, ch2, kdv3, name, data):
+def three_block_joint(system):
+    """The joint constraint system of a three-block bracket on ``system``,
+    and its argument blocks."""
+    l = len(system.rules)
+    frame, ids = system.frame.extend(system.frame.fresh_names("p", 3 * l))
+    blocks = (ids[:l], ids[l:2 * l], ids[2 * l:])
+    return constraint_system(system, frame, blocks), blocks
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["kdv", "ch", "ch2", "kdv3", "kdv6-joint"]), st.data())
+def test_reduce_matches_sympy_oracle(kdv, ch, ch2, kdv3, kdv6, name, data):
     # on a passive system the normal form is unique, so naive rewriting by
-    # the solved forms as given must reach the kernel's normal form
-    system = {"kdv": kdv, "ch": ch, "ch2": ch2, "kdv3": kdv3}[name]
+    # the solved forms as given must reach the kernel's normal form; the
+    # joint system of the deformed KdV's three-block bracket is the one the
+    # non-exact triviality test reduces the pairing on
+    if name == "kdv6-joint":
+        system, _ = three_block_joint(kdv6.system)
+    else:
+        system = {"kdv": kdv, "ch": ch, "ch2": ch2, "kdv3": kdv3}[name]
     _, raw = data.draw(polys(system.frame, max_terms=2, max_degree=2, max_order=3))
+    # plus a rule's lead, prolonged within order 3, so the draw has
+    # something to reduce
+    n = system.frame.n
+    leads = [(r.lead[0], tuple(a + b for a, b in zip(r.lead[1], tau)))
+             for r in system.rules for tau in _multi_indices(n, 3 - sum(r.lead[1]))]
+    raw = raw + DiffPoly.jet(n, *data.draw(st.sampled_from(leads)))
     rules = [(r.lead[0], r.lead[1], to_sympy(r.rhs_exact)) for r in system.rules]
     assert from_kernel_equal(system.reduce(raw), sympy_reduce(to_sympy(raw), rules))
 

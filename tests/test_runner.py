@@ -766,7 +766,8 @@ def test_cli_lift_on_a_non_evolution_base_keeps_its_verdicts(tmp_path):
 def test_cli_names_a_joint_system_that_is_not_passive(tmp_path):
     # deforming KdV by (A1, A1) gives a non-evolution system whose joint
     # system with the argument constraints has a nonzero integrability
-    # condition; the file itself declares neither those equations nor p1
+    # condition; the file declares neither the constraints nor the slots
+    # p1, p2, so the text says they are the first bracket argument's
     src = tmp_path / "joint.ham"
     src.write_text(
         "independents x, t;\ndependents u;\n"
@@ -783,8 +784,9 @@ def test_cli_names_a_joint_system_that_is_not_passive(tmp_path):
     assert [t["status"] for t in tasks] == ["ok", "fail"]
     assert tasks[1]["detail"] == {"error": (
         "the joint system of the equation and the argument constraints is not "
-        "passive, so the bracket is not decided (joint equations 2 and 3: the "
-        "integrability condition at p1_xt reduces to -6*u_x*p2_x - 6*u*p2_xx "
+        "passive, so the bracket is not decided (constraints 0 and 1 on the "
+        "first argument (p1, p2): the integrability condition at p1_xt "
+        "reduces to -6*u_x*p2_x - 6*u*p2_xx "
         "- p2_xxxx + p2_xt, not 0)"
     )}
 
@@ -805,7 +807,7 @@ def test_joint_system_is_built_once_and_its_error_raised_again(monkeypatch):
     )
     assert [r.status for r in results] == ["ok", "fail", "fail"]
     assert results[1].detail == results[2].detail
-    assert "joint equations 2 and 3" in results[1].detail["error"]
+    assert "constraints 0 and 1 on the first argument" in results[1].detail["error"]
     assert len(builds) == 1
 
 
