@@ -32,6 +32,7 @@ from .systems import (
     EquationSystem,
     HamcheckError,
     NonOrthonomic,
+    NotOnEquation,
     PassivityFailure,
     Rule,
     seal,
@@ -54,11 +55,11 @@ class Bivector:
 
     ``b_op`` carries the bilinear remainder of the certification identity,
     written as an operator in the first slot whose coefficients are linear
-    in the formal dependents ``b_args`` (the second slot).  Its adjoint is
-    taken on the first ``b_star`` and kept.
+    in the formal dependents ``b_args`` (the second slot).  ``b_star``
+    takes its adjoint on each call: few bivectors are bracketed twice.
     """
 
-    __slots__ = ("home", "op", "b_op", "b_args", "_b_adj")
+    __slots__ = ("home", "op", "b_op", "b_args")
 
     def __init__(self, home: EquationSystem, op: CDiffOp, b_op: CDiffOp,
                  b_args: tuple):
@@ -66,7 +67,6 @@ class Bivector:
         self.op = op
         self.b_op = b_op
         self.b_args = b_args
-        self._b_adj = None
 
     def b_star(self, psi1: VectorFunction, psi2_args) -> VectorFunction:
         """Remainder adjoint in the first slot, evaluated at two argument blocks.
@@ -74,10 +74,8 @@ class Bivector:
         ``psi2_args`` are dependent indices substituted for the stored
         formal slot; ``psi1`` is the vector the adjoint acts on.
         """
-        if self._b_adj is None:
-            self._b_adj = self.b_op.adjoint()
         relabel = {a: b for a, b in zip(self.b_args, psi2_args)}
-        adj = self._b_adj.map_coeffs(lambda p: p.relabel_deps(relabel))
+        adj = self.b_op.adjoint().map_coeffs(lambda p: p.relabel_deps(relabel))
         return self.home.reduce_vector(adj.apply(psi1))
 
 
@@ -89,7 +87,8 @@ def _theta(system: EquationSystem, op: CDiffOp) -> tuple:
     theta(q) with the extended frame and the ids of q.  theta(q) is linear
     in the jets of q and reduction fixes those jets, so linearizing its
     reduced entries along q gives the reduced theta: the bivector residual.
-    Factored through the equation, theta(q) yields the bilinear remainder.
+    Factored through the equation, theta(q) yields the bilinear remainder,
+    and its rows at F = 0 are those reduced entries.
     """
     lin = system.linearization()
     if op.rows != lin.cols or op.cols != lin.rows:
@@ -105,7 +104,11 @@ def _theta(system: EquationSystem, op: CDiffOp) -> tuple:
 
 
 def bivector_residual(system: EquationSystem, op: CDiffOp) -> CDiffOp:
-    """Reduced defect of the bivector condition; zero iff the condition holds."""
+    """Reduced defect of the bivector condition; zero iff the condition holds.
+
+    theta(q) is reduced on the system itself: a reference for the residual
+    that ``certify_bivector`` reads off the tagged twin.
+    """
     theta_q, _, args = _theta(system, op)
     return linearize(theta_q.map(system.reduce), args)
 
@@ -113,16 +116,19 @@ def bivector_residual(system: EquationSystem, op: CDiffOp) -> CDiffOp:
 def certify_bivector(system: EquationSystem, op: CDiffOp) -> Bivector:
     """Certify the bivector condition and extract the bilinear remainder.
 
-    Both come from one theta(q), built on formal arguments q by application:
-    the residual is its reduced entries linearized along q, the remainder
-    its factorization through the equation.  Raises NotABivector carrying
-    the nonzero reduced residual on failure.
+    Both come from one theta(q), built on formal arguments q by application
+    and reduced once, on the system's tagged twin: the remainder is its
+    factorization through the equation.  When theta(q) does not vanish on
+    the equation, the rows of ``NotOnEquation`` are its reduced entries
+    (the twin's normal forms at F = 0 are the system's), and NotABivector
+    carries them linearized along q: the nonzero reduced residual.
     """
     theta_q, _, args = _theta(system, op)
-    residual = linearize(theta_q.map(system.reduce), args)
-    if not residual.is_zero():
-        raise NotABivector(residual)
-    return Bivector(system, op, system.factor_through_f(theta_q), args)
+    try:
+        b_op = system.factor_through_f(theta_q)
+    except NotOnEquation as exc:
+        raise NotABivector(linearize(exc.rows, args)) from None
+    return Bivector(system, op, b_op, args)
 
 
 class TrivectorRep:
@@ -231,38 +237,15 @@ def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
     return _guarded(density.n, res)
 
 
-def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
-    """Joint rewrite system: the equation's rules plus the adjoint-linearization
-    constraints on each formal argument block, each solved for its maximal
-    argument jet.  ConstraintNotOrthonomic if it cannot be built or is not
-    passive.
-
-    Built once per (argument blocks, extended frame's dependents) and kept
-    on ``system``, the error as well as the joint system.
-    """
-    key = (tuple(map(tuple, blocks)), frame_ext.dependents)
-    joint = system._joint.get(key)
-    if joint is None:
-        try:
-            joint = _build_constraint_system(system, frame_ext, blocks)
-        except ConstraintNotOrthonomic as exc:
-            # without tracebacks the memo keeps no frames of the build alive
-            if exc.__cause__ is not None:
-                exc.__cause__.with_traceback(None)
-            joint = exc.with_traceback(None)
-        system._joint[key] = joint
-    if isinstance(joint, ConstraintNotOrthonomic):
-        # each raise starts a fresh traceback, so none piles up on the memo
-        raise joint.with_traceback(None)
-    return joint
-
-
 _ORDINALS = ("first", "second", "third")
 
 
-def _build_constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
-    """The system's rules, then block by block the rows of l*_E(p) = 0 on
-    each argument block p, each solved for its maximal argument jet.
+def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
+    """Joint rewrite system: the system's rules, then block by block the
+    rows of l*_E(p) = 0 on each argument block p, each solved for its
+    maximal argument jet.  ConstraintNotOrthonomic if it cannot be built or
+    is not passive.  It is built for each verdict and not kept: few
+    verdicts share one.
 
     Only the first block is solved; every other block's rows and rules are
     the first block's, relabeled slot for slot.  That is exact: the
@@ -275,8 +258,9 @@ def _build_constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
     same order.  Hence permuting the blocks maps the joint system onto
     itself, rule for rule, which ``skew_density_verdict`` relies on.
 
-    Messages name the joint equations as a reader of the input finds
-    them: the system's own equations, or the constraints on an argument.
+    Messages name the joint equations, and the constraint row that cannot
+    be solved, as a reader of the input finds them: the system's own
+    equations, or the constraints on an argument.
     """
     n = system.frame.n
     lstar = system.restrict_op(system.adjoint_linearization())
@@ -295,16 +279,15 @@ def _build_constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
 
     solved = []
     for row in lstar.apply(formal_vector(n, first)):
+        k = l + len(solved)
         jets = [v for v in row.jetvars() if v[0] in first]
         if not jets:
-            raise ConstraintNotOrthonomic(
-                "constraint row contains no argument jets"
-            )
+            raise ConstraintNotOrthonomic(f"{name((k,))} contains no argument jets")
         try:
-            rule = solve_for(l + len(solved), row, system.ranking.max_jet(jets))
+            rule = solve_for(k, row, system.ranking.max_jet(jets))
         except NonOrthonomic:
             raise ConstraintNotOrthonomic(
-                "constraint cannot be solved for its maximal argument jet"
+                f"{name((k,))} cannot be solved for its maximal argument jet"
             ) from None
         solved.append((row, rule))
     originals = list(system.originals)
@@ -359,7 +342,7 @@ def skew_density_verdict(
     a zero verdict of the Euler test is a sound semi-decision.  Reducing
     before symmetrizing gives the same polynomial as reducing the skew
     density: permuting the blocks maps the joint system onto itself, rule
-    for rule (see ``_build_constraint_system``), so reduction commutes with
+    for rule (see ``constraint_system``), so reduction commutes with
     every block relabeling, and reduce(skew(density)) ==
     skew(reduce(density)).  It is cheaper: the unsymmetrized density has a
     fraction of the skew density's terms, and its normal form is often 0.

@@ -78,12 +78,12 @@ class RunContext:
     def resolve(self, arg):
         return self.lookup(arg.name) if isinstance(arg, NameRef) else arg
 
-    def need_system(self, value, what="system"):
+    def need_system(self, value):
         if isinstance(value, DeformedSystem):
             return value.system
         if isinstance(value, EquationSystem):
             return value
-        raise HamcheckError(f"expected a {what}, got {type(value).__name__}")
+        raise HamcheckError(f"expected a system, got {type(value).__name__}")
 
     def need_op(self, value):
         if isinstance(value, CDiffOp):

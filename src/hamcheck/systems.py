@@ -48,7 +48,12 @@ class PassivityFailure(HamcheckError):
 
 
 class NotOnEquation(HamcheckError):
-    pass
+    """An expression to factor through the equation does not vanish on it;
+    ``rows`` are its rows' normal forms, the zero ones too."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        super().__init__("expression does not vanish on the equation")
 
 
 class NotConserved(HamcheckError):
@@ -84,8 +89,11 @@ class EquationSystem:
     """Immutable orthonomic system; all queries are pure functions.
 
     The per-instance caches only memoize derived values that are functions
-    of the immutable state.
+    of the immutable state, and the slots admit no other state.
     """
+
+    __slots__ = ("frame", "originals", "rules", "ranking", "_by_dep",
+                 "_normal", "_lin", "_lin_adj", "_twin")
 
     def __init__(self, frame, originals, rules, ranking):
         self.frame = frame
@@ -99,7 +107,6 @@ class EquationSystem:
         self._lin = None
         self._lin_adj = None
         self._twin = None
-        self._joint = {}  # brackets.constraint_system's, by (blocks, dependents)
 
     # -- reduction ------------------------------------------------------
 
@@ -231,8 +238,11 @@ class EquationSystem:
         and keeps its own table, so each tagged image is climbed once per
         system.  With at most one rule per dependent it is confluent and
         Delta is unique; otherwise Delta is still exact, up to identities
-        among the equations.  With every F-jet set to zero,
-        a row must vanish (else NotOnEquation); the entry (comp, k, tau) of
+        among the equations.  With every F-jet set to zero, a row is the
+        row's normal form on the system itself, which is unique because the
+        system is passive.  Every row must vanish there; else NotOnEquation
+        carries every row at F = 0, so a caller that also needs the normal
+        form of g does not reduce it again.  The entry (comp, k, tau) of
         Delta is the partial derivative of the row by the F-jet
         (-1 - k, tau), taken at F = 0, so the terms of F-degree 2 and more
         drop out.  The row is a normal form, so every entry is one too.
@@ -248,14 +258,15 @@ class EquationSystem:
             twin = self._twin = EquationSystem(
                 self.frame, self.originals, rules, self.ranking)
         g = as_vector(g)
-        entries = {}
+        rows, entries = [], {}
         for comp, p in enumerate(g):
             p = twin.reduce(p)
             zeros = {v: DiffPoly.zero(n) for v in p.jetvars() if v[0] < 0}
-            if p.substitute(zeros):
-                raise NotOnEquation("expression does not vanish on the equation")
+            rows.append(p.substitute(zeros))
             for v in zeros:
                 entries[(comp, -1 - v[0], v[1])] = p.partial(v).substitute(zeros)
+        if any(rows):
+            raise NotOnEquation(VectorFunction(rows))
         return CDiffOp(n, len(g), len(self.rules), entries)
 
 

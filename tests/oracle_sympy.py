@@ -9,9 +9,10 @@ on an orthonomic system.  Operators are applied to formal
 arguments with those derivatives: composition against successive
 application, and the adjoint against sympy's product rule.  The Euler
 operator and the linearization are built from sympy's partial
-derivatives and the same total derivative.  A scalar declaration
-expression is read by sympy's own parser, with each jet or coordinate
-name bound to its symbol.
+derivatives and the same total derivative, and from them, with operator
+application, the bivector certification identity theta(q).  A scalar
+declaration expression is read by sympy's own parser, with each jet or
+coordinate name bound to its symbol.
 """
 
 import re
@@ -192,6 +193,19 @@ def sympy_apply_adjoint(op, args):
         term = sympy_total_multi(to_sympy(a) * args[r], sigma)
         out[c] += -term if sum(sigma) % 2 else term
     return [sympy.expand(e) for e in out]
+
+
+def sympy_theta(originals, deps, op, q):
+    """theta(q) = l_E(A(q)) - A*(l*_E(q)) for the equations ``originals``
+    (kernel polynomials) in the dependents ``deps`` and the operator A on
+    the formal arguments ``q``: l_E along A(q) by ``sympy_linearize``, and
+    l*_E(q) as the Euler derivative of the pairing sum_k q_k * F_k along
+    ``deps``, which it equals because q does not depend on them."""
+    fs = [to_sympy(f) for f in originals]
+    lin = [sympy_linearize(f, dict(zip(deps, sympy_apply(op, q)))) for f in fs]
+    lstar_q = sympy_euler(sympy.expand(sum(a * f for a, f in zip(q, fs))), deps)
+    return [sympy.expand(a - b)
+            for a, b in zip(lin, sympy_apply_adjoint(op, lstar_q))]
 
 
 def sympy_equal(exprs1, exprs2) -> bool:
