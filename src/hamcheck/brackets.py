@@ -34,7 +34,6 @@ from .systems import (
     NonOrthonomic,
     NotOnEquation,
     PassivityFailure,
-    Rule,
     seal,
     solve_for,
 )
@@ -247,16 +246,17 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
     is not passive.  It is built for each verdict and not kept: few
     verdicts share one.
 
-    Only the first block is solved; every other block's rows and rules are
-    the first block's, relabeled slot for slot.  That is exact: the
-    coefficients of l*_E are physical, and ``Ranking.key`` breaks ties by
-    dependent index, so it orders the jets of one block, and those against
-    the physical jets, alike in every block (the blocks are fresh slots
-    from ``Frame.extend``: each ascends, above every physical dependent).
-    So ``max_jet`` picks the corresponding lead in each block, and the
-    relabeled rules are those that solving each block would give, in the
-    same order.  Hence permuting the blocks maps the joint system onto
-    itself, rule for rule, which ``skew_density_verdict`` relies on.
+    Leads are found on the first block only; every block's rows are the
+    first block's, relabeled slot for slot, and each is solved by
+    ``solve_for`` for its relabeled lead.  That is exact: the coefficients
+    of l*_E are physical, and ``Ranking.key`` breaks ties by dependent
+    index, so it orders the jets of one block, and those against the
+    physical jets, alike in every block (the blocks are fresh slots from
+    ``Frame.extend``: each ascends, above every physical dependent).  So
+    ``max_jet`` would pick the relabeled lead in each block, and solving
+    commutes with relabeling, with the same constant scale.  Hence
+    permuting the blocks maps the joint system onto itself, rule for rule,
+    which ``skew_density_verdict`` relies on.
 
     Messages name the joint equations, and the constraint row that cannot
     be solved, as a reader of the input finds them: the system's own
@@ -277,28 +277,26 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
         nums = " and ".join(str((k - l) % rows) for k in ks)
         return f"constraint{s} {nums} on the {which} argument ({slots})"
 
-    solved = []
-    for row in lstar.apply(formal_vector(n, first)):
-        k = l + len(solved)
+    constraints = lstar.apply(formal_vector(n, first))
+    leads = []
+    for row in constraints:
         jets = [v for v in row.jetvars() if v[0] in first]
-        if not jets:
-            raise ConstraintNotOrthonomic(f"{name((k,))} contains no argument jets")
-        try:
-            rule = solve_for(k, row, system.ranking.max_jet(jets))
-        except NonOrthonomic:
-            raise ConstraintNotOrthonomic(
-                f"{name((k,))} cannot be solved for its maximal argument jet"
-            ) from None
-        solved.append((row, rule))
-    originals = list(system.originals)
-    rules = list(system.rules)
+        leads.append(system.ranking.max_jet(jets) if jets else None)
+    originals, rules = list(system.originals), list(system.rules)
     for ids in blocks:
         relabel = dict(zip(first, ids))
-        for row, rule in solved:
-            rhs = rule.rhs.relabel_deps(relabel)
-            originals.append(row.relabel_deps(relabel))
-            rules.append(Rule((relabel[rule.lead[0]], rule.lead[1]), rhs, rhs,
-                              rule.scale))
+        for row, lead in zip(constraints, leads):
+            k = len(rules)
+            if lead is None:
+                raise ConstraintNotOrthonomic(f"{name((k,))} contains no argument jets")
+            row = row.relabel_deps(relabel)
+            try:
+                rules.append(solve_for(k, row, (relabel[lead[0]], lead[1])))
+            except NonOrthonomic:
+                raise ConstraintNotOrthonomic(
+                    f"{name((k,))} cannot be solved for its maximal argument jet"
+                ) from None
+            originals.append(row)
     try:
         return seal(frame_ext, as_vector(originals), rules, system.ranking, name)
     except NonOrthonomic as exc:

@@ -40,20 +40,22 @@ class MagriPrecondition(HamcheckError):
 
 
 class DeformedSystem:
-    """Deformed system with its assembled block bivectors."""
+    """Deformed system with its assembled block bivectors.
 
-    __slots__ = ("base", "a1", "a2", "system", "w_ids", "constraint",
-                 "a1_til", "a2_til")
+    The equations of ``system`` are F + A1*(w) = 0, then A2*(w) = 0, the
+    added ones: ``system.originals[len(base.rules):]`` is A2*(w).
+    """
+
+    __slots__ = ("base", "a1", "a2", "system", "w_ids", "a1_til", "a2_til")
 
     def __init__(self, base: EquationSystem, a1: Bivector, a2: Bivector,
-                 system: EquationSystem, w_ids: tuple, constraint: VectorFunction,
+                 system: EquationSystem, w_ids: tuple,
                  a1_til: Bivector, a2_til: Bivector):
         self.base = base
         self.a1 = a1
         self.a2 = a2
         self.system = system
         self.w_ids = w_ids
-        self.constraint = constraint  # A2*(w), the added equations
         self.a1_til = a1_til
         self.a2_til = a2_til
 
@@ -99,7 +101,7 @@ def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
     a2_til_op = CDiffOp.block([[a2.op, -a2.op], [-lin_block, zero]])
     a1_til = certify_bivector(system, a1_til_op)
     a2_til = certify_bivector(system, a2_til_op)
-    return DeformedSystem(base, a1, a2, system, w_ids, h, a1_til, a2_til)
+    return DeformedSystem(base, a1, a2, system, w_ids, a1_til, a2_til)
 
 
 class LiftedChain:
@@ -189,6 +191,6 @@ def _conserved(deformed: DeformedSystem, flow, psi_i, psi_next) -> bool:
     density = DiffPoly.zero(system.frame.n)
     for p, f in zip(psi_i, flow):
         density = density + p * f
-    for p, c in zip(psi_next, deformed.constraint):
+    for p, c in zip(psi_next, system.originals[len(deformed.base.rules):]):
         density = density + p * c
     return euler_residuals(system.frame, density).is_zero()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 
 from . import __version__
@@ -164,10 +165,10 @@ def run_task(ctx: RunContext, task: TaskDecl) -> TaskResult:
     except (HamcheckError, ValueError) as exc:
         status, detail = FAIL, {"error": str(exc)}
     except Exception as exc:
-        # a kernel bug: fail this task only, and keep the traceback on stderr
-        import traceback
-
-        traceback.print_exc()
+        # a kernel bug: fail this task only, and keep the traceback on stderr;
+        # the interpreter's built-in display needs no import and does not
+        # raise, so it works even when memory is short
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
         status, detail = FAIL, {
             "error": f"internal error: {type(exc).__name__}: {exc}"
         }

@@ -67,29 +67,25 @@ class NotAGenFn(HamcheckError):
 
 
 class Rule:
-    """One solved equation.
+    """One equation solved by ``solve_for``: ``lead -> rhs``, every jet of
+    ``rhs`` ranked below ``lead``.  The equation is kept in the system's
+    ``originals``, and ``seal`` brings ``rhs`` to normal form."""
 
-    ``rhs_exact`` satisfies F_k = scale * (lead - rhs_exact) on the nose
-    and drives factoring through the equation, as the rule of the
-    system's tagged twin; ``rhs`` is its normal form with respect to the
-    other rules and drives reduction.
-    """
+    __slots__ = ("lead", "rhs")
 
-    __slots__ = ("lead", "rhs", "rhs_exact", "scale")
-
-    def __init__(self, lead: tuple, rhs: DiffPoly, rhs_exact: DiffPoly,
-                 scale: int | Fraction):
+    def __init__(self, lead: tuple, rhs: DiffPoly):
         self.lead = lead
         self.rhs = rhs
-        self.rhs_exact = rhs_exact
-        self.scale = scale
 
 
 class EquationSystem:
     """Immutable orthonomic system; all queries are pure functions.
 
-    The per-instance caches only memoize derived values that are functions
-    of the immutable state, and the slots admit no other state.
+    ``originals[k]`` is the equation that ``rules[k]`` was solved from, in
+    every system that ``make_system``, ``solve_orthonomic``, ``seal`` and
+    ``constraint_system`` build; the tagged twin is built from it.  The
+    per-instance caches only memoize derived values that are functions of
+    the immutable state, and the slots admit no other state.
     """
 
     __slots__ = ("frame", "originals", "rules", "ranking", "_by_dep",
@@ -230,9 +226,9 @@ class EquationSystem:
     def factor_through_f(self, g) -> CDiffOp:
         """Find the operator Delta with g = Delta(F) modulo higher F-degree.
 
-        Each row is reduced on the system's tagged twin: the same leads and
-        rule order, with rule k read as lead = rhs_exact + F_k/scale_k, where
-        F_k is the jet of the dependent -1 - k, which no rule reduces and no
+        Each row is reduced on the system's tagged twin, the system of the
+        equations F_k = T_k solved by ``solve_for`` for the same leads, where
+        T_k is the jet of the dependent -1 - k, which no rule reduces and no
         frame uses.  Every rewrite there is an identity once the jet
         (-1 - k, tau) stands for D_tau(F_k).  The twin is built on first use
         and keeps its own table, so each tagged image is climbed once per
@@ -251,12 +247,11 @@ class EquationSystem:
         twin = self._twin
         if twin is None:
             zero = (0,) * n
-            rules = []
-            for k, r in enumerate(self.rules):
-                rhs = r.rhs_exact + DiffPoly.jet(n, -1 - k, zero) * Fraction(1, r.scale)
-                rules.append(Rule(r.lead, rhs, rhs, r.scale))
-            twin = self._twin = EquationSystem(
-                self.frame, self.originals, rules, self.ranking)
+            tagged = VectorFunction(f - DiffPoly.jet(n, -1 - k, zero)
+                                    for k, f in enumerate(self.originals))
+            rules = [solve_for(k, f, r.lead)
+                     for k, (f, r) in enumerate(zip(tagged, self.rules))]
+            twin = self._twin = EquationSystem(self.frame, tagged, rules, self.ranking)
         g = as_vector(g)
         rows, entries = [], {}
         for comp, p in enumerate(g):
@@ -273,20 +268,21 @@ class EquationSystem:
 def solve_for(k, f, lead) -> Rule:
     """Equation ``f`` (number ``k`` in messages) solved for the jet ``lead``.
 
-    This is the one place where an equation is solved for its lead.  The
-    lead must occur linearly with a nonzero constant coefficient
-    ``scale = ∂f/∂lead``, which keeps solved forms polynomial (no division
-    by jet expressions); then ``f = scale * (lead - rhs)`` with
-    ``rhs = lead - f/scale``.  The rule's ``rhs`` is not yet normalised
-    against other rules; ``seal`` does that.
+    This is the one place where an equation is solved for its lead: every
+    rule of a system, its tagged twin or a joint constraint system comes
+    from here.  The lead must occur linearly with a nonzero constant
+    coefficient ``scale = ∂f/∂lead``, which keeps solved forms polynomial
+    (no division by jet expressions); then ``f = scale * (lead - rhs)``
+    with ``rhs = lead - f/scale``, which never contains the lead.  The
+    rule's ``rhs`` is not yet normalised against other rules; ``seal``
+    does that.
     """
     scale = f.partial(lead).const_value()
     if not scale:
         raise NonOrthonomic(
             f"equation {k}: lead must occur linearly with constant coefficient"
         )
-    rhs = DiffPoly.jet(f.n, lead[0], lead[1]) - f * Fraction(1, scale)
-    return Rule(lead, rhs, rhs, scale)
+    return Rule(lead, DiffPoly.jet(f.n, lead[0], lead[1]) - f * Fraction(1, scale))
 
 
 def _numbered(ks) -> str:
@@ -297,8 +293,9 @@ def _numbered(ks) -> str:
 def seal(frame, originals, rules, ranking, name=_numbered) -> EquationSystem:
     """Check solved rules and build the system they form.
 
-    Every lead must be ranking-maximal in its rule and no lead may be a
-    prolongation of another lead of the same dependent (NonOrthonomic).
+    ``rules[k]`` is ``originals[k]`` solved by ``solve_for``.  Every lead
+    must be ranking-maximal in its rule and no lead may be a prolongation
+    of another lead of the same dependent (NonOrthonomic).
     Right-hand sides are then brought to normal form in one pass:
     ``reduce`` leaves no reducible jet, and which jets are reducible
     depends on the leads alone, so the rebuilt system's rules are already
@@ -313,8 +310,7 @@ def seal(frame, originals, rules, ranking, name=_numbered) -> EquationSystem:
     all of one dependent's rules, to text.
     """
     for k, rule in enumerate(rules):
-        jets = rule.rhs_exact.jetvars()
-        if rule.lead in jets or ranking.max_jet(jets | {rule.lead}) != rule.lead:
+        if ranking.max_jet(rule.rhs.jetvars() | {rule.lead}) != rule.lead:
             raise NonOrthonomic(
                 f"{name((k,))}: lead is not ranking-maximal in its solved form"
             )
@@ -329,9 +325,7 @@ def seal(frame, originals, rules, ranking, name=_numbered) -> EquationSystem:
     system = EquationSystem(frame, originals, rules, ranking)
     normal = [system.reduce(r.rhs) for r in rules]
     if any(p != r.rhs for p, r in zip(normal, rules)):
-        rules = [
-            Rule(r.lead, p, r.rhs_exact, r.scale) for r, p in zip(rules, normal)
-        ]
+        rules = [Rule(r.lead, p) for r, p in zip(rules, normal)]
         system = EquationSystem(frame, originals, rules, ranking)
     _check_passivity(system, name)
     return system

@@ -5,7 +5,8 @@ and computes the total derivative with sympy's own differentiation (the
 function-substitution trick), so the comparison does not share code with
 the kernel's chain-rule implementation.  Jet substitution goes through
 sympy's ``xreplace``; a naive rewriter built on both gives normal forms
-on an orthonomic system.  Operators are applied to formal
+on an orthonomic system, with each equation solved for its lead by
+sympy.  Operators are applied to formal
 arguments with those derivatives: composition against successive
 application, and the adjoint against sympy's product rule.  The Euler
 operator and the linearization are built from sympy's partial
@@ -140,6 +141,16 @@ def sympy_reduce(expr, rules):
         if not table:
             return expr
         expr = sympy.expand(expr.xreplace(table))
+
+
+def sympy_solved_rules(originals, leads):
+    """Rules for ``sympy_reduce``, each equation solved by sympy for its
+    lead (a kernel jet): lead - F/(dF/dlead)."""
+    rules = []
+    for f, (dep, idx) in zip(originals, leads):
+        lead, f = _jet_symbol(dep, idx), to_sympy(f)
+        rules.append((dep, idx, sympy.expand(lead - f / sympy.diff(f, lead))))
+    return rules
 
 
 def sympy_euler(expr, deps):

@@ -18,6 +18,7 @@ from hamcheck import (
     VectorFunction,
     bivector_residual,
     certify_bivector,
+    deform,
     is_hamiltonian,
     is_zero_trivector,
     magri_defects,
@@ -26,7 +27,7 @@ from hamcheck import (
     schouten,
     solve_orthonomic,
 )
-from hamcheck import brackets
+from hamcheck import brackets, systems
 from hamcheck.brackets import _signed_symmetrization, _theta, constraint_system
 from hamcheck.ops import linearize
 from hamcheck.parser import parse_op, parse_poly, parse_program, parse_vector
@@ -547,12 +548,19 @@ def test_constraint_system_non_unit_scale_stays_exact(fr_u):
     joint = constraint_system(system, frame, [ids])
     rule = joint.rules[1]
     assert rule.lead == (ids[0], (0, 1))
-    assert type(rule.scale) is int and rule.scale == -3
+    scale = joint.originals[1].partial(rule.lead).const_value()
+    assert type(scale) is int and scale == -3
     n = frame.n
     p_x, p_xxx = (DiffPoly.jet(n, ids[0], (k, 0)) for k in (1, 3))
     expected = Fraction(1, 3) * p_xxx + 2 * parse_poly(fr_u, "u") * p_x
-    for rhs in (rule.rhs, rule.rhs_exact):
-        assert rhs == expected
+    assert rule.rhs == solve_for(1, joint.originals[1], rule.lead).rhs == expected
+    # the joint twin's rule carries the tag T_1 with the coefficient 1/scale
+    joint.factor_through_f(joint.originals[1])
+    tag = DiffPoly.jet(n, -2, (0, 0))
+    twin_rhs = joint._twin.rules[1].rhs
+    assert twin_rhs == expected - Fraction(1, 3) * tag
+    assert twin_rhs.terms[next(iter(tag.terms))] == Fraction(-1, 3)
+    for rhs in (rule.rhs, twin_rhs):
         assert rhs.terms[next(iter(p_xxx.terms))] == Fraction(1, 3)
         assert all(
             type(c) is int or (type(c) is Fraction and c.denominator > 1)
@@ -630,8 +638,33 @@ def test_joint_system_from_one_block_matches_solving_every_block(monkeypatch):
     for args, joint in built:
         reference = _joint_reference(*args)
         assert joint.originals == reference.originals
-        assert ([(r.lead, r.rhs, r.rhs_exact, r.scale) for r in joint.rules]
-                == [(r.lead, r.rhs, r.rhs_exact, r.scale) for r in reference.rules])
+        assert ([(r.lead, r.rhs) for r in joint.rules]
+                == [(r.lead, r.rhs) for r in reference.rules])
+
+
+def test_every_rule_comes_from_solve_for(fr_u, kdv_ops, monkeypatch):
+    # the twin of a scaled system and a joint constraint system are solved
+    # by solve_for too, not written out by hand; the systems are built
+    # under the spy, and their solved forms are already normal, so seal
+    # keeps solve_for's rules
+    made = []
+
+    def spy(*args):
+        made.append(solve_for(*args))
+        return made[-1]
+
+    monkeypatch.setattr(systems, "solve_for", spy)
+    monkeypatch.setattr(brackets, "solve_for", spy)
+    ranking = Ranking.of(fr_u, "t", "x")
+    scaled = solve_orthonomic(
+        fr_u, [parse_poly(fr_u, "2*u_t - 2*u_xxx - 12*u*u_x")], ranking)
+    scaled.factor_through_f(scaled.originals[0])
+    kdv = solve_orthonomic(fr_u, [parse_poly(fr_u, "u_t - u_xxx - 6*u*u_x")], ranking)
+    kdv6 = deform(kdv, *(certify_bivector(kdv, a) for a in kdv_ops))
+    joint, _ = three_block_joint(kdv6.system)
+    rules = scaled._twin.rules + joint.rules
+    assert len(rules) == 1 + 2 + 3 * 2
+    assert all(any(r is m for m in made) for r in rules)
 
 
 def test_constrained_verdict_reduces_the_pairing_before_symmetrizing(kdv6, monkeypatch):

@@ -41,6 +41,7 @@ from oracle_sympy import (
     sympy_linearize,
     sympy_parse,
     sympy_reduce,
+    sympy_solved_rules,
     sympy_substitute,
     sympy_theta,
     sympy_total_derivative,
@@ -832,12 +833,17 @@ def test_factor_soundness_on_f_linear_input(kdv, kdv3, kdv_scaled, name, data):
 
 def _factor_reference(system, g):
     """Factoring by a rewriting loop on the system itself: every reducible
-    jet u_{lead+tau} becomes D_tau(rhs_exact) plus a fresh jet of dependent
+    jet u_{lead+tau} becomes D_tau(lead - F_k/scale_k), with the scale
+    dF_k/dlead taken from the equation, plus a fresh jet of dependent
     ``offset + k`` standing for D_tau(F_k)/scale_k, round after round,
     until no jet is reducible; ``offset`` is above every dependent in use.
     The entries are read off as ``factor_through_f`` reads them."""
     g = as_vector(g)
     n = system.frame.n
+    inverse = [Fraction(1, f.partial(r.lead).const_value())
+               for f, r in zip(system.originals, system.rules)]
+    exact = [DiffPoly.jet(n, *r.lead) - f * c
+             for f, r, c in zip(system.originals, system.rules, inverse)]
     used = {system.frame.m - 1}
     for p in g:
         used |= p.deps()
@@ -849,10 +855,9 @@ def _factor_reference(system, g):
     def image(jet):
         k = system.rule_for(jet)
         if k is not None:
-            rule = system.rules[k]
-            tau = index_sub(jet[1], rule.lead[1])
-            return (total_memo(raw, k, tau, rule.rhs_exact)
-                    + DiffPoly.jet(n, offset + k, tau) * Fraction(1, rule.scale))
+            tau = index_sub(jet[1], system.rules[k].lead[1])
+            return (total_memo(raw, k, tau, exact[k])
+                    + DiffPoly.jet(n, offset + k, tau) * inverse[k])
 
     entries = {}
     for comp, p in enumerate(g):
@@ -918,12 +923,13 @@ def test_factor_on_a_passive_two_rule_system():
 
 def test_factor_uses_the_exact_right_hand_sides():
     # v_t = u_xx has the normal form v_t -> v_x, which drops D_x F_1, so
-    # only the exact right-hand side factors F_2 back to F_2
+    # only the exact right-hand side lead - F_2/scale factors F_2 back to F_2
     fr = Frame(("x", "t"), ("u", "v"))
     system = solve_orthonomic(
         fr, parse_vector(fr, "[u_x - v, v_t - u_xx]"), Ranking.of(fr, "t", "x"))
-    assert system.rules[1].rhs != system.rules[1].rhs_exact
-    g = system.originals[1]
+    g, rule = system.originals[1], system.rules[1]
+    scale = g.partial(rule.lead).const_value()
+    assert rule.rhs != DiffPoly.jet(2, *rule.lead) - g * Fraction(1, scale)
     delta = system.factor_through_f(g)
     assert op_text(fr, delta) == "[[0, 1]]"
     assert delta == _factor_reference(system, g)
@@ -990,7 +996,7 @@ def three_block_joint(system):
 @given(st.sampled_from(["kdv", "ch", "ch2", "kdv3", "kdv6-joint"]), st.data())
 def test_reduce_matches_sympy_oracle(kdv, ch, ch2, kdv3, kdv6, name, data):
     # on a passive system the normal form is unique, so naive rewriting by
-    # the solved forms as given must reach the kernel's normal form; the
+    # the equations, solved by sympy, must reach the kernel's normal form; the
     # joint system of the deformed KdV's three-block bracket is the one the
     # non-exact triviality test reduces the pairing on
     if name == "kdv6-joint":
@@ -1004,21 +1010,22 @@ def test_reduce_matches_sympy_oracle(kdv, ch, ch2, kdv3, kdv6, name, data):
     leads = [(r.lead[0], tuple(a + b for a, b in zip(r.lead[1], tau)))
              for r in system.rules for tau in _multi_indices(n, 3 - sum(r.lead[1]))]
     raw = raw + DiffPoly.jet(n, *data.draw(st.sampled_from(leads)))
-    rules = [(r.lead[0], r.lead[1], to_sympy(r.rhs_exact)) for r in system.rules]
+    rules = sympy_solved_rules(system.originals, [r.lead for r in system.rules])
     assert from_kernel_equal(system.reduce(raw), sympy_reduce(to_sympy(raw), rules))
 
 
 @settings(max_examples=12)
 @given(st.sampled_from(["kdv", "ch", "ch2", "kdv3", "kdv6"]), st.data())
 def test_bivector_residual_matches_sympy_oracle(kdv, ch, ch2, kdv3, kdv6, name, data):
-    # the oracle reduces its own theta(q) by naive rewriting on the system;
+    # the oracle reduces its own theta(q) by naive rewriting with the
+    # equations, solved by sympy;
     # bivector_residual reduces on the system, certify_bivector reads the
     # residual off the tagged twin at F = 0, and both must agree with it
     system = {"kdv": kdv, "ch": ch, "ch2": ch2, "kdv3": kdv3, "kdv6": kdv6.system}[name]
     frame, l = system.frame, len(system.rules)
     op = data.draw(operators(frame, len(frame.physical), l, max_entries=2, max_order=1))
     q = formal_args(frame.n, frame.m, l)
-    rules = [(r.lead[0], r.lead[1], to_sympy(r.rhs_exact)) for r in system.rules]
+    rules = sympy_solved_rules(system.originals, [r.lead for r in system.rules])
     expected = [sympy_reduce(e, rules)
                 for e in sympy_theta(system.originals, frame.physical, op, q)]
     residual = bivector_residual(system, op)
@@ -1066,7 +1073,7 @@ def _passivity_depth_reference(originals, rules, depth):
     The right-hand sides are normalised as ``seal`` does, and passivity is
     not checked while the system is built."""
     system = EquationSystem(_FR_PASS, originals, rules, _RANK_PASS)
-    rules = [Rule(r.lead, system.reduce(r.rhs), r.rhs_exact, r.scale) for r in rules]
+    rules = [Rule(r.lead, system.reduce(r.rhs)) for r in rules]
     system = EquationSystem(_FR_PASS, originals, rules, _RANK_PASS)
     for a, b in combinations(rules, 2):
         if a.lead[0] != b.lead[0]:
@@ -1103,6 +1110,53 @@ def test_lcm_passivity_agrees_with_a_depth_3_walk():
     agree()
     # both verdicts occur, so agreement is not vacuous
     assert set(verdicts) == {True, False}
+
+
+@st.composite
+def scaled_passive_systems(draw):
+    """A passive system sealed from ``solved_rules``, each equation
+    multiplied by a nonzero integer in [-3, 3], so that the scales vary."""
+    solved = draw(solved_rules())
+    originals = VectorFunction([
+        draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) * (DiffPoly.jet(3, *r.lead) - r.rhs)
+        for r in solved])
+    rules = [solve_for(k, f, r.lead) for k, (f, r) in enumerate(zip(originals, solved))]
+    try:
+        return seal(_FR_PASS, originals, rules, _RANK_PASS)
+    except (NonOrthonomic, PassivityFailure):
+        assume(False)
+
+
+@settings(max_examples=25)
+@given(scaled_passive_systems(), st.data())
+def test_reduce_on_random_passive_systems_matches_sympy_oracle(system, data):
+    _, raw = data.draw(polys(_FR_PASS, max_terms=2, max_degree=2, max_order=2))
+    leads = [(r.lead[0], tuple(a + b for a, b in zip(r.lead[1], tau)))
+             for r in system.rules for tau in _multi_indices(3, 3 - sum(r.lead[1]))]
+    raw = raw + DiffPoly.jet(3, *data.draw(st.sampled_from(leads)))
+    rules = sympy_solved_rules(system.originals, [r.lead for r in system.rules])
+    assert from_kernel_equal(system.reduce(raw), sympy_reduce(to_sympy(raw), rules))
+
+
+@settings(max_examples=25)
+@given(scaled_passive_systems(), st.data())
+def test_factor_on_random_passive_systems_gives_back_the_coefficients(system, data):
+    # one rule per dependent: the twin is confluent, and sum c*D_sigma F_k
+    # plus an F-quadratic term factors back to exactly the reduced c
+    l = len(system.rules)
+    assume(len({r.lead[0] for r in system.rules}) == l)
+    fs = system.originals
+    sigmas = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]  # 1, D_x, D_y, D_t
+    coeffs = polys(_FR_PASS, max_terms=2, max_degree=2, max_order=2)
+    g = data.draw(coeffs)[1] * fs[0] * fs[l - 1].total(0)
+    expected = {}
+    for k, sigma in data.draw(st.lists(
+            st.tuples(st.integers(0, l - 1), st.sampled_from(sigmas)),
+            min_size=1, max_size=4, unique=True)):
+        _, c = data.draw(coeffs)
+        g = g + c * (fs[k].total(sigma.index(1)) if any(sigma) else fs[k])
+        expected[(0, k, sigma)] = system.reduce(c)
+    assert system.factor_through_f(g) == CDiffOp(3, 1, l, expected)
 
 
 # -- declaration expressions ----------------------------------------------------

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import importlib
 import importlib.util
@@ -111,6 +112,33 @@ def test_runner_never_aborts_on_task_errors(monkeypatch, capsys):
     assert err.startswith("Traceback (most recent call last):\n")
     assert "in boom\n" in err
     assert err.endswith("KeyError: 'lost'\n")
+
+
+def test_kernel_bug_is_reported_without_an_import(monkeypatch, capsys):
+    # under memory pressure an import raises again; reporting a kernel bug
+    # must not need one, or the run aborts mid-suite
+    def broken(*args):
+        raise RuntimeError("lost")
+
+    real_import = builtins.__import__
+
+    def no_traceback(name, *args, **kwargs):
+        if name == "traceback":
+            raise MemoryError
+        return real_import(name, *args, **kwargs)
+
+    program = parse_program(KDV_SOURCE)
+    monkeypatch.setattr(runner, "schouten", broken)
+    monkeypatch.setattr(builtins, "__import__", no_traceback)
+    capsys.readouterr()
+    results = run_program(program)
+    monkeypatch.undo()
+    assert results[2].detail == {"error": "internal error: RuntimeError: lost"}
+    # every other task is as it is without the bug, the next one too
+    assert [r.status for r in results] == ["ok", "ok", "fail", "fail", "ok"]
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: lost\n")
 
 
 def test_magri_with_one_vector_fails_and_names_the_count():
@@ -470,6 +498,13 @@ def test_readme_declaration_example_runs():
     section = readme.split("## Declaration language\n", 1)[1]
     example = section.split("```\n", 2)[1]
     assert [r.status for r in run_program(parse_program(example))] == ["ok"] * 4
+
+
+def test_readme_library_example_runs():
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_cli_demo_files(tmp_path):

@@ -22,6 +22,7 @@ from hamcheck import (
 )
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.render import poly_text
+from hamcheck.systems import solve_for
 
 
 def P(fr, s):
@@ -34,7 +35,7 @@ def P(fr, s):
 def test_make_system_kdv_valid(kdv):
     assert len(kdv.rules) == 1
     assert kdv.rules[0].lead == (0, (0, 1))
-    assert kdv.rules[0].scale == 1
+    assert kdv.originals[0].partial(kdv.rules[0].lead).const_value() == 1
 
 
 def test_make_system_three_component_valid(kdv3):
@@ -108,12 +109,12 @@ def test_scaled_solved_form_records_scale(fr_u):
     system = make_system(
         fr_u, [f], [((0, (0, 1)), P(fr_u, "u_xx"))], Ranking.of(fr_u, "t", "x")
     )
-    assert system.rules[0].scale == Fraction(-2)
+    assert system.originals[0].partial(system.rules[0].lead).const_value() == -2
 
 
 def test_right_hand_sides_normalised_in_one_pass():
     # v_t -> u_xx has the reducible jet u_xx = D_x(u_x): its normal form is
-    # v_x, while the exact right-hand side keeps u_xx for factoring
+    # v_x, while the equation, solved again, keeps u_xx for factoring
     fr = Frame(("x", "t"), ("u", "v"))
     system = make_system(
         fr,
@@ -122,7 +123,7 @@ def test_right_hand_sides_normalised_in_one_pass():
         Ranking.of(fr, "t", "x"),
     )
     assert system.rules[1].rhs == P(fr, "v_x")
-    assert system.rules[1].rhs_exact == P(fr, "u_xx")
+    assert solve_for(1, system.originals[1], system.rules[1].lead).rhs == P(fr, "u_xx")
     for rule in system.rules:
         assert system.reduce(rule.rhs) == rule.rhs
 
@@ -137,9 +138,10 @@ def test_non_unit_scale_stays_exact(fr_u):
     f = P(fr_u, "3*u_t - u_xxx - 6*u*u_x")
     system = solve_orthonomic(fr_u, [f], Ranking.of(fr_u, "t", "x"))
     rule = system.rules[0]
-    assert type(rule.scale) is int and rule.scale == 3
+    scale = system.originals[0].partial(rule.lead).const_value()
+    assert type(scale) is int and scale == 3
     u_xxx = ((((0, (3, 0)), 1),), (0, 0))
-    for rhs in (rule.rhs, rule.rhs_exact):
+    for rhs in (rule.rhs, solve_for(0, f, rule.lead).rhs):
         assert rhs == P(fr_u, "1/3*u_xxx + 2*u*u_x")
         assert dict(rhs.items())[u_xxx] == Fraction(1, 3)
         assert all(_exact(c) for c in rhs.terms.values())
@@ -149,6 +151,10 @@ def test_non_unit_scale_stays_exact(fr_u):
     delta = system.factor_through_f(P(fr_u, "u_t - 1/3*u_xxx - 2*u*u_x"))
     assert delta.entries == {(0, 0, (0, 0)): P(fr_u, "1/3")}
     assert all(_exact(c) for a in delta.entries.values() for c in a.terms.values())
+    # the twin's rule carries the tag T_0 with the coefficient 1/scale
+    twin_rhs = system._twin.rules[0].rhs
+    assert dict(twin_rhs.items())[((((-1, (0, 0)), 1),), (0, 0))] == Fraction(1, 3)
+    assert all(_exact(c) for c in twin_rhs.terms.values())
 
 
 # -- reduction ----------------------------------------------------------
