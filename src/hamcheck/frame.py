@@ -9,17 +9,19 @@ extended (with formal argument slots) without touching existing data.
 
 from __future__ import annotations
 
+from operator import le, sub
+
 MultiIndex = tuple
 JetVar = tuple
 
 
 def index_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def index_le(a: MultiIndex, b: MultiIndex) -> bool:
     """Componentwise partial order: a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _valid_name(name: str) -> bool:
@@ -115,7 +117,7 @@ class Ranking:
 
     def key(self, jet: JetVar):
         dep, idx = jet
-        return (tuple(idx[i] for i in self.indep_order), -dep)
+        return (tuple(map(idx.__getitem__, self.indep_order)), -dep)
 
     def max_jet(self, jets):
         return max(jets, key=self.key)

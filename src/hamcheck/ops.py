@@ -3,12 +3,20 @@
 An operator is kept in right-normal form, a finite sum  a_sigma * D_sigma
 per matrix entry with polynomial coefficients to the left of the
 derivative monomials.  Equality of canonical forms is structural.
+
+As in ``poly``, a result is made without the constructor: ``_op``
+allocates the object with ``object.__new__`` and sets its four slots,
+from entries that are already nonzero polynomials under distinct keys.
+``CDiffOp.__init__`` takes only entries that nothing has checked yet,
+with a rational or polynomial coefficient each, such as those of
+``mult``, ``linearize`` and ``factor_through_f``: it checks every key's
+range and drops the zero entries.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, prod
 from operator import add, sub
 
 from .poly import (
@@ -26,16 +34,27 @@ class DimensionMismatch(ValueError):
     pass
 
 
+_new = object.__new__
+
+
 def _binom(sigma, rho) -> int:
-    out = 1
-    for s, r in zip(sigma, rho):
-        out *= comb(s, r)
-    return out
+    return prod(map(comb, sigma, rho))
 
 
 def _sub_indices(sigma):
     """All multi-indices rho <= sigma, componentwise."""
-    return product(*(range(s + 1) for s in sigma))
+    return product(*[range(s + 1) for s in sigma])
+
+
+def _op(n, rows, cols, entries) -> "CDiffOp":
+    """The ``CDiffOp`` of ``entries``, nonzero polynomials under distinct
+    in-range keys, built without the constructor."""
+    op = _new(CDiffOp)
+    op.n = n
+    op.rows = rows
+    op.cols = cols
+    op.entries = entries
+    return op
 
 
 class CDiffOp:
@@ -43,16 +62,15 @@ class CDiffOp:
 
     __slots__ = ("n", "rows", "cols", "entries")
 
-    def __init__(self, n, rows, cols, entries=None, _clean=False):
+    def __init__(self, n, rows, cols, entries=None):
+        """``entries`` maps ``(row, col, sigma)`` to a polynomial or a
+        rational; keys out of range raise and zero entries are dropped.
+        The kernel's own results are made by ``_op``."""
         self.n = n
         self.rows = rows
         self.cols = cols
-        if not entries:
-            self.entries = {}
-        elif _clean:
-            self.entries = entries
-        else:
-            clean = {}
+        clean = {}
+        if entries:
             for (r, c, sigma), a in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise DimensionMismatch(f"entry ({r},{c}) outside {rows}x{cols}")
@@ -60,25 +78,25 @@ class CDiffOp:
                     a = DiffPoly.const(n, a)
                 if a:
                     clean[(r, c, tuple(sigma))] = a
-            self.entries = clean
+        self.entries = clean
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, n, rows=1, cols=1):
-        return cls(n, rows, cols, None, _clean=True)
+        return _op(n, rows, cols, {})
 
     @classmethod
     def identity(cls, n, size=1):
         one = DiffPoly.const(n, 1)
         zero = (0,) * n
-        return cls(n, size, size, {(k, k, zero): one for k in range(size)}, _clean=True)
+        return _op(n, size, size, {(k, k, zero): one for k in range(size)})
 
     @classmethod
     def d(cls, n, i, power=1):
         """Scalar operator D_i^power."""
         sigma = tuple(power if k == i else 0 for k in range(n))
-        return cls(n, 1, 1, {(0, 0, sigma): DiffPoly.const(n, 1)}, _clean=True)
+        return _op(n, 1, 1, {(0, 0, sigma): DiffPoly.const(n, 1)})
 
     @classmethod
     def mult(cls, p: DiffPoly):
@@ -107,7 +125,7 @@ class CDiffOp:
             for c in range(ncols):
                 for (i, j, sigma), a in grid[r][c].entries.items():
                     entries[(roff[r] + i, coff[c] + j, sigma)] = a
-        return cls(n, sum(row_sizes), sum(col_sizes), entries, _clean=True)
+        return _op(n, sum(row_sizes), sum(col_sizes), entries)
 
     # -- linear structure ---------------------------------------------
 
@@ -146,28 +164,16 @@ class CDiffOp:
                 res[key] = p
             else:
                 del res[key]
-        return CDiffOp(n, self.rows, self.cols, res, _clean=True)
+        return _op(n, self.rows, self.cols, res)
 
     def __neg__(self):
-        return CDiffOp(
-            self.n,
-            self.rows,
-            self.cols,
-            {k: -a for k, a in self.entries.items()},
-            _clean=True,
-        )
+        return _op(self.n, self.rows, self.cols, {k: -a for k, a in self.entries.items()})
 
     def __rmul__(self, c):
         c = exact(c)
         if not c:
             return CDiffOp.zero(self.n, self.rows, self.cols)
-        return CDiffOp(
-            self.n,
-            self.rows,
-            self.cols,
-            {k: a * c for k, a in self.entries.items()},
-            _clean=True,
-        )
+        return _op(self.n, self.rows, self.cols, {k: a * c for k, a in self.entries.items()})
 
     def __eq__(self, other):
         return (
@@ -196,7 +202,7 @@ class CDiffOp:
     def map_coeffs(self, fn) -> "CDiffOp":
         # keys stay distinct, so there is nothing to merge: drop zero images
         res = {key: b for key, a in self.entries.items() if (b := fn(a))}
-        return CDiffOp(self.n, self.rows, self.cols, res, _clean=True)
+        return _op(self.n, self.rows, self.cols, res)
 
     # -- action, composition, adjoint ----------------------------------
 
@@ -204,11 +210,12 @@ class CDiffOp:
         v = as_vector(v)
         if len(v) != self.cols:
             raise DimensionMismatch(f"operator has {self.cols} columns, vector {len(v)}")
-        run = current_run()
+        total = current_run().total
+        n = self.n
         out = [{} for _ in range(self.rows)]
         for (r, c, sigma), a in self.entries.items():
-            mul_into(out[r], a, run.total(v[c], sigma))
-        return VectorFunction(_guarded(self.n, terms) for terms in out)
+            mul_into(out[r], a, total(v[c], sigma))
+        return VectorFunction([_guarded(n, terms) for terms in out])
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
         """Canonical form of self o other via the multinomial Leibniz rule."""
@@ -216,36 +223,33 @@ class CDiffOp:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        run = current_run()
+        total = current_run().total
         res = {}
         for (r, k, sigma), a in self.entries.items():
             leibniz = [
-                (rho, tuple(s - q for s, q in zip(sigma, rho)), _binom(sigma, rho))
+                (rho, tuple(map(sub, sigma, rho)), _binom(sigma, rho))
                 for rho in _sub_indices(sigma)
             ]
             for (k2, c, tau), b in other.entries.items():
                 if k2 != k:
                     continue
                 for rho, delta, coeff in leibniz:
-                    db = run.total(b, delta)
-                    out_sigma = tuple(p + q for p, q in zip(rho, tau))
-                    terms = res.setdefault((r, c, out_sigma), {})
-                    mul_into(terms, a, db, coeff)
+                    terms = res.setdefault((r, c, tuple(map(add, rho, tau))), {})
+                    mul_into(terms, a, total(b, delta), coeff)
         # an entry whose products cancel is dropped
         n = self.n
         res = {key: p for key, terms in res.items() if (p := _guarded(n, terms))}
-        return CDiffOp(n, self.rows, other.cols, res, _clean=True)
+        return _op(n, self.rows, other.cols, res)
 
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: entry (i,j) becomes sum (-1)^|s| D_s o a_(j,i,s)."""
-        run = current_run()
+        total = current_run().total
         res = {}
         for (r, c, sigma), a in self.entries.items():
             sign = -1 if sum(sigma) % 2 else 1
             for rho in _sub_indices(sigma):
                 coeff = sign * _binom(sigma, rho)
-                delta = tuple(s - q for s, q in zip(sigma, rho))
-                da = run.total(a, delta)
+                da = total(a, tuple(map(sub, sigma, rho)))
                 terms = res.setdefault((c, r, rho), {})
                 get = terms.get
                 for m, q in da.terms.items():
@@ -253,7 +257,7 @@ class CDiffOp:
         # an entry whose terms cancel is dropped
         n = self.n
         res = {key: p for key, terms in res.items() if (p := _guarded(n, terms))}
-        return CDiffOp(n, self.cols, self.rows, res, _clean=True)
+        return _op(n, self.cols, self.rows, res)
 
 
 def linearize(f, deps) -> CDiffOp:

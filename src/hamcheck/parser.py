@@ -367,8 +367,10 @@ class Parser:
             return self._at(caret, lambda: base ** k)
         if base.rows != base.cols:
             self.fail(caret, "power of a non-square operator")
-        out = CDiffOp.identity(base.n, base.rows)
-        for _ in range(k):
+        if not k:
+            return CDiffOp.identity(base.n, base.rows)
+        out = base
+        for _ in range(k - 1):
             out = self._at(caret, lambda: out.compose(base))
         return out
 

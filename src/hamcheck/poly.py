@@ -15,9 +15,9 @@ Tests and the sympy oracle read terms in the decoded view; no other
 module of the package does.  ``decode`` gives a monomial as a pair
 ``(jets, xexp)`` of a sorted tuple of ``((dep, idx), exponent)`` jet
 factors and a tuple of exponents of the explicit independent variables,
-``DiffPoly.items`` yields terms in that form and the constructor without
-``_clean`` takes keys in it.  The canonical order of terms is graded,
-then by jet factors, then by x exponents, highest first;
+``DiffPoly.items`` yields terms in that form and the constructor takes
+keys in it.  The canonical order of terms is graded, then by jet
+factors, then by x exponents, highest first;
 ``DiffPoly.canonical_terms`` walks the terms in it, giving each term's
 factors in order (x factors by index, then jets ascending).  It ranks
 the jets that occur once per call and sorts by one ``bytes`` key per term
@@ -38,10 +38,16 @@ cancels so leaves a zero, and a ``Fraction`` sum may be integral.
 ``_guarded`` then drops the zeros in place, turns integral ``Fraction``s
 into ``int``s, checks the exponent guard on the monomials that are left
 and builds the ``DiffPoly``; a monomial past the limit whose terms cancel
-does not raise.  The constructor's decoded keys are encoded, merged the
-same way and end in ``_guarded`` too.  ``mul_into`` is the one product
-loop: a sum of products, such as an operator applied to a vector, fills
-one dict per result.
+does not raise.  ``mul_into`` is the one product loop: a sum of products,
+such as an operator applied to a vector, fills one dict per result.
+
+A result is made without the constructor: ``_poly`` allocates the object
+with ``object.__new__`` and sets its two slots, so a small result pays
+no keyword parsing and no ``__init__`` frame.  ``_guarded`` ends there,
+and so do the builders whose terms need no cleaning (``zero``, ``const``,
+``coord``, ``jet``, negation).  ``DiffPoly.__init__`` takes only input
+from outside the kernel: decoded keys, which it encodes, merges the same
+way and cleans in ``_guarded``.
 
 ``DiffPoly.total`` takes each jet's D_i-raised jet from ``_RAISE``, a
 map beside the variable table that outlives runs as the table does: it
@@ -95,6 +101,8 @@ _VARS = []
 _IDS = {}
 _GUARD = 0
 _RAISE = {}
+
+_new = object.__new__
 
 
 class HamcheckError(Exception):
@@ -153,7 +161,16 @@ def _guarded(n: int, res: dict) -> "DiffPoly":
             break
     if reduce(or_, res, 0) & _GUARD:
         raise ExponentOverflow()
-    return DiffPoly(n, res, _clean=True)
+    return _poly(n, res)
+
+
+def _poly(n: int, terms: dict) -> "DiffPoly":
+    """The ``DiffPoly`` of ``terms``, packed monomials whose coefficients
+    already hold the three invariants, built without the constructor."""
+    p = _new(DiffPoly)
+    p.n = n
+    p.terms = terms
+    return p
 
 
 def encode(mono) -> int:
@@ -224,52 +241,48 @@ class DiffPoly:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, _clean: bool = False):
-        """``terms`` maps decoded monomials to rationals, or, with ``_clean``,
-        packed monomials to canonical nonzero coefficients.
+    def __init__(self, n: int, terms=None):
+        """``terms`` maps decoded monomials to rationals.
 
-        Decoded terms with a zero coefficient are skipped before they are
-        encoded, so a zero term past ``LIMIT`` does not raise; the rest are
-        merged by their packed keys and cleaned by ``_guarded``."""
+        This is the entry for input from outside the kernel; the kernel's
+        own results are made by ``_poly``.  Decoded terms with a zero
+        coefficient are skipped before they are encoded, so a zero term
+        past ``LIMIT`` does not raise; the rest are merged by their packed
+        keys and cleaned by ``_guarded``."""
         self.n = n
-        if not terms:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
-        else:
-            res = {}
+        res = {}
+        if terms:
             get = res.get
             for m, c in terms.items():
                 c = exact(c)
                 if c:
                     m = encode(m)
                     res[m] = get(m, 0) + c
-            self.terms = _guarded(n, res).terms
+            res = _guarded(n, res).terms
+        self.terms = res
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "DiffPoly":
-        return cls(n, None, _clean=True)
+        return _poly(n, {})
 
     @classmethod
     def const(cls, n: int, c) -> "DiffPoly":
         c = exact(c)
-        if not c:
-            return cls.zero(n)
-        return cls(n, {0: c}, _clean=True)
+        return _poly(n, {0: c} if c else {})
 
     @classmethod
     def coord(cls, n: int, i: int) -> "DiffPoly":
         """The explicit independent variable x_i."""
-        return cls(n, {1 << (W * _id(i)): ONE}, _clean=True)
+        return _poly(n, {1 << (W * _id(i)): ONE})
 
     @classmethod
     def jet(cls, n: int, dep: int, idx) -> "DiffPoly":
         idx = tuple(idx)
         if len(idx) != n or any(k < 0 for k in idx):
             raise ValueError(f"bad multi-index {idx!r}")
-        return cls(n, {1 << (W * _id((dep, idx))): ONE}, _clean=True)
+        return _poly(n, {1 << (W * _id((dep, idx))): ONE})
 
     def items(self):
         """The terms as (decoded monomial, coefficient) pairs."""
@@ -340,7 +353,7 @@ class DiffPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly(self.n, {m: -c for m, c in self.terms.items()}, _clean=True)
+        return _poly(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -363,9 +376,7 @@ class DiffPoly:
             c = exact(other)
             if not c:
                 return DiffPoly.zero(self.n)
-            return DiffPoly(
-                self.n, {m: exact(q * c) for m, q in self.terms.items()}, _clean=True
-            )
+            return _poly(self.n, {m: exact(q * c) for m, q in self.terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
         return _guarded(self.n, mul_into({}, self, other))
@@ -413,8 +424,14 @@ class DiffPoly:
     # -- structure queries -------------------------------------------
 
     def _vars(self):
-        """Every variable that occurs in some term."""
-        return [_VARS[k] for k, _ in _fields(reduce(or_, self.terms, 0))]
+        """Every variable that occurs in some term, highest id first."""
+        out = []
+        m = reduce(or_, self.terms, 0)
+        while m:
+            s = (m.bit_length() - 1) & -W
+            out.append(_VARS[s // W])
+            m &= (1 << s) - 1
+        return out
 
     def jetvars(self) -> set:
         return {v for v in self._vars() if type(v) is not int}
@@ -613,12 +630,13 @@ class VectorFunction:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = tuple(entries)
-        if not self.entries:
+        entries = self.entries = tuple(entries)
+        if not entries:
             raise ValueError("empty vector function")
-        n = self.entries[0].n
-        if any(p.n != n for p in self.entries):
-            raise ValueError("mixed base dimensions in vector function")
+        n = entries[0].n
+        for p in entries:
+            if p.n != n:
+                raise ValueError("mixed base dimensions in vector function")
 
     @property
     def n(self):
@@ -708,7 +726,8 @@ class Run:
         """D_sigma(base), taken at most once per run; D_0 is ``base`` itself
         and is not stored.
 
-        A taken ``sigma`` costs one lookup in the base's table.  Otherwise
+        A taken ``sigma`` costs one lookup of the base by ``id`` and one in
+        its table; ``table`` runs only when the id is new.  Otherwise
         ``sigma`` is lowered in its first nonzero direction until it meets
         a taken index or zero, and the path is climbed back with
         ``total(i)``, storing every index on the way.  Iterative, so the
@@ -716,12 +735,15 @@ class Run:
         """
         if not any(sigma):
             return base
-        table = self.table(base)
+        entry = self._by_id.get(id(base))
+        table = self.table(base) if entry is None else entry[1]
         p = table.get(sigma)
         if p is None:
             path = []
             while p is None:
-                i = next(k for k, q in enumerate(sigma) if q)
+                i = 0
+                while not sigma[i]:
+                    i += 1
                 path.append((sigma, i))
                 sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
                 p = table.get(sigma) if any(sigma) else base

@@ -12,6 +12,7 @@ carries a fresh jet standing for the equation F_k.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .frame import index_le, index_sub
 from .ops import CDiffOp, DimensionMismatch, linearize
@@ -132,10 +133,12 @@ class EquationSystem:
         """
         table = self._normal
         dep, lead = self.rules[k].lead
-        idx = tuple(a + b for a, b in zip(lead, tau))
+        idx = tuple(map(add, lead, tau))
         path = []
         while idx != lead and (dep, idx) not in table:
-            i = next(i for i, (a, b) in enumerate(zip(idx, lead)) if a > b)
+            i = 0
+            while idx[i] <= lead[i]:
+                i += 1
             path.append((idx, i))
             idx = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
         p = table.get((dep, idx))

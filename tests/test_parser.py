@@ -507,3 +507,23 @@ def test_polynomial_declarations_compose_no_operator(monkeypatch):
     assert calls == []
     parse_program(suite)
     assert calls
+
+
+def test_operator_power_composes_one_time_less_than_its_exponent(monkeypatch):
+    calls = []
+    compose = CDiffOp.compose
+    monkeypatch.setattr(CDiffOp, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    program = parse_program(
+        "independents x; dependents u;\n"
+        "operator B = Dx + u;\n"
+        "operator A = (Dx + u)^3;\n"
+        "operator A1 = B^1;\n"
+        "operator A0 = B^0;\n"
+    )
+    assert len(calls) == 2
+    names = program.names
+    b = names["B"]
+    assert names["A"] == compose(compose(b, b), b)
+    assert names["A1"] is b
+    assert names["A0"] == CDiffOp.identity(1)

@@ -1,7 +1,7 @@
 """Randomized invariant suites for the kernel (at least 100 cases each)."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -26,7 +26,8 @@ from hamcheck import (
     solve_orthonomic,
 )
 from hamcheck.brackets import constraint_system
-from hamcheck.frame import index_sub
+from hamcheck.frame import index_le, index_sub
+from hamcheck.ops import _binom, _sub_indices
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.poly import _IDS, _VARS, LIMIT, as_vector, decode, encode, run_scope
 from hamcheck.render import jet_text, op_text, poly_text
@@ -99,6 +100,31 @@ def operators(draw, frame, rows=1, cols=1, max_entries=3, max_order=2):
         key = (r, c, sigma)
         entries[key] = entries.get(key, DiffPoly.zero(n)) + coeff
     return CDiffOp(n, rows, cols, {k: v for k, v in entries.items() if v})
+
+
+# -- multi-indices ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multi_index_helpers_match_generator_references(n):
+    # every multi-index with entries 0-4, and every pair of them
+    box = list(product(range(5), repeat=n))
+    for a in box:
+        for b in box:
+            assert index_le(a, b) == all(x <= y for x, y in zip(a, b))
+            assert index_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+            binom = 1
+            for s, r in zip(a, b):
+                binom *= comb(s, r)
+            assert _binom(a, b) == binom
+        # every rho <= a, in lexicographic order
+        assert list(_sub_indices(a)) == [
+            rho for rho in box if all(r <= s for r, s in zip(rho, a))]
+    for order in permutations(range(n)):
+        ranking = Ranking(order)
+        for dep in (0, 1):
+            for idx in box:
+                assert ranking.key((dep, idx)) == (tuple(idx[i] for i in order), -dep)
 
 
 # -- jet algebra ---------------------------------------------------------
@@ -313,7 +339,7 @@ def _compose_reference(a, b):
                 key = (r, c, tuple(p + q for p, q in zip(rho, tau)))
                 part = x * total_memo(cache, (k, c, tau), delta, y) * coeff
                 res[key] = res.get(key, DiffPoly.zero(a.n)) + part
-    # the constructor without _clean drops the entries that cancelled
+    # the constructor drops the entries that cancelled
     return CDiffOp(a.n, a.rows, b.cols, res)
 
 
@@ -411,7 +437,8 @@ def test_run_table_matches_plain_total_chain(fp, data):
     frame, p = fp
     n = frame.n
     sigmas = data.draw(st.lists(st.sampled_from(_multi_indices(n, 3)), min_size=1, max_size=6))
-    copy = DiffPoly(n, dict(p.terms), _clean=True)
+    copy = DiffPoly(n, dict(p.items()))
+    assert copy is not p and copy == p
     with run_scope() as run:
         for sigma in sigmas:
             expect = _total_chain(p, sigma)
@@ -1042,21 +1069,22 @@ def test_bivector_residual_matches_sympy_oracle(kdv, ch, ch2, kdv3, kdv6, name, 
 # -- passivity ------------------------------------------------------------------
 
 _FR_PASS = Frame(("x", "y", "t"), ("u", "v"))
-_RANK_PASS = Ranking.of(_FR_PASS, "t", "y", "x")
-# every jet of order 2 or less, lowest-ranked first
-_JETS_PASS = sorted(((d, idx) for d in range(2) for idx in _multi_indices(3, 2)),
-                    key=_RANK_PASS.key)
+# every jet of order 2 or less
+_JETS_PASS = [(d, idx) for d in range(2) for idx in _multi_indices(3, 2)]
 
 
 @st.composite
 def solved_rules(draw):
-    """2 or 3 equations solved for leads of order 1 or 2; each right-hand
+    """A ranking, drawn as an order of the independents, and 2 or 3
+    equations solved for leads of order 1 or 2 under it; each right-hand
     side has up to 2 terms of degree 2 or less in jets ranked below its
     lead, with small integer coefficients."""
+    ranking = Ranking(tuple(draw(st.permutations(range(3)))))
+    jets = sorted(_JETS_PASS, key=ranking.key)  # lowest-ranked first
     rules = []
     for k in range(draw(st.integers(2, 3))):
-        lead = draw(st.sampled_from([j for j in _JETS_PASS if sum(j[1])]))
-        lower = _JETS_PASS[:_JETS_PASS.index(lead)]
+        lead = draw(st.sampled_from([j for j in jets if sum(j[1])]))
+        lower = jets[:jets.index(lead)]
         rhs = DiffPoly.zero(3)
         for _ in range(draw(st.integers(0, 2))):
             term = DiffPoly.const(3, draw(st.integers(-3, 3)))
@@ -1064,17 +1092,17 @@ def solved_rules(draw):
                 term = term * DiffPoly.jet(3, *draw(st.sampled_from(lower)))
             rhs = rhs + term
         rules.append(solve_for(k, DiffPoly.jet(3, *lead) - rhs, lead))
-    return rules
+    return ranking, rules
 
 
-def _passivity_depth_reference(originals, rules, depth):
+def _passivity_depth_reference(originals, rules, ranking, depth):
     """The depth-N walk that the lcm check replaced: every two rules of one
     dependent agree on D_nu of their lcm condition for every |nu| <= depth.
     The right-hand sides are normalised as ``seal`` does, and passivity is
     not checked while the system is built."""
-    system = EquationSystem(_FR_PASS, originals, rules, _RANK_PASS)
+    system = EquationSystem(_FR_PASS, originals, rules, ranking)
     rules = [Rule(r.lead, system.reduce(r.rhs)) for r in rules]
-    system = EquationSystem(_FR_PASS, originals, rules, _RANK_PASS)
+    system = EquationSystem(_FR_PASS, originals, rules, ranking)
     for a, b in combinations(rules, 2):
         if a.lead[0] != b.lead[0]:
             continue
@@ -1092,19 +1120,20 @@ def test_lcm_passivity_agrees_with_a_depth_3_walk():
 
     @settings(max_examples=200)
     @given(solved_rules())
-    def agree(rules):
+    def agree(drawn):
+        ranking, rules = drawn
         deps = [r.lead[0] for r in rules]
         assume(len(set(deps)) < len(deps))  # two leads on one dependent
         originals = VectorFunction([DiffPoly.jet(3, *r.lead) - r.rhs for r in rules])
         try:
-            seal(_FR_PASS, originals, rules, _RANK_PASS)
+            seal(_FR_PASS, originals, rules, ranking)
             passive = True
         except PassivityFailure:
             passive = False
         except NonOrthonomic:  # one lead is a prolongation of another
             passive = None
         assume(passive is not None)
-        assert _passivity_depth_reference(originals, rules, 3) == passive
+        assert _passivity_depth_reference(originals, rules, ranking, 3) == passive
         verdicts.append(passive)
 
     agree()
@@ -1114,15 +1143,16 @@ def test_lcm_passivity_agrees_with_a_depth_3_walk():
 
 @st.composite
 def scaled_passive_systems(draw):
-    """A passive system sealed from ``solved_rules``, each equation
-    multiplied by a nonzero integer in [-3, 3], so that the scales vary."""
-    solved = draw(solved_rules())
+    """A passive system sealed from ``solved_rules`` under its drawn
+    ranking, each equation multiplied by a nonzero integer in [-3, 3], so
+    that the scales vary."""
+    ranking, solved = draw(solved_rules())
     originals = VectorFunction([
         draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) * (DiffPoly.jet(3, *r.lead) - r.rhs)
         for r in solved])
     rules = [solve_for(k, f, r.lead) for k, (f, r) in enumerate(zip(originals, solved))]
     try:
-        return seal(_FR_PASS, originals, rules, _RANK_PASS)
+        return seal(_FR_PASS, originals, rules, ranking)
     except (NonOrthonomic, PassivityFailure):
         assume(False)
 
