@@ -13,9 +13,7 @@ from .brackets import (
     NotABivector,
     TrivectorRep,
     TrivialityVerdict,
-    bivector_residual,
     certify_bivector,
-    is_hamiltonian,
     is_zero_trivector,
     magri_defects,
     poisson,
@@ -46,17 +44,13 @@ from .poly import (
     formal_vector,
 )
 from .systems import (
-    ConservedCurrent,
     EquationSystem,
     HamcheckError,
     MismatchedSolvedForm,
     NonOrthonomic,
     NotAGenFn,
-    NotConserved,
     NotOnEquation,
     PassivityFailure,
-    current_to_genfn,
-    make_current,
     make_genfn,
     make_system,
     solve_orthonomic,

@@ -83,9 +83,9 @@ def _theta(system: EquationSystem, op: CDiffOp) -> tuple:
     fresh formal arguments q: theta(q) = l_E(A(q)) - A*(l*_E(q)), unreduced.
 
     It is built by application, so no operator is composed.  Returns
-    theta(q) with the extended frame and the ids of q.  theta(q) is linear
-    in the jets of q and reduction fixes those jets, so linearizing its
-    reduced entries along q gives the reduced theta: the bivector residual.
+    theta(q) and the ids of q.  theta(q) is linear in the jets of q and
+    reduction fixes those jets, so linearizing its reduced entries along q
+    gives the reduced theta: the bivector residual.
     Factored through the equation, theta(q) yields the bilinear remainder,
     and its rows at F = 0 are those reduced entries.
     """
@@ -95,21 +95,11 @@ def _theta(system: EquationSystem, op: CDiffOp) -> tuple:
             f"operator must be {lin.cols}x{lin.rows} on this system"
         )
     names = system.frame.fresh_names("q", len(system.rules))
-    frame, args = system.frame.extend(names, formal=True)
+    _, args = system.frame.extend(names, formal=True)
     q = formal_vector(system.frame.n, args)
     theta_q = (lin.apply(op.apply(q))
                - op.adjoint().apply(system.adjoint_linearization().apply(q)))
-    return theta_q, frame, args
-
-
-def bivector_residual(system: EquationSystem, op: CDiffOp) -> CDiffOp:
-    """Reduced defect of the bivector condition; zero iff the condition holds.
-
-    theta(q) is reduced on the system itself: a reference for the residual
-    that ``certify_bivector`` reads off the tagged twin.
-    """
-    theta_q, _, args = _theta(system, op)
-    return linearize(theta_q.map(system.reduce), args)
+    return theta_q, args
 
 
 def certify_bivector(system: EquationSystem, op: CDiffOp) -> Bivector:
@@ -122,7 +112,7 @@ def certify_bivector(system: EquationSystem, op: CDiffOp) -> Bivector:
     (the twin's normal forms at F = 0 are the system's), and NotABivector
     carries them linearized along q: the nonzero reduced residual.
     """
-    theta_q, _, args = _theta(system, op)
+    theta_q, args = _theta(system, op)
     try:
         b_op = system.factor_through_f(theta_q)
     except NotOnEquation as exc:
@@ -141,11 +131,6 @@ class TrivectorRep:
         self.arg1 = arg1
         self.arg2 = arg2
         self.entries = entries
-
-    def evaluate(self, psi1, psi2) -> VectorFunction:
-        values = dict(zip(self.arg1, as_vector(psi1)))
-        values.update(zip(self.arg2, as_vector(psi2)))
-        return self.entries.map(lambda p: p.subst_deps(values))
 
 
 class TrivialityVerdict:
@@ -382,15 +367,6 @@ def is_zero_trivector(system: EquationSystem, tri: TrivectorRep) -> TrivialityVe
     return skew_pairing_verdict(
         system, frame3, tri.entries, (tri.arg1, tri.arg2, ids3)
     )
-
-
-def is_hamiltonian(system: EquationSystem, op: CDiffOp) -> bool:
-    """Bivector condition plus vanishing self-bracket."""
-    try:
-        biv = certify_bivector(system, op)
-    except NotABivector:
-        return False
-    return is_zero_trivector(system, schouten(system, biv, biv)).zero
 
 
 def poisson(system: EquationSystem, biv: Bivector, psi1, psi2) -> VectorFunction:

@@ -88,13 +88,20 @@ class Frame:
         return tuple(out)
 
     def extend(self, names, formal: bool = True):
-        """Append dependents; returns (new frame, indices of the new slots)."""
+        """Append dependents; returns (new frame, indices of the new slots).
+
+        The names must be valid and fresh, as ``fresh_names`` makes them:
+        the new frame is built without the constructor's checks.
+        """
         names = tuple(names)
         new_ids = tuple(range(self.m, self.m + len(names)))
         flags = set(self.formal)
         if formal:
             flags.update(new_ids)
-        frame = Frame(self.independents, self.dependents + names, frozenset(flags))
+        frame = object.__new__(Frame)
+        frame.independents = self.independents
+        frame.dependents = self.dependents + names
+        frame.formal = frozenset(flags)
         return frame, new_ids
 
 

@@ -280,7 +280,7 @@ class DiffPoly:
     @classmethod
     def jet(cls, n: int, dep: int, idx) -> "DiffPoly":
         idx = tuple(idx)
-        if len(idx) != n or any(k < 0 for k in idx):
+        if len(idx) != n or min(idx, default=0) < 0:
             raise ValueError(f"bad multi-index {idx!r}")
         return _poly(n, {1 << (W * _id((dep, idx))): ONE})
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add
 
 from .frame import index_le, index_sub
-from .ops import CDiffOp, DimensionMismatch, linearize
+from .ops import CDiffOp, linearize
 from .poly import (
     DiffPoly,
     HamcheckError,
@@ -55,10 +55,6 @@ class NotOnEquation(HamcheckError):
     def __init__(self, rows):
         self.rows = rows
         super().__init__("expression does not vanish on the equation")
-
-
-class NotConserved(HamcheckError):
-    pass
 
 
 class NotAGenFn(HamcheckError):
@@ -390,7 +386,7 @@ def solve_orthonomic(frame, originals, ranking) -> EquationSystem:
     return seal(frame, originals, rules, ranking)
 
 
-# -- conservation laws ---------------------------------------------------
+# -- generating functions ------------------------------------------------
 
 
 def make_genfn(system: EquationSystem, psi) -> VectorFunction:
@@ -400,39 +396,3 @@ def make_genfn(system: EquationSystem, psi) -> VectorFunction:
     if not residual.is_zero():
         raise NotAGenFn(residual)
     return psi
-
-
-class ConservedCurrent:
-    """One density per independent variable, with vanishing total divergence."""
-
-    __slots__ = ("home", "components")
-
-    def __init__(self, home: EquationSystem, components: VectorFunction):
-        self.home = home
-        self.components = components
-
-    def divergence(self) -> DiffPoly:
-        acc = DiffPoly.zero(self.components.n)
-        for i, s in enumerate(self.components):
-            acc = acc + s.total(i)
-        return acc
-
-
-def make_current(system: EquationSystem, components) -> ConservedCurrent:
-    components = as_vector(components)
-    if len(components) != system.frame.n:
-        raise DimensionMismatch("need one current component per independent variable")
-    current = ConservedCurrent(system, components)
-    if not system.reduce(current.divergence()).is_zero():
-        raise NotConserved("total divergence does not vanish on the equation")
-    return current
-
-
-def current_to_genfn(system: EquationSystem, current) -> VectorFunction:
-    """Generating function of a conserved current: adjoint factor applied to 1."""
-    if not isinstance(current, ConservedCurrent):
-        current = make_current(system, current)
-    delta = system.factor_through_f(current.divergence())
-    ones = VectorFunction([DiffPoly.const(system.frame.n, 1)])
-    psi = system.reduce_vector(delta.adjoint().apply(ones))
-    return make_genfn(system, psi)

@@ -7,7 +7,6 @@ from hamcheck import (
     NeedSuccessor,
     Ranking,
     NotAGenFn,
-    bivector_residual,
     certify_bivector,
     deform,
     is_zero_trivector,
@@ -17,6 +16,7 @@ from hamcheck import (
     schouten,
 )
 from hamcheck.parser import parse_op, parse_poly, parse_vector
+from reference import bivector_residual
 
 
 def test_deform_reproduces_kdv6_modulo_sign_flip(kdv6, fr_u):

@@ -5,12 +5,12 @@ from hamcheck import (
     DimensionMismatch,
     EquivalenceData,
     certify_bivector,
-    bivector_residual,
     equivalence_residuals,
     equivalent_as_bivectors,
     transport,
 )
 from hamcheck.parser import parse_op
+from reference import bivector_residual
 
 
 @pytest.fixture(scope="module")

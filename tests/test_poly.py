@@ -25,6 +25,28 @@ def P(fr, text):
     return parse_poly(fr, text)
 
 
+@pytest.mark.parametrize("independents, dependents, formal, message", [
+    (("x", "t"), ("u", "2v"), frozenset(), "bad variable name"),
+    (("x", "t"), ("u", "v-w"), frozenset(), "bad variable name"),
+    (("x", "t"), ("", "v"), frozenset(), "bad variable name"),
+    (("x", "t"), ("u", "u"), frozenset(), "must be unique"),
+    (("x", "t"), ("u", "x"), frozenset(), "must be unique"),
+    (("x", "t"), ("u", "v"), frozenset({2}), "formal flag out of range"),
+    (("x", "t"), ("u", "v"), frozenset({-1}), "formal flag out of range"),
+    ((), ("u",), frozenset(), "at least one"),
+])
+def test_frame_rejects_bad_declarations(independents, dependents, formal, message):
+    with pytest.raises(ValueError, match=message):
+        Frame(independents, dependents, formal)
+
+
+@pytest.mark.parametrize("idx", [(1, -1), (-1, 0), (0,), (0, 0, 0), ()])
+def test_jet_rejects_a_negative_entry_or_a_wrong_length(idx):
+    with pytest.raises(ValueError, match="bad multi-index"):
+        DiffPoly.jet(2, 0, idx)
+    assert DiffPoly.jet(2, 0, (2, 0)).jetvars() == {(0, (2, 0))}
+
+
 def test_arithmetic_is_exact_and_sparse(fr_u):
     u = P(fr_u, "u")
     p = Fraction(1, 3) * u + Fraction(2, 3) * u

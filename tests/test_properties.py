@@ -19,7 +19,6 @@ from hamcheck import (
     PassivityFailure,
     Ranking,
     VectorFunction,
-    bivector_residual,
     certify_bivector,
     euler,
     linearize,
@@ -48,6 +47,7 @@ from oracle_sympy import (
     sympy_total_derivative,
     to_sympy,
 )
+from reference import bivector_residual
 
 FRAMES = [
     Frame(("x",), ("u",)),
@@ -125,6 +125,38 @@ def test_multi_index_helpers_match_generator_references(n):
         for dep in (0, 1):
             for idx in box:
                 assert ranking.key((dep, idx)) == (tuple(idx[i] for i in order), -dep)
+
+
+# -- frames ----------------------------------------------------------------
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,2}", fullmatch=True)
+
+
+@st.composite
+def declared_frames(draw, stem):
+    # some names are ones that fresh_names(stem, ...) must step over
+    pool = NAMES | st.integers(1, 5).map(lambda j: f"{stem}{j}")
+    names = draw(st.lists(pool, min_size=2, max_size=6, unique=True))
+    k = draw(st.integers(1, len(names) - 1))
+    dependents = tuple(names[k:])
+    formal = draw(st.frozensets(st.integers(0, len(dependents) - 1)))
+    return Frame(tuple(names[:k]), dependents, formal)
+
+
+@given(st.data(), NAMES, st.integers(0, 4), st.booleans())
+def test_extended_frame_matches_the_checked_constructor(data, stem, k, formal):
+    # extend skips the constructor's checks: with fresh names they all pass
+    # on its frame, and the constructor builds the same frame from them
+    fr = data.draw(declared_frames(stem))
+    names = fr.fresh_names(stem, k)
+    ext, ids = fr.extend(names, formal=formal)
+    assert ids == tuple(range(fr.m, fr.m + k))
+    flags = fr.formal | frozenset(ids) if formal else fr.formal
+    built = Frame(fr.independents, fr.dependents + names, flags)
+    assert type(ext) is Frame
+    for slot in Frame.__slots__:
+        assert getattr(ext, slot) == getattr(built, slot)
+        assert type(getattr(ext, slot)) is type(getattr(built, slot))
 
 
 # -- jet algebra ---------------------------------------------------------

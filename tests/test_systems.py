@@ -9,13 +9,10 @@ from hamcheck import (
     MismatchedSolvedForm,
     NonOrthonomic,
     NotAGenFn,
-    NotConserved,
     NotOnEquation,
     PassivityFailure,
     Ranking,
     VectorFunction,
-    current_to_genfn,
-    make_current,
     make_genfn,
     make_system,
     solve_orthonomic,
@@ -23,6 +20,7 @@ from hamcheck import (
 from hamcheck.parser import parse_op, parse_poly, parse_vector
 from hamcheck.render import poly_text
 from hamcheck.systems import solve_for
+from reference import NotConserved, current_to_genfn, make_current
 
 
 def P(fr, s):
