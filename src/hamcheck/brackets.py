@@ -83,9 +83,11 @@ def _theta(system: EquationSystem, op: CDiffOp) -> tuple:
     fresh formal arguments q: theta(q) = l_E(A(q)) - A*(l*_E(q)), unreduced.
 
     It is built by application, so no operator is composed.  Returns
-    theta(q) and the ids of q.  theta(q) is linear in the jets of q and
-    reduction fixes those jets, so linearizing its reduced entries along q
-    gives the reduced theta: the bivector residual.
+    theta(q) and the ids of q: q_k is the dependent m + k, past every
+    dependent of the frame, and needs no name, since nothing renders q.
+    theta(q) is linear in the jets of q and reduction fixes those jets,
+    so linearizing its reduced entries along q gives the reduced theta:
+    the bivector residual.
     Factored through the equation, theta(q) yields the bilinear remainder,
     and its rows at F = 0 are those reduced entries.
     """
@@ -94,8 +96,8 @@ def _theta(system: EquationSystem, op: CDiffOp) -> tuple:
         raise DimensionMismatch(
             f"operator must be {lin.cols}x{lin.rows} on this system"
         )
-    names = system.frame.fresh_names("q", len(system.rules))
-    _, args = system.frame.extend(names, formal=True)
+    m = system.frame.m
+    args = tuple(range(m, m + len(system.rules)))
     q = formal_vector(system.frame.n, args)
     theta_q = (lin.apply(op.apply(q))
                - op.adjoint().apply(system.adjoint_linearization().apply(q)))

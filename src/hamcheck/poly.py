@@ -55,8 +55,9 @@ holds jets and ints, never a polynomial, and ids never change meaning,
 so no report depends on what the process ran before.  A raised jet gets
 its id only when a result keeps it.
 
-Total derivatives D_sigma of a polynomial are taken once per run.  A
-``Run`` lives as long as its outermost ``run_scope``: one
+Total derivatives D_sigma of a polynomial are taken by one routine,
+``Run.total``.  The active ``Run`` takes plain D_sigma once per run
+and lives as long as its outermost ``run_scope``: one
 ``runner.run_program``, or for the command line one file from parsing
 to the last task.  ``run_scope`` makes it the active one in a
 ``contextvars`` variable and resets that on the way out, so the run's
@@ -66,10 +67,11 @@ polynomial's derivatives keyed by ``sigma`` alone, found by the base's
 ``adjoint``, ``subst_deps`` and the passivity check share what any of
 them took.  A builder called outside a run gets a throwaway ``Run`` of
 its own, kept only while the call lasts.  Restricted derivatives
-D̄_sigma, which depend on an equation, are cached per system instead,
-in one table keyed by the jet: each reducible jet's normal form, or
+D̄_sigma, which depend on an equation, are taken in a ``Run`` that
+each system owns, with the system's ``_image``; beside it the system
+keeps one table keyed by the jet: each reducible jet's normal form, or
 None for an irreducible one.  Factoring reduces on a twin of the
-system, so it uses the twin's table and not the run's.
+system, so it uses the twin's tables and not the run's.
 """
 
 from __future__ import annotations
@@ -698,14 +700,16 @@ def formal_vector(n: int, dep_ids) -> VectorFunction:
 
 
 class Run:
-    """What lives exactly as long as one run; for now, its derivative table.
+    """A table of total derivatives.  The active run's holds plain D_sigma
+    and lives exactly as long as one run; each ``EquationSystem`` owns
+    another, for its restricted D̄_sigma, kept apart because the passivity
+    check takes plain D_sigma of the same right-hand sides.
 
-    The table holds, for each base polynomial, its total derivatives
-    D_sigma keyed by ``sigma``.  A base is found first by ``id``; its entry
-    keeps the base alive, so the id is not reused while the run lasts.  A
-    base not seen as an object is found by value, ``(n, frozenset(terms))``,
-    a key built once per distinct base object, so value-equal copies share
-    one table.
+    The table holds, for each base polynomial, its derivatives keyed by
+    ``sigma``.  A base is found first by ``id``; its entry keeps the base
+    alive, so the id is not reused while the table lasts.  A base not seen
+    as an object is found by value, ``(n, frozenset(terms))``, a key built
+    once per distinct base object, so value-equal copies share one table.
     """
 
     __slots__ = ("_by_id", "_by_value", "__weakref__")
@@ -722,16 +726,20 @@ class Run:
             entry = self._by_id[id(base)] = (base, table)
         return entry[1]
 
-    def total(self, base: DiffPoly, sigma) -> DiffPoly:
-        """D_sigma(base), taken at most once per run; D_0 is ``base`` itself
-        and is not stored.
+    def total(self, base: DiffPoly, sigma, image=None) -> DiffPoly:
+        """D_sigma(base), taken at most once per table; D_0 is ``base``
+        itself and is not stored.
 
         A taken ``sigma`` costs one lookup of the base by ``id`` and one in
         its table; ``table`` runs only when the id is new.  Otherwise
         ``sigma`` is lowered in its first nonzero direction until it meets
         a taken index or zero, and the path is climbed back with
-        ``total(i)``, storing every index on the way.  Iterative, so the
-        jet order is not limited by the recursion depth.
+        ``total(i, image)``, storing every index on the way: with a
+        system's ``_image``, each step is the restricted D̄_i.  A table
+        serves one ``image``, passed on each call and never stored, so a
+        system's table holds no bound method and a dropped system is freed
+        at once.  Iterative, so the jet order is not limited by the
+        recursion depth.
         """
         if not any(sigma):
             return base
@@ -748,7 +756,7 @@ class Run:
                 sigma = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1:]
                 p = table.get(sigma) if any(sigma) else base
             for up, i in reversed(path):
-                p = table[up] = p.total(i)
+                p = table[up] = p.total(i, image)
         return p
 
 

@@ -12,13 +12,13 @@ carries a fresh jet standing for the equation F_k.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from .frame import index_le, index_sub
 from .ops import CDiffOp, linearize
 from .poly import (
     DiffPoly,
     HamcheckError,
+    Run,
     VectorFunction,
     as_vector,
     current_run,
@@ -86,7 +86,7 @@ class EquationSystem:
     """
 
     __slots__ = ("frame", "originals", "rules", "ranking", "_by_dep",
-                 "_normal", "_lin", "_lin_adj", "_twin")
+                 "_normal", "_restricted", "_lin", "_lin_adj", "_twin")
 
     def __init__(self, frame, originals, rules, ranking):
         self.frame = frame
@@ -97,6 +97,7 @@ class EquationSystem:
         for k, rule in enumerate(self.rules):
             self._by_dep.setdefault(rule.lead[0], []).append(k)
         self._normal = {}
+        self._restricted = Run()
         self._lin = None
         self._lin_adj = None
         self._twin = None
@@ -111,44 +112,15 @@ class EquationSystem:
                 return k
         return None
 
-    def prolonged_rhs(self, k: int, tau) -> DiffPoly:
-        """Normal form of D_tau applied to rule k's right-hand side, where k
-        is ``rule_for`` of the jet lead_k + tau.
-
-        The jet is lowered in the first direction where it exceeds the lead
-        until it meets a jet in the system's table or the lead, whose entry
-        is the normal form of the right-hand side.  The path is then climbed
-        back one restricted total derivative D̄_i = ``total(i, self._image)``
-        at a time, storing each jet: D_i of a normal form whose raised
-        reducible jets are replaced by their own normal forms, in one pass,
-        is again a normal form.  Every jet on the path gets rule k from
-        ``rule_for`` too (a rule before k that divided it would divide the
-        jet as well), so each entry is the same whichever jet asked for it
-        first.  Iterative, so the jet order is not limited by the recursion
-        depth.
-        """
-        table = self._normal
-        dep, lead = self.rules[k].lead
-        idx = tuple(map(add, lead, tau))
-        path = []
-        while idx != lead and (dep, idx) not in table:
-            i = 0
-            while idx[i] <= lead[i]:
-                i += 1
-            path.append((idx, i))
-            idx = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
-        p = table.get((dep, idx))
-        if p is None:
-            p = table[(dep, idx)] = self.reduce(self.rules[k].rhs)
-        for up, i in reversed(path):
-            p = table[(dep, up)] = p.total(i, self._image)
-        return p
-
     def _image(self, jet):
         """Normal form of a reducible jet, or None if no rule reduces it.
 
-        Both answers are kept in the system's table, by jet, so a jet asked
-        for again costs one lookup.
+        Both answers are kept in ``_normal``, by jet, so a jet asked for
+        again costs one lookup.  The image of lead_k is ``reduce(rhs_k)``;
+        that of lead_k + tau is D̄_tau of it, climbed with ``_image`` in the
+        system's own ``Run``, which keeps every step of the path.  D_i of a
+        normal form whose raised reducible jets are replaced by their own
+        normal forms, in one pass, is again a normal form.
         """
         table = self._normal
         if jet in table:
@@ -157,7 +129,13 @@ class EquationSystem:
         if k is None:
             table[jet] = None
             return None
-        return self.prolonged_rhs(k, index_sub(jet[1], self.rules[k].lead[1]))
+        dep, lead = self.rules[k].lead
+        base = table.get((dep, lead))
+        if base is None:
+            base = table[(dep, lead)] = self.reduce(self.rules[k].rhs)
+        tau = index_sub(jet[1], lead)
+        p = table[jet] = self._restricted.total(base, tau, self._image)
+        return p
 
     def reduce(self, p: DiffPoly) -> DiffPoly:
         """Normal form: every reducible jet replaced by its image, at once.

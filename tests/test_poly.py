@@ -172,7 +172,8 @@ def test_restricted_total_gives_no_id_to_a_replaced_jet(kdv):
 def test_deep_reduction_gives_ids_only_to_jets_its_normal_forms_use():
     # In a fresh process, so that no other test has given these ids.  Each
     # new id is a jet of the normal form or of a normal form the system
-    # stored on the way: u_{x^23}, for one, occurs only in D̄_x^20 of the
+    # stored on the way, in its table by jet or in its table of restricted
+    # derivatives: u_{x^23}, for one, occurs only in D̄_x^20 of the
     # right-hand side, the image of u_{x^20 t}.  No reducible jet gets one.
     child = """
 import json
@@ -186,7 +187,9 @@ kdv = make_system(fr, [f], [((0, (0, 1)), rhs)], Ranking.of(fr, "t", "x"))
 u_t8 = DiffPoly.jet(2, 0, (0, 8))
 before = len(_VARS)
 nf = kdv.reduce(u_t8)
-stored = set().union(*(q.jetvars() for q in kdv._normal.values() if q is not None))
+forms = [q for q in kdv._normal.values() if q is not None]
+forms += [q for t in kdv._restricted._by_value.values() for q in t.values()]
+stored = set().union(*(q.jetvars() for q in forms))
 print(json.dumps({
     "given": _VARS[before:],
     "normal_form": sorted(nf.jetvars()),

