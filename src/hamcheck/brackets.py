@@ -158,42 +158,42 @@ def schouten(system: EquationSystem, b1: Bivector, b2: Bivector) -> TrivectorRep
 
     Evaluates the six-term formula on two fresh formal argument blocks.
     Each of the four images A_i(psi_j) is built once: it is an argument
-    of one term and, linearized along the physical dependents, the
+    of one term and, linearized along the system's own dependents, the
     operator l_{A_i,psi_j} = l_{A_i(psi_j)} - A_i o l_{psi_j} of another
-    (psi_j is formal, so l_{psi_j} vanishes there).  When ``b1 is b2`` the
-    six terms are three equal pairs, so two images are built, three terms
-    are evaluated and their sum doubled.  The remainder terms always come
-    from the certified factorization: on evolution systems with skew
-    operators this agrees with taking the adjoint of the argument
-    linearization directly, but the factorization stays correct for
-    non-skew representatives as well.
+    (psi_j involves none of them, so l_{psi_j} vanishes).  When
+    ``b1 is b2`` the six terms are three equal pairs, so two images are
+    built, three terms are evaluated and their sum doubled.  The remainder
+    terms always come from the certified factorization: on evolution
+    systems with skew operators this agrees with taking the adjoint of the
+    argument linearization directly, but the factorization stays correct
+    for non-skew representatives as well.
     """
     if b1.home is not system or b2.home is not system:
         raise HamcheckError("bivectors must be certified on the given system")
     l = len(system.rules)
     n = system.frame.n
     names1 = system.frame.fresh_names("p", 2 * l)
-    frame_ext, ids = system.frame.extend(names1, formal=True)
+    frame_ext, ids = system.frame.extend(names1)
     a1_ids, a2_ids = ids[:l], ids[l:]
     psi1 = formal_vector(n, a1_ids)
     psi2 = formal_vector(n, a2_ids)
 
     a1, a2 = b1.op, b2.op
-    phys = system.frame.physical
+    own = range(system.frame.m)
     a1_psi1, a1_psi2 = a1.apply(psi1), a1.apply(psi2)
     if b1 is b2:
         a2_psi1, a2_psi2 = a1_psi1, a1_psi2
     else:
         a2_psi1, a2_psi2 = a2.apply(psi1), a2.apply(psi2)
     terms = [
-        linearize(a1_psi1, phys).apply(a2_psi2),
-        -linearize(a1_psi2, phys).apply(a2_psi1),
+        linearize(a1_psi1, own).apply(a2_psi2),
+        -linearize(a1_psi2, own).apply(a2_psi1),
         -a1.apply(b2.b_star(psi1, a2_ids)),
     ]
     if b1 is not b2:
         terms += [
-            linearize(a2_psi1, phys).apply(a1_psi2),
-            -linearize(a2_psi2, phys).apply(a1_psi1),
+            linearize(a2_psi1, own).apply(a1_psi2),
+            -linearize(a2_psi2, own).apply(a1_psi1),
             -a2.apply(b1.b_star(psi1, a2_ids)),
         ]
     total = terms[0]
@@ -236,14 +236,14 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
     Leads are found on the first block only; every block's rows are the
     first block's, relabeled slot for slot, and each is solved by
     ``solve_for`` for its relabeled lead.  That is exact: the coefficients
-    of l*_E are physical, and ``Ranking.key`` breaks ties by dependent
-    index, so it orders the jets of one block, and those against the
-    physical jets, alike in every block (the blocks are fresh slots from
-    ``Frame.extend``: each ascends, above every physical dependent).  So
-    ``max_jet`` would pick the relabeled lead in each block, and solving
-    commutes with relabeling, with the same constant scale.  Hence
-    permuting the blocks maps the joint system onto itself, rule for rule,
-    which ``skew_density_verdict`` relies on.
+    of l*_E involve only the system's own dependents, and ``Ranking.key``
+    breaks ties by dependent index, so it orders the jets of one block,
+    and those against the system's jets, alike in every block (the blocks
+    are fresh slots from ``Frame.extend``: each ascends, above every
+    dependent of the system).  So ``max_jet`` would pick the relabeled
+    lead in each block, and solving commutes with relabeling, with the
+    same constant scale.  Hence permuting the blocks maps the joint system
+    onto itself, rule for rule, which ``skew_density_verdict`` relies on.
 
     Messages name the joint equations, and the constraint row that cannot
     be solved, as a reader of the input finds them: the system's own
@@ -295,11 +295,6 @@ def constraint_system(system: EquationSystem, frame_ext: Frame, blocks):
         ) from exc
 
 
-def euler_residuals(frame: Frame, density: DiffPoly) -> VectorFunction:
-    """Euler derivatives with respect to every dependent, physical and formal."""
-    return euler(frame, density, deps=tuple(range(frame.m)))
-
-
 def _pick_residual(frame: Frame, residuals: VectorFunction):
     """Deterministic choice of the smallest nonzero component."""
     nonzero = [
@@ -338,7 +333,7 @@ def skew_density_verdict(
     if not exact:
         density = constraint_system(system, frame_ext, blocks).reduce(density)
         skew = _signed_symmetrization(density, blocks)
-    picked = _pick_residual(frame_ext, euler_residuals(frame_ext, skew))
+    picked = _pick_residual(frame_ext, euler(frame_ext, skew))
     if picked is None:
         return TrivialityVerdict(True, exact, frame_ext)
     return TrivialityVerdict(False, exact, frame_ext, picked[1], picked[0])
@@ -365,7 +360,7 @@ def is_zero_trivector(system: EquationSystem, tri: TrivectorRep) -> TrivialityVe
     if len(tri.entries) != l:
         raise DimensionMismatch("trivector arity does not match the system")
     names = tri.frame.fresh_names("r", l)
-    frame3, ids3 = tri.frame.extend(names, formal=True)
+    frame3, ids3 = tri.frame.extend(names)
     return skew_pairing_verdict(
         system, frame3, tri.entries, (tri.arg1, tri.arg2, ids3)
     )
@@ -379,7 +374,7 @@ def poisson(system: EquationSystem, biv: Bivector, psi1, psi2) -> VectorFunction
             raise HamcheckError("poisson arguments must be generating functions")
     flow = system.reduce_vector(biv.op.apply(psi1))
     delta = system.factor_through_f(system.linearization().apply(flow))
-    out = linearize(psi2, system.frame.physical).apply(flow)
+    out = linearize(psi2, range(system.frame.m)).apply(flow)
     out = system.reduce_vector(out + delta.adjoint().apply(psi2))
     residual = system.genfn_residual(out)
     if not residual.is_zero():

@@ -18,11 +18,10 @@ from __future__ import annotations
 from .brackets import (
     Bivector,
     certify_bivector,
-    euler_residuals,
     magri_defects,
 )
 from .ops import CDiffOp, linearize
-from .poly import DiffPoly, VectorFunction, as_vector, formal_vector
+from .poly import DiffPoly, VectorFunction, as_vector, euler, formal_vector
 from .systems import (
     EquationSystem,
     HamcheckError,
@@ -63,11 +62,12 @@ class DeformedSystem:
 def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
     """Build the deformed system and certify its block bivectors.
 
-    The w dependents are physical unknowns of the new system.  The block
-    operators are [[A1, -A1], [0, L]] and [[A2, -A2], [-L, 0]] where L is
-    the adjoint of the linearization of F + A1*(w) + A2*(w) with respect
-    to the original dependents; certification on the deformed system is
-    the acceptance test for the construction.
+    The w dependents, appended to the base frame, are unknowns of the new
+    system like the base dependents.  The block operators are
+    [[A1, -A1], [0, L]] and [[A2, -A2], [-L, 0]] where L is the adjoint of
+    the linearization of F + A1*(w) + A2*(w) with respect to the original
+    dependents; certification on the deformed system is the acceptance
+    test for the construction.
     """
     if not isinstance(a1, Bivector) or not isinstance(a2, Bivector):
         raise HamcheckError("deform needs certified bivectors")
@@ -82,7 +82,7 @@ def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
         names = ("w",)
     else:
         names = frame0.fresh_names("w", l)
-    frame, w_ids = frame0.extend(names, formal=False)
+    frame, w_ids = frame0.extend(names)
     n = frame.n
 
     wvec = formal_vector(n, w_ids)
@@ -95,7 +95,7 @@ def deform(base: EquationSystem, a1: Bivector, a2: Bivector) -> DeformedSystem:
 
     system = solve_orthonomic(frame, originals, base.ranking)
 
-    lin_block = linearize(theta, frame0.physical).adjoint()
+    lin_block = linearize(theta, range(frame0.m)).adjoint()
     zero = CDiffOp.zero(n, l, l)
     a1_til_op = CDiffOp.block([[a1.op, -a1.op], [zero, lin_block]])
     a2_til_op = CDiffOp.block([[a2.op, -a2.op], [-lin_block, zero]])
@@ -168,7 +168,7 @@ def _flow(deformed: DeformedSystem) -> VectorFunction | None:
     if e is None:
         return None
     flow = []
-    for dep in base.frame.physical:
+    for dep in range(base.frame.m):
         for rule in deformed.system.rules:
             if rule.lead[0] == dep and sum(rule.lead[1]) == 1 and rule.lead[1][e]:
                 flow.append(rule.rhs)
@@ -193,4 +193,4 @@ def _conserved(deformed: DeformedSystem, flow, psi_i, psi_next) -> bool:
         density = density + p * f
     for p, c in zip(psi_next, system.originals[len(deformed.base.rules):]):
         density = density + p * c
-    return euler_residuals(system.frame, density).is_zero()
+    return euler(system.frame, density).is_zero()

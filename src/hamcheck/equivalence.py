@@ -142,7 +142,7 @@ def equivalent_as_bivectors(system: EquationSystem, a1, a2) -> TrivialityVerdict
     l = len(system.rules)
     n = system.frame.n
     names = system.frame.fresh_names("p", 2 * l)
-    frame_ext, ids = system.frame.extend(names, formal=True)
+    frame_ext, ids = system.frame.extend(names)
     b1_ids, b2_ids = ids[:l], ids[l:]
     image = diff.apply(formal_vector(n, b1_ids))
     return skew_pairing_verdict(system, frame_ext, image, (b1_ids, b2_ids))

@@ -2,8 +2,8 @@
 
 A jet variable is a pair ``(dep, idx)`` where ``dep`` is the index of a
 dependent variable and ``idx`` is a multi-index of derivative counts, one
-per independent variable.  Frames give names and flags to those indices;
-the polynomial kernel itself works on bare indices so that frames can be
+per independent variable.  Frames give names to those indices; the
+polynomial kernel itself works on bare indices so that frames can be
 extended (with formal argument slots) without touching existing data.
 """
 
@@ -33,15 +33,14 @@ def _valid_name(name: str) -> bool:
 class Frame:
     """Declared independent and dependent variables, in canonical order.
 
-    ``formal`` holds indices of dependents that are formal argument slots
-    (operator arguments such as the psi's in bracket computations) rather
-    than physical unknowns of an equation.
+    A system's unknowns are the dependents of its own frame.  Formal
+    argument slots (operator arguments such as the psi's in bracket
+    computations) are dependents appended by ``extend``, past all of them.
     """
 
-    __slots__ = ("independents", "dependents", "formal")
+    __slots__ = ("independents", "dependents")
 
-    def __init__(self, independents: tuple, dependents: tuple,
-                 formal: frozenset = frozenset()):
+    def __init__(self, independents: tuple, dependents: tuple):
         if not independents or not dependents:
             raise ValueError("frame needs at least one independent and one dependent")
         names = list(independents) + list(dependents)
@@ -50,11 +49,8 @@ class Frame:
         for name in names:
             if not _valid_name(name):
                 raise ValueError(f"bad variable name {name!r}")
-        if not all(0 <= j < len(dependents) for j in formal):
-            raise ValueError("formal flag out of range")
         self.independents = independents
         self.dependents = dependents
-        self.formal = formal
 
     @property
     def n(self) -> int:
@@ -63,10 +59,6 @@ class Frame:
     @property
     def m(self) -> int:
         return len(self.dependents)
-
-    @property
-    def physical(self) -> tuple:
-        return tuple(j for j in range(self.m) if j not in self.formal)
 
     def indep_index(self, name: str) -> int:
         try:
@@ -87,22 +79,18 @@ class Frame:
                 out.append(cand)
         return tuple(out)
 
-    def extend(self, names, formal: bool = True):
+    def extend(self, names):
         """Append dependents; returns (new frame, indices of the new slots).
 
-        The names must be valid and fresh, as ``fresh_names`` makes them:
-        the new frame is built without the constructor's checks.
+        The new dependents come after every existing one, whether they are
+        formal argument slots or the unknowns of a larger system.  The
+        names must be valid and fresh, as ``fresh_names`` makes them: the
+        new frame is built without the constructor's checks.
         """
-        names = tuple(names)
-        new_ids = tuple(range(self.m, self.m + len(names)))
-        flags = set(self.formal)
-        if formal:
-            flags.update(new_ids)
         frame = object.__new__(Frame)
         frame.independents = self.independents
-        frame.dependents = self.dependents + names
-        frame.formal = frozenset(flags)
-        return frame, new_ids
+        frame.dependents = self.dependents + tuple(names)
+        return frame, tuple(range(self.m, frame.m))
 
 
 class Ranking:

@@ -93,9 +93,9 @@ class CDiffOp:
         return _op(n, size, size, {(k, k, zero): one for k in range(size)})
 
     @classmethod
-    def d(cls, n, i, power=1):
-        """Scalar operator D_i^power."""
-        sigma = tuple(power if k == i else 0 for k in range(n))
+    def d(cls, n, i):
+        """Scalar operator D_i."""
+        sigma = tuple(1 if k == i else 0 for k in range(n))
         return _op(n, 1, 1, {(0, 0, sigma): DiffPoly.const(n, 1)})
 
     @classmethod

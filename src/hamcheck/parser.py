@@ -131,7 +131,7 @@ EQUIVALENCE_FIELDS = ("alpha", "alpha'", "beta", "beta'", "s1", "s2")
 
 
 class Program:
-    """A parsed file: its frame, its names in declaration order and its tasks.
+    """A parsed file: its names in declaration order and its tasks.
 
     A name's value is an ``EquationSystem``, an operator (``CDiffOp``), a
     vector (``VectorFunction``), an ``EquivalenceData``, the error with
@@ -139,10 +139,9 @@ class Program:
     ``TaskDecl`` that produces it at run time.
     """
 
-    __slots__ = ("frame", "names", "tasks")
+    __slots__ = ("names", "tasks")
 
-    def __init__(self, frame: Frame, names: dict, tasks: list):
-        self.frame = frame
+    def __init__(self, names: dict, tasks: list):
         self.names = names
         self.tasks = tasks
 
@@ -256,7 +255,7 @@ class Parser:
             if self.frame is None and tok.text not in ("independents", "dependents"):
                 self.fail(tok, "independents and dependents must be declared first")
             rule()
-        return Program(self.frame, self.names, self.tasks)
+        return Program(self.names, self.tasks)
 
     def _name_list(self) -> tuple:
         names = tuple(tok.text for tok in self._sep(self.expect_ident))

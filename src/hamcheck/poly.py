@@ -788,11 +788,9 @@ def run_scope():
         _RUN.reset(token)
 
 
-def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
-    """Variational derivative: component j is sum of (-D)^sigma d/du^j_sigma.
-
-    By default only physical dependents are differentiated; pass ``deps``
-    to include formal argument slots.
+def euler(frame: Frame, density: DiffPoly) -> VectorFunction:
+    """Variational derivative: component j is sum of (-D)^sigma d/du^j_sigma,
+    for every dependent j of the frame, formal argument slots included.
 
     The sum is taken in nested (Horner) form, one direction at a time:
     with Q_k the part whose index has k in direction i, it is
@@ -800,19 +798,12 @@ def euler(frame: Frame, density: DiffPoly, deps=None) -> VectorFunction:
     ``total(i)`` per order.  The partials are used once, so they do not
     enter the run's derivative table.
     """
-    if deps is None:
-        deps = frame.physical
-        bad = density.deps() - set(deps)
-        if bad:
-            names = ", ".join(frame.dependents[d] for d in sorted(bad))
-            raise ValueError(
-                f"density involves non-physical dependents ({names}); "
-                "pass deps explicitly to vary them"
-            )
     n = frame.n
     jets = density.jetvars()
+    if any(v[0] >= frame.m for v in jets):
+        raise ValueError("density involves dependents outside the frame")
     out = []
-    for j in deps:
+    for j in range(frame.m):
         parts = {v[1]: density.partial(v) for v in jets if v[0] == j}
         for i in range(n):
             # the parts by their index outside direction i, then by order in i

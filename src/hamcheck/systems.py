@@ -158,7 +158,7 @@ class EquationSystem:
 
     def linearization(self) -> CDiffOp:
         if self._lin is None:
-            self._lin = linearize(self.originals, self.frame.physical)
+            self._lin = linearize(self.originals, range(self.frame.m))
         return self._lin
 
     def adjoint_linearization(self) -> CDiffOp:
@@ -169,14 +169,14 @@ class EquationSystem:
     def is_evolution(self):
         """Index of the evolution direction, or None.
 
-        Evolution form here means: one rule per physical dependent, every
-        lead a first derivative in the same direction e, and no right-hand
-        side containing any e-derivative.
+        Evolution form here means: one rule per dependent, every lead a
+        first derivative in the same direction e, and no right-hand side
+        containing any e-derivative.
         """
-        phys = self.frame.physical
-        if len(self.rules) != len(phys):
+        m = self.frame.m
+        if len(self.rules) != m:
             return None
-        if {r.lead[0] for r in self.rules} != set(phys):
+        if {r.lead[0] for r in self.rules} != set(range(m)):
             return None
         first = self.rules[0].lead[1]
         if sum(first) != 1:
@@ -215,10 +215,10 @@ class EquationSystem:
         row's normal form on the system itself, which is unique because the
         system is passive.  Every row must vanish there; else NotOnEquation
         carries every row at F = 0, so a caller that also needs the normal
-        form of g does not reduce it again.  The entry (comp, k, tau) of
-        Delta is the partial derivative of the row by the F-jet
-        (-1 - k, tau), taken at F = 0, so the terms of F-degree 2 and more
-        drop out.  The row is a normal form, so every entry is one too.
+        form of g does not reduce it again.  Delta is the rows' linearization
+        along the tags, taken at F = 0: its entry (comp, k, tau) is the
+        partial derivative of the row by the F-jet (-1 - k, tau), so the
+        terms of F-degree 2 and more drop out.  The row is a normal form, so every entry is one too.
         """
         n = self.frame.n
         twin = self._twin
@@ -229,17 +229,13 @@ class EquationSystem:
             rules = [solve_for(k, f, r.lead)
                      for k, (f, r) in enumerate(zip(tagged, self.rules))]
             twin = self._twin = EquationSystem(self.frame, tagged, rules, self.ranking)
-        g = as_vector(g)
-        rows, entries = [], {}
-        for comp, p in enumerate(g):
-            p = twin.reduce(p)
-            zeros = {v: DiffPoly.zero(n) for v in p.jetvars() if v[0] < 0}
-            rows.append(p.substitute(zeros))
-            for v in zeros:
-                entries[(comp, -1 - v[0], v[1])] = p.partial(v).substitute(zeros)
+        g = as_vector(g).map(twin.reduce)
+        zeros = {v: DiffPoly.zero(n) for p in g for v in p.jetvars() if v[0] < 0}
+        rows = g.map(lambda p: p.substitute(zeros))
         if any(rows):
-            raise NotOnEquation(VectorFunction(rows))
-        return CDiffOp(n, len(g), len(self.rules), entries)
+            raise NotOnEquation(rows)
+        tags = range(-1, -1 - len(self.rules), -1)
+        return linearize(g, tags).map_coeffs(lambda a: a.substitute(zeros))
 
 
 def solve_for(k, f, lead) -> Rule:

@@ -130,12 +130,12 @@ def test_certified_bivectors_are_skew_on_evolution(kdv, kdv3, kdv_ops, kdv3_ops)
 
 def _lin_a_psi(system, op, arg_ids):
     """Linearization of the operator along one formal argument block:
-    l_{A,psi} = l_{A(psi)} - A o l_psi, varying physical dependents only.
+    l_{A,psi} = l_{A(psi)} - A o l_psi, varying the system's dependents only.
 
-    psi is formal, so l_psi along the physical dependents is zero and
-    l_{A,psi} is l_{A(psi)} alone."""
+    psi involves none of them, so l_psi along them is zero and l_{A,psi}
+    is l_{A(psi)} alone."""
     psi = formal_vector(system.frame.n, arg_ids)
-    return linearize(op.apply(psi), system.frame.physical)
+    return linearize(op.apply(psi), range(system.frame.m))
 
 
 def test_remainder_matches_argument_linearization_on_evolution(kdv, kdv_bivectors):
@@ -311,10 +311,11 @@ def _symmetrization_reference(density, blocks):
 @st.composite
 def trilinear_densities(draw):
     """A frame extended by three argument blocks of one size, and a density
-    linear in each block with coefficients in the physical jets."""
+    linear in each block with coefficients in the jets of the frame's own
+    dependents."""
     fr = Frame(("x", "t"), ("u", "v")[: draw(st.integers(1, 2))])
     size = draw(st.integers(1, 2))
-    frame, ids = fr.extend(fr.fresh_names("p", 3 * size), formal=True)
+    frame, ids = fr.extend(fr.fresh_names("p", 3 * size))
     blocks = tuple(ids[k * size:(k + 1) * size] for k in range(3))
     n = frame.n
     idx = st.tuples(st.integers(0, 2), st.integers(0, 1))
@@ -324,7 +325,7 @@ def trilinear_densities(draw):
         for block in blocks:
             term = term * DiffPoly.jet(n, draw(st.sampled_from(block)), draw(idx))
         for _ in range(draw(st.integers(0, 2))):
-            term = term * DiffPoly.jet(n, draw(st.sampled_from(fr.physical)), draw(idx))
+            term = term * DiffPoly.jet(n, draw(st.sampled_from(range(fr.m))), draw(idx))
         density = density + term
     return density, blocks
 

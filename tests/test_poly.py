@@ -25,19 +25,17 @@ def P(fr, text):
     return parse_poly(fr, text)
 
 
-@pytest.mark.parametrize("independents, dependents, formal, message", [
-    (("x", "t"), ("u", "2v"), frozenset(), "bad variable name"),
-    (("x", "t"), ("u", "v-w"), frozenset(), "bad variable name"),
-    (("x", "t"), ("", "v"), frozenset(), "bad variable name"),
-    (("x", "t"), ("u", "u"), frozenset(), "must be unique"),
-    (("x", "t"), ("u", "x"), frozenset(), "must be unique"),
-    (("x", "t"), ("u", "v"), frozenset({2}), "formal flag out of range"),
-    (("x", "t"), ("u", "v"), frozenset({-1}), "formal flag out of range"),
-    ((), ("u",), frozenset(), "at least one"),
+@pytest.mark.parametrize("independents, dependents, message", [
+    (("x", "t"), ("u", "2v"), "bad variable name"),
+    (("x", "t"), ("u", "v-w"), "bad variable name"),
+    (("x", "t"), ("", "v"), "bad variable name"),
+    (("x", "t"), ("u", "u"), "must be unique"),
+    (("x", "t"), ("u", "x"), "must be unique"),
+    ((), ("u",), "at least one"),
 ])
-def test_frame_rejects_bad_declarations(independents, dependents, formal, message):
+def test_frame_rejects_bad_declarations(independents, dependents, message):
     with pytest.raises(ValueError, match=message):
-        Frame(independents, dependents, formal)
+        Frame(independents, dependents)
 
 
 @pytest.mark.parametrize("idx", [(1, -1), (-1, 0), (0,), (0, 0, 0), ()])
@@ -100,18 +98,18 @@ def test_euler_kills_divergences(fr_u):
     assert euler(fr_u, h.total(1))[0].is_zero()
 
 
-def test_euler_rejects_formal_dependents_by_default(fr_u):
+def test_euler_varies_every_dependent_of_the_frame(fr_u):
     fr, (q,) = fr_u.extend(("q1",))
-    density = DiffPoly.jet(fr.n, q, (0, 0))
-    with pytest.raises(ValueError):
-        euler(fr, density)
-    assert euler(fr, density, deps=(0, q))[1] == DiffPoly.const(fr.n, 1)
+    u, q1 = DiffPoly.jet(fr.n, 0, (0, 0)), DiffPoly.jet(fr.n, q, (0, 0))
+    assert euler(fr, u * q1) == VectorFunction([q1, u])
+    with pytest.raises(ValueError, match="outside the frame"):
+        euler(fr, u * DiffPoly.jet(fr.n, fr.m, (1, 0)))
 
 
 def _evolutionary(frame, phi, f):
     """The evolutionary field of phi applied to f, as the linearization of
-    f along the physical dependents applied to phi."""
-    return linearize(f, frame.physical).apply(phi)[0]
+    f along the dependents of the frame applied to phi."""
+    return linearize(f, range(frame.m)).apply(phi)[0]
 
 
 def test_evolutionary_apply(fr_u):
@@ -142,7 +140,7 @@ def test_substitute_expands_powers(fr_u):
 
 
 def test_subst_dep_prolongs(fr_u):
-    fr, (w,) = fr_u.extend(("w1",), formal=False)
+    fr, (w,) = fr_u.extend(("w1",))
     p = DiffPoly.jet(fr.n, w, (2, 0)) + DiffPoly.jet(fr.n, w, (0, 0))
     val = P(fr_u, "u*u_x")
     out = p.subst_deps({w: val})

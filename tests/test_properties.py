@@ -142,21 +142,18 @@ def declared_frames(draw, stem):
     pool = NAMES | st.integers(1, 5).map(lambda j: f"{stem}{j}")
     names = draw(st.lists(pool, min_size=2, max_size=6, unique=True))
     k = draw(st.integers(1, len(names) - 1))
-    dependents = tuple(names[k:])
-    formal = draw(st.frozensets(st.integers(0, len(dependents) - 1)))
-    return Frame(tuple(names[:k]), dependents, formal)
+    return Frame(tuple(names[:k]), tuple(names[k:]))
 
 
-@given(st.data(), NAMES, st.integers(0, 4), st.booleans())
-def test_extended_frame_matches_the_checked_constructor(data, stem, k, formal):
+@given(st.data(), NAMES, st.integers(0, 4))
+def test_extended_frame_matches_the_checked_constructor(data, stem, k):
     # extend skips the constructor's checks: with fresh names they all pass
     # on its frame, and the constructor builds the same frame from them
     fr = data.draw(declared_frames(stem))
     names = fr.fresh_names(stem, k)
-    ext, ids = fr.extend(names, formal=formal)
+    ext, ids = fr.extend(names)
     assert ids == tuple(range(fr.m, fr.m + k))
-    flags = fr.formal | frozenset(ids) if formal else fr.formal
-    built = Frame(fr.independents, fr.dependents + names, flags)
+    built = Frame(fr.independents, fr.dependents + names)
     assert type(ext) is Frame
     for slot in Frame.__slots__:
         assert getattr(ext, slot) == getattr(built, slot)
@@ -196,9 +193,8 @@ def test_substitute_matches_sympy_xreplace(fp, data):
 @given(polys())
 def test_euler_annihilates_total_derivatives(fp):
     frame, p = fp
-    deps = tuple(range(frame.m))
     for i in range(frame.n):
-        assert euler(frame, p.total(i), deps=deps).is_zero()
+        assert euler(frame, p.total(i)).is_zero()
 
 
 @given(polys())
@@ -206,7 +202,7 @@ def test_euler_matches_sympy_oracle(fp):
     frame, p = fp
     deps = tuple(range(frame.m))
     expected = sympy_euler(to_sympy(p), deps)
-    assert all(from_kernel_equal(q, e) for q, e in zip(euler(frame, p, deps=deps), expected))
+    assert all(from_kernel_equal(q, e) for q, e in zip(euler(frame, p), expected))
 
 
 @given(polys(), st.data())
@@ -315,8 +311,7 @@ def test_divergence_pairing(data):
     pairing = op.apply(VectorFunction([v]))[0] * w - v * op.adjoint().apply(
         VectorFunction([w])
     )[0]
-    deps = tuple(range(frame.m))
-    assert euler(frame, pairing, deps=deps).is_zero()
+    assert euler(frame, pairing).is_zero()
 
 
 # -- reference memo ----------------------------------------------------------------
@@ -443,7 +438,7 @@ def test_fused_poly_builders_match_unfused_loops(fp, data):
     deps = tuple(range(frame.m))
     # the euler terms of the total derivative cancel
     density = p + q.total(0)
-    assert euler(frame, density, deps=deps) == _euler_reference(frame, density, deps)
+    assert euler(frame, density) == _euler_reference(frame, density, deps)
     phi = VectorFunction(
         data.draw(polys(frame, max_terms=2, max_degree=2, max_order=2))[1] for _ in deps
     )
@@ -813,14 +808,14 @@ def test_poly_results_store_no_zero(fp, data):
     deps = tuple(range(frame.m))
     results.append(linearize(p, deps).apply(phi)[0])
     results.append(linearize(p - q.total(0), deps).apply(phi)[0])
-    results += euler(frame, p + q.total(0), deps=deps)
+    results += euler(frame, p + q.total(0))
     # terms that cancel inside one builder: D_x(x*D_x(q) - q) = x*D_x^2(q),
     # the euler terms of a total derivative, and (p/2 + q/2)*(p - q), whose
     # cross terms cancel and whose halves add up to integers
     x = DiffPoly.coord(frame.n, 0)
     total = (x * q.total(0) - q).total(0)
     assert total == x * q.total(0).total(0)
-    assert euler(frame, q.total(0), deps=deps).is_zero()
+    assert euler(frame, q.total(0)).is_zero()
     half = Fraction(1, 2)
     results += [total, (p * half + q * half) * (p - q), (p * half) * (p * 2)]
     assert all(_sparse(r) for r in results)
@@ -1120,11 +1115,11 @@ def test_bivector_residual_matches_sympy_oracle(kdv, ch, ch2, kdv3, kdv6, name, 
     # residual off the tagged twin at F = 0, and both must agree with it
     system = {"kdv": kdv, "ch": ch, "ch2": ch2, "kdv3": kdv3, "kdv6": kdv6.system}[name]
     frame, l = system.frame, len(system.rules)
-    op = data.draw(operators(frame, len(frame.physical), l, max_entries=2, max_order=1))
+    op = data.draw(operators(frame, frame.m, l, max_entries=2, max_order=1))
     q = formal_args(frame.n, frame.m, l)
     rules = sympy_solved_rules(system.originals, [r.lead for r in system.rules])
     expected = [sympy_reduce(e, rules)
-                for e in sympy_theta(system.originals, frame.physical, op, q)]
+                for e in sympy_theta(system.originals, range(frame.m), op, q)]
     residual = bivector_residual(system, op)
     assert sympy_equal(sympy_apply(residual, q), expected)
     try:

@@ -311,7 +311,7 @@ def test_two_runs_of_one_program_share_no_table(monkeypatch):
 
 
 def test_builders_outside_a_run_leave_no_run_behind():
-    a = CDiffOp.d(1, 0, 3) + CDiffOp.mult(poly.DiffPoly.jet(1, 0, (1,)))
+    a = CDiffOp(1, 1, 1, {(0, 0, (3,)): 1}) + CDiffOp.mult(poly.DiffPoly.jet(1, 0, (1,)))
     assert poly._RUN.get() is None
     a.compose(a.adjoint()).apply(poly.VectorFunction([poly.DiffPoly.jet(1, 0, (0,))]))
     assert poly._RUN.get() is None
