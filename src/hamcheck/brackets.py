@@ -23,6 +23,7 @@ from .poly import (
     DiffPoly,
     VectorFunction,
     _guarded,
+    add_into,
     as_vector,
     euler,
     formal_vector,
@@ -210,7 +211,6 @@ def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
     into one term dict."""
     k = len(blocks)
     res = {}
-    get = res.get
     for perm in itertools.permutations(range(k)):
         # the sign is the parity of the number of inversions
         odd = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)) % 2
@@ -218,8 +218,7 @@ def _signed_symmetrization(density: DiffPoly, blocks) -> DiffPoly:
         for i in range(k):
             for a, b in zip(blocks[i], blocks[perm[i]]):
                 mapping[a] = b
-        for m, c in density.relabel_deps(mapping).terms.items():
-            res[m] = get(m, 0) - c if odd else get(m, 0) + c
+        add_into(res, density.relabel_deps(mapping), -1 if odd else 1)
     return _guarded(density.n, res)
 
 

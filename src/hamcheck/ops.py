@@ -23,6 +23,7 @@ from .poly import (
     DiffPoly,
     VectorFunction,
     _guarded,
+    add_into,
     as_vector,
     current_run,
     exact,
@@ -144,27 +145,22 @@ class CDiffOp:
     def _merge(self, other, op):
         """``op(self, other)`` for ``op`` in (add, sub), entry by entry.
 
-        Each entry of other is merged by ``op`` into a copy of the terms of
-        the same entry of self; an entry that cancels is dropped.
+        Each entry of other is merged by ``op`` into the same entry of self;
+        an entry that cancels is dropped.
         """
         self._check_same_shape(other)
-        n = self.n
         res = dict(self.entries)
         for key, b in other.entries.items():
             a = res.get(key)
             if a is None:
                 res[key] = b if op is add else -b
                 continue
-            terms = dict(a.terms)
-            get = terms.get
-            for m, c in b.terms.items():
-                terms[m] = op(get(m, 0), c)
-            p = _guarded(n, terms)
+            p = op(a, b)
             if p:
                 res[key] = p
             else:
                 del res[key]
-        return _op(n, self.rows, self.cols, res)
+        return _op(self.n, self.rows, self.cols, res)
 
     def __neg__(self):
         return _op(self.n, self.rows, self.cols, {k: -a for k, a in self.entries.items()})
@@ -250,10 +246,7 @@ class CDiffOp:
             for rho in _sub_indices(sigma):
                 coeff = sign * _binom(sigma, rho)
                 da = total(a, tuple(map(sub, sigma, rho)))
-                terms = res.setdefault((c, r, rho), {})
-                get = terms.get
-                for m, q in da.terms.items():
-                    terms[m] = get(m, 0) + q * coeff
+                add_into(res.setdefault((c, r, rho), {}), da, coeff)
         # an entry whose terms cancel is dropped
         n = self.n
         res = {key: p for key, terms in res.items() if (p := _guarded(n, terms))}

@@ -2,8 +2,8 @@
 
 A monomial is one Python ``int``.  Every variable, a jet ``(dep, idx)``
 or an explicit independent ``x_i`` (keyed by the ``int`` ``i``), has a
-small id in one kernel-wide table, and the monomial keeps the exponent
-of the variable with id ``k`` in the ``W``-bit field at bit ``W*k``.  The
+small id in a variable table, and the monomial keeps the exponent of
+the variable with id ``k`` in the ``W``-bit field at bit ``W*k``.  The
 empty monomial is ``0`` and the product of two monomials is their sum.
 The top bit of each field is a guard bit: every stored exponent stays
 below ``LIMIT = 2**(W - 1)``, so a sum of two stored monomials cannot
@@ -12,12 +12,12 @@ carry into the next field, and a result with a guard bit set raises
 the encoding.
 
 Tests and the sympy oracle read terms in the decoded view; no other
-module of the package does.  ``decode`` gives a monomial as a pair
-``(jets, xexp)`` of a sorted tuple of ``((dep, idx), exponent)`` jet
-factors and a tuple of exponents of the explicit independent variables,
-``DiffPoly.items`` yields terms in that form and the constructor takes
-keys in it.  The canonical order of terms is graded, then by jet
-factors, then by x exponents, highest first;
+module of the package does.  ``decode`` gives a monomial of the active
+table as a pair ``(jets, xexp)`` of a sorted tuple of ``((dep, idx),
+exponent)`` jet factors and a tuple of exponents of the explicit
+independent variables, ``DiffPoly.items`` yields terms in that form and
+the constructor takes keys in it.  The canonical order of terms is
+graded, then by jet factors, then by x exponents, highest first;
 ``DiffPoly.canonical_terms`` walks the terms in it, giving each term's
 factors in order (x factors by index, then jets ascending).  It ranks
 the jets that occur once per call and sorts by one ``bytes`` key per term
@@ -28,8 +28,8 @@ Three invariants hold for every value the kernel builds: no zero
 coefficient is stored; no stored exponent reaches ``LIMIT``; and a
 coefficient is an ``int`` when it is integral and otherwise a
 ``Fraction`` with denominator greater than 1, never a ``float``, so
-integer work never reaches ``fractions``.  Ids never change meaning, so
-equality is structural.
+integer work never reaches ``fractions``.  An id never changes meaning
+in its table, so two values of one table are equal when their terms are.
 
 Every builder of coefficients sets these up once per result, in
 ``_guarded``.  Its loops merge with no checks: ``get = res.get`` is bound
@@ -42,36 +42,55 @@ does not raise.  ``mul_into`` is the one product loop: a sum of products,
 such as an operator applied to a vector, fills one dict per result.
 
 A result is made without the constructor: ``_poly`` allocates the object
-with ``object.__new__`` and sets its two slots, so a small result pays
+with ``object.__new__`` and sets its three slots, so a small result pays
 no keyword parsing and no ``__init__`` frame.  ``_guarded`` ends there,
 and so do the builders whose terms need no cleaning (``zero``, ``const``,
 ``coord``, ``jet``, negation).  ``DiffPoly.__init__`` takes only input
 from outside the kernel: decoded keys, which it encodes, merges the same
 way and cleans in ``_guarded``.
 
-``DiffPoly.total`` takes each jet's D_i-raised jet from ``_RAISE``, a
-map beside the variable table that outlives runs as the table does: it
-holds jets and ints, never a polynomial, and ids never change meaning,
-so no report depends on what the process ran before.  A raised jet gets
-its id only when a result keeps it.
+Each outermost ``run_scope`` has a variable table of its own, and
+builders called outside any run share one default table.  A table holds
+the ids, their variables, the guard bit of every field given out, and
+the raise map from which ``DiffPoly.total`` takes each jet's D_i-raised
+jet and that jet's bit offset.  A run's table starts empty, so the ids
+a run gives, and so the width of its monomials, depend on that run
+alone, and no cost or report depends on what the process ran before.
+It is released with the run and the last value built in it.  A raised
+jet gets its id only when a result keeps it.
+
+Every ``DiffPoly`` keeps the table it was built in and is read through
+it: ``items``, ``canonical_terms`` and the structure queries never
+convert.  An operation builds its result in the active table, the
+run's or outside any run the default one, and reaches the table once
+per call.  An operand of another table is re-encoded into it first, one
+lookup per distinct variable, so a value built outside any run, such as
+a library user's system, reads the same inside one, and a value built
+in a run reads the same after it.  Negation and scaling keep their
+operand's table, an operation that returns an operand unchanged returns
+it in its own, and two values of different tables compare by their
+decoded terms.  Only this module names a table.
 
 Total derivatives D_sigma of a polynomial are taken by one routine,
 ``Run.total``.  The active ``Run`` takes plain D_sigma once per run
 and lives as long as its outermost ``run_scope``: one
 ``runner.run_program``, or for the command line one file from parsing
-to the last task.  ``run_scope`` makes it the active one in a
-``contextvars`` variable and resets that on the way out, so the run's
-table is unreachable when the run ends.  The table holds each base
-polynomial's derivatives keyed by ``sigma`` alone, found by the base's
-``id`` or, for a copy, by its value, so ``apply``, ``compose``,
-``adjoint``, ``subst_deps`` and the passivity check share what any of
-them took.  A builder called outside a run gets a throwaway ``Run`` of
-its own, kept only while the call lasts.  Restricted derivatives
-D̄_sigma, which depend on an equation, are taken in a ``Run`` that
-each system owns, with the system's ``_image``; beside it the system
-keeps one table keyed by the jet: each reducible jet's normal form, or
-None for an irreducible one.  Factoring reduces on a twin of the
-system, so it uses the twin's tables and not the run's.
+to the last task.  ``run_scope`` makes it and the run's variable table
+the active ones in ``contextvars`` variables and resets those on the
+way out, so both are unreachable when the run ends.  The derivative
+table holds each base polynomial's derivatives keyed by ``sigma``
+alone, found by the base's ``id`` or, for a copy, by its value in the
+run's variables, so ``apply``, ``compose``, ``adjoint``, ``subst_deps``
+and the passivity check share what any of them took.  A builder called
+outside a run gets a throwaway ``Run`` of its own, kept only while the
+call lasts.  Restricted derivatives D̄_sigma, which depend on an
+equation, are taken in a ``Run`` that each system owns, with the
+system's ``_image``; beside it the system keeps one table keyed by the
+jet: each reducible jet's normal form, or None for an irreducible one.
+A system drops these when its ``Run`` is ``stale``, made under another
+variable table than the active one, so a system that outlives a run
+never serves the run's values in another.  Factoring reduces on a twin
+of the system, so it uses the twin's tables and not the run's.
 """
 
 from __future__ import annotations
@@ -90,21 +109,42 @@ W = 16  # a power of two: ``& -W`` rounds a bit index down to its field
 LIMIT = 1 << (W - 1)
 _FIELD = (1 << W) - 1
 
-# The kernel-wide variable table: _VARS[k] is the variable with id k,
-# _IDS maps it back, and _GUARD holds the guard bit of every field given
-# out.  Beside it, _RAISE maps (k, i), for the jet with id k, to the jet
-# D_i raises it to and that jet's bit offset, None until the jet has an
-# id.  Both are only appended to (an offset only ever replaces a None),
-# and an id never changes meaning, so a monomial and a raise step mean
-# the same everywhere in the process.  They are the only module state
-# that outlives a run (see ``Run``); they hold jets and ints, never a
-# polynomial, so no run's results outlive it through them.
-_VARS = []
-_IDS = {}
-_GUARD = 0
-_RAISE = {}
-
 _new = object.__new__
+
+
+class _VarTable:
+    """The variables of one run, or of everything built outside runs.
+
+    ``vars[k]`` is the variable with id k, ``ids`` maps it back, and
+    ``guard`` holds the guard bit of every field given out.  Beside them,
+    ``raised`` maps (k, i), for the jet with id k, to the jet D_i raises it
+    to and that jet's bit offset, None until the jet has an id.  All four
+    are only appended to (an offset only ever replaces a None), so an id
+    and a raise step keep their meaning as long as the table lives.  They
+    hold jets and ints, never a polynomial.
+    """
+
+    __slots__ = ("vars", "ids", "guard", "raised", "__weakref__")
+
+    def __init__(self):
+        self.vars = []
+        self.ids = {}
+        self.guard = 0
+        self.raised = {}
+
+    def id(self, v) -> int:
+        """The id of the variable ``v``, given now if it has none."""
+        k = self.ids.get(v)
+        if k is None:
+            k = self.ids[v] = len(self.vars)
+            self.vars.append(v)
+            self.guard |= 1 << (W * k + W - 1)
+        return k
+
+
+_TABLE = ContextVar("hamcheck_vars", default=_VarTable())
+# The active variable table: the run's, or outside any run the default one.
+var_table = _TABLE.get
 
 
 class HamcheckError(Exception):
@@ -118,17 +158,6 @@ class ExponentOverflow(HamcheckError):
         )
 
 
-def _id(v) -> int:
-    """The id of the variable ``v``, given now if it has none."""
-    global _GUARD
-    k = _IDS.get(v)
-    if k is None:
-        k = _IDS[v] = len(_VARS)
-        _VARS.append(v)
-        _GUARD |= 1 << (W * k + W - 1)
-    return k
-
-
 def _fields(m: int):
     """(id, exponent) of every factor of the monomial ``m``, highest id
     first: each step takes the top field, at bit ``s``, whose exponent is
@@ -140,16 +169,19 @@ def _fields(m: int):
         yield s // W, e
 
 
-def _guarded(n: int, res: dict) -> "DiffPoly":
+def _guarded(n: int, res: dict, vt=None) -> "DiffPoly":
     """The polynomial of the term dict ``res``, which it cleans in place.
 
     Every coefficient builder ends here, once per result.  ``res`` maps
-    sums of stored monomials to sums of coefficients.  In this order, zero
-    coefficients are dropped, integral ``Fraction``s become ``int``s, and
-    the exponent guard is checked on the monomials that are left
-    (ExponentOverflow if an exponent reached ``LIMIT``), so a monomial past
-    the limit whose terms cancel does not raise.
+    sums of monomials packed in ``vt``, by default the active table, to
+    sums of coefficients.  In this order, zero coefficients are dropped,
+    integral ``Fraction``s become ``int``s, and the exponent guard is
+    checked on the monomials that are left (ExponentOverflow if an
+    exponent reached ``LIMIT``), so a monomial past the limit whose terms
+    cancel does not raise.
     """
+    if vt is None:
+        vt = var_table()
     values = res.values()
     # one pass over ints finds the first zero or Fraction, if any
     for c in values:
@@ -161,41 +193,76 @@ def _guarded(n: int, res: dict) -> "DiffPoly":
                 if type(c) is Fraction and c.denominator == 1:
                     res[m] = c.numerator
             break
-    if reduce(or_, res, 0) & _GUARD:
+    if reduce(or_, res, 0) & vt.guard:
         raise ExponentOverflow()
-    return _poly(n, res)
+    return _poly(n, res, vt)
 
 
-def _poly(n: int, terms: dict) -> "DiffPoly":
-    """The ``DiffPoly`` of ``terms``, packed monomials whose coefficients
-    already hold the three invariants, built without the constructor."""
+def _poly(n: int, terms: dict, vt: _VarTable) -> "DiffPoly":
+    """The ``DiffPoly`` of ``terms``, monomials packed in the table ``vt``
+    whose coefficients already hold the three invariants, built without
+    the constructor."""
     p = _new(DiffPoly)
     p.n = n
     p.terms = terms
+    p.vt = vt
     return p
 
 
+def _recode(p: "DiffPoly", vt: _VarTable) -> dict:
+    """The terms of ``p``, a value of another table, packed in ``vt``.
+
+    Each variable that occurs is looked up once, and each factor moves to
+    its variable's field in ``vt``.  Distinct variables keep distinct
+    fields, so terms do not merge and no exponent changes.
+    """
+    src = p.vt.vars
+    terms = p.terms
+    to = {W * k: W * vt.id(src[k]) for k, _ in _fields(reduce(or_, terms, 0))}
+    res = {}
+    for m, c in terms.items():
+        out = 0
+        while m:
+            s = (m.bit_length() - 1) & -W
+            e = m >> s
+            m -= e << s
+            out += e << to[s]
+        res[out] = c
+    return res
+
+
 def encode(mono) -> int:
-    """The packed form of the decoded monomial ``(jets, xexp)``.  Factors on
-    one variable merge; the guard is checked after each one, so no field
-    ever carries into the next."""
+    """The form of the decoded monomial ``(jets, xexp)`` packed in the
+    active table."""
+    return _encode(var_table(), mono)
+
+
+def _encode(vt: _VarTable, mono) -> int:
+    """The form of the decoded monomial ``mono`` packed in ``vt``.  Factors
+    on one variable merge; the guard is checked after each one, so no
+    field ever carries into the next."""
     jets, xe = mono
     m = 0
     for v, e in list(jets) + [(i, e) for i, e in enumerate(xe) if e]:
         if e >= LIMIT:
             raise ExponentOverflow()
-        m += e << (W * _id(v))
-        if m & _GUARD:
+        m += e << (W * vt.id(v))
+        if m & vt.guard:
             raise ExponentOverflow()
     return m
 
 
 def decode(n: int, m: int):
-    """The decoded form ``(jets, xexp)`` of the packed monomial ``m``."""
+    """The decoded form ``(jets, xexp)`` of ``m``, packed in the active table."""
+    return _decode(var_table().vars, n, m)
+
+
+def _decode(variables: list, n: int, m: int):
+    """The decoded form of ``m``, packed in the table of ``variables``."""
     jets = []
     xe = [0] * n
     for k, e in _fields(m):
-        v = _VARS[k]
+        v = variables[k]
         if type(v) is int:
             xe[v] = e
         else:
@@ -220,11 +287,14 @@ def mul_into(res: dict, a: "DiffPoly", b: "DiffPoly", c=1) -> dict:
     The one product loop of the kernel: ``DiffPoly.__mul__`` and every
     builder that sums products call it, so a sum of products fills one
     dict with no polynomial built per product.  ``c`` is a nonzero
-    rational.  The caller builds its result with ``_guarded``.
+    rational.  ``res`` is packed in the active table, as ``_guarded``
+    takes it, and ``a`` and ``b`` are re-encoded into it if they are of
+    another.  The caller builds its result with ``_guarded``.
     """
+    vt = var_table()
     get = res.get
-    bt = b.terms.items()
-    for m1, c1 in a.terms.items():
+    bt = (b.terms if b.vt is vt else _recode(b, vt)).items()
+    for m1, c1 in (a.terms if a.vt is vt else _recode(a, vt)).items():
         if c != 1:
             c1 *= c
         for m2, c2 in bt:
@@ -233,15 +303,26 @@ def mul_into(res: dict, a: "DiffPoly", b: "DiffPoly", c=1) -> dict:
     return res
 
 
+def add_into(res: dict, p: "DiffPoly", c=1) -> dict:
+    """Add ``c*p`` into the term dict ``res``, packed in the active table,
+    and return it; ``c`` is a nonzero rational.  The caller builds its
+    result with ``_guarded``."""
+    vt = var_table()
+    get = res.get
+    for m, q in (p.terms if p.vt is vt else _recode(p, vt)).items():
+        res[m] = get(m, 0) + q * c
+    return res
+
+
 class DiffPoly:
     """Differential polynomial with exact rational coefficients.
 
     Instances are immutable by convention; all operations return new
-    values, so polynomials can be shared freely.  ``terms`` maps packed
-    monomials to coefficients.
+    values, so polynomials can be shared freely.  ``terms`` maps monomials
+    packed in the variable table ``vt`` to coefficients.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "vt")
 
     def __init__(self, n: int, terms=None):
         """``terms`` maps decoded monomials to rationals.
@@ -249,47 +330,50 @@ class DiffPoly:
         This is the entry for input from outside the kernel; the kernel's
         own results are made by ``_poly``.  Decoded terms with a zero
         coefficient are skipped before they are encoded, so a zero term
-        past ``LIMIT`` does not raise; the rest are merged by their packed
-        keys and cleaned by ``_guarded``."""
+        past ``LIMIT`` does not raise; the rest are packed in the active
+        table, merged by their packed keys and cleaned by ``_guarded``."""
         self.n = n
+        vt = self.vt = var_table()
         res = {}
         if terms:
             get = res.get
             for m, c in terms.items():
                 c = exact(c)
                 if c:
-                    m = encode(m)
+                    m = _encode(vt, m)
                     res[m] = get(m, 0) + c
-            res = _guarded(n, res).terms
+            res = _guarded(n, res, vt).terms
         self.terms = res
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "DiffPoly":
-        return _poly(n, {})
+        return _poly(n, {}, var_table())
 
     @classmethod
     def const(cls, n: int, c) -> "DiffPoly":
         c = exact(c)
-        return _poly(n, {0: c} if c else {})
+        return _poly(n, {0: c} if c else {}, var_table())
 
     @classmethod
     def coord(cls, n: int, i: int) -> "DiffPoly":
         """The explicit independent variable x_i."""
-        return _poly(n, {1 << (W * _id(i)): ONE})
+        vt = var_table()
+        return _poly(n, {1 << (W * vt.id(i)): ONE}, vt)
 
     @classmethod
     def jet(cls, n: int, dep: int, idx) -> "DiffPoly":
         idx = tuple(idx)
         if len(idx) != n or min(idx, default=0) < 0:
             raise ValueError(f"bad multi-index {idx!r}")
-        return _poly(n, {1 << (W * _id((dep, idx))): ONE})
+        vt = var_table()
+        return _poly(n, {1 << (W * vt.id((dep, idx))): ONE}, vt)
 
     def items(self):
         """The terms as (decoded monomial, coefficient) pairs."""
-        n = self.n
-        return ((decode(n, m), c) for m, c in self.terms.items())
+        n, variables = self.n, self.vt.vars
+        return ((_decode(variables, n, m), c) for m, c in self.terms.items())
 
     def canonical_terms(self, factor):
         """The terms in canonical order, highest first, as ``(factors, c)``.
@@ -305,7 +389,7 @@ class DiffPoly:
         bytes, so that a term whose jet factors begin another's sorts below
         it, and the x exponents in ``W`` bits each.
         """
-        n = self.n
+        n, variables = self.n, self.vt.vars
         jets = sorted(v for v in self._vars() if type(v) is not int)
         rank = {v: r for r, v in enumerate(jets, 1)}
         cw, xw = (len(jets).bit_length() + W + 7) // 8, (W * n + 7) // 8
@@ -325,7 +409,7 @@ class DiffPoly:
                 deg += e
                 t = memo.get(f)
                 if t is None:
-                    v = _VARS[s // W]
+                    v = variables[s // W]
                     t = memo[f] = (
                         (b"", v, e << (W * (n - 1 - v)), factor(v, e)) if type(v) is int
                         else (((rank[v] << W) + e).to_bytes(cw, "big"), factor(v, e))
@@ -346,26 +430,28 @@ class DiffPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
+        vt = var_table()
+        res = dict(self.terms if self.vt is vt else _recode(self, vt))
         get = res.get
-        for m, c in other.terms.items():
+        for m, c in (other.terms if other.vt is vt else _recode(other, vt)).items():
             res[m] = get(m, 0) + c
-        return _guarded(self.n, res)
+        return _guarded(self.n, res, vt)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.n, {m: -c for m, c in self.terms.items()})
+        return _poly(self.n, {m: -c for m, c in self.terms.items()}, self.vt)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
+        vt = var_table()
+        res = dict(self.terms if self.vt is vt else _recode(self, vt))
         get = res.get
-        for m, c in other.terms.items():
+        for m, c in (other.terms if other.vt is vt else _recode(other, vt)).items():
             res[m] = get(m, 0) - c
-        return _guarded(self.n, res)
+        return _guarded(self.n, res, vt)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -378,7 +464,7 @@ class DiffPoly:
             c = exact(other)
             if not c:
                 return DiffPoly.zero(self.n)
-            return _poly(self.n, {m: exact(q * c) for m, q in self.terms.items()})
+            return _poly(self.n, {m: exact(q * c) for m, q in self.terms.items()}, self.vt)
         if not isinstance(other, DiffPoly):
             return NotImplemented
         return _guarded(self.n, mul_into({}, self, other))
@@ -406,10 +492,14 @@ class DiffPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = DiffPoly.const(self.n, other)
+            # the empty monomial is 0 in every table
+            c = exact(other)
+            return self.terms == ({0: c} if c else {})
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        if self.vt is other.vt:
+            return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and dict(self.items()) == dict(other.items())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -428,10 +518,11 @@ class DiffPoly:
     def _vars(self):
         """Every variable that occurs in some term, highest id first."""
         out = []
+        variables = self.vt.vars
         m = reduce(or_, self.terms, 0)
         while m:
             s = (m.bit_length() - 1) & -W
-            out.append(_VARS[s // W])
+            out.append(variables[s // W])
             m &= (1 << s) - 1
         return out
 
@@ -460,16 +551,18 @@ class DiffPoly:
 
     def partial(self, jet) -> "DiffPoly":
         """Partial derivative with respect to one jet variable."""
+        vt = var_table()
+        terms = self.terms if self.vt is vt else _recode(self, vt)
         res = {}
-        k = _IDS.get(jet)
+        k = vt.ids.get(jet)
         if k is not None:
             shift = W * k
             # distinct monomials stay distinct, so there is nothing to add
-            for m, c in self.terms.items():
+            for m, c in terms.items():
                 e = (m >> shift) & _FIELD
                 if e:
                     res[m - (1 << shift)] = c * e
-        return _guarded(self.n, res)
+        return _guarded(self.n, res, vt)
 
     def total(self, i: int, image=None) -> "DiffPoly":
         """Total derivative D_i: d/dx_i plus the chain rule over all jets.
@@ -483,13 +576,16 @@ class DiffPoly:
         pass.  On a normal form, with normal forms as images, this gives the
         normal form of D_i: the total derivative restricted to the equation.
 
-        The raised jet comes from ``_RAISE``.  It gets an id, and so a field
-        in every later monomial, only when the result keeps it.
+        The raised jet comes from the active table's raise map.  It gets an
+        id, and so a field in every later monomial, only when the result
+        keeps it.
         """
+        vt = var_table()
+        variables, raised = vt.vars, vt.raised
         steps = {}
         res = {}
         get = res.get
-        for m, c in self.terms.items():
+        for m, c in (self.terms if self.vt is vt else _recode(self, vt)).items():
             rest = m
             while rest:
                 s = (rest.bit_length() - 1) & -W
@@ -498,24 +594,25 @@ class DiffPoly:
                 step = steps.get(s)
                 if step is None:
                     k, one = s // W, 1 << s
-                    v = _VARS[k]
+                    v = variables[k]
                     if type(v) is int:
                         step = -one if v == i else 0
                     else:
-                        r = _RAISE.get((k, i))
+                        r = raised.get((k, i))
                         if r is None:
                             dep, idx = v
                             up = (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
-                            r = _RAISE[(k, i)] = (up, None)
+                            r = raised[(k, i)] = (up, None)
                         up, t = r
                         q = image(up) if image else None
                         if q is None:
                             if t is None:
-                                t = W * _id(up)
-                                _RAISE[(k, i)] = (up, t)
+                                t = W * vt.id(up)
+                                raised[(k, i)] = (up, t)
                             step = (1 << t) - one
                         else:
-                            step = (one, tuple(q.terms.items()))
+                            step = (one, tuple(
+                                (q.terms if q.vt is vt else _recode(q, vt)).items()))
                     steps[s] = step
                 if type(step) is int:
                     if step:
@@ -526,7 +623,7 @@ class DiffPoly:
                     for m2, c2 in step[1]:
                         key = low + m2
                         res[key] = get(key, 0) + ce * c2
-        return _guarded(self.n, res)
+        return _guarded(self.n, res, vt)
 
     # -- substitutions -----------------------------------------------
 
@@ -537,12 +634,15 @@ class DiffPoly:
         term splits into its replaced factors ``hit = m & mask`` and the kept
         monomial ``m - hit``, which is multiplied by the product of the
         images of the factors in ``hit``.  Powers and products are memoized
-        per call.
+        per call; an image of another table is re-encoded once, as its
+        first power.
         """
+        vt = var_table()
+        terms = self.terms if self.vt is vt else _recode(self, vt)
         by_id = {}
         mask = 0
         for v, q in images.items():
-            k = _IDS.get(v)
+            k = vt.ids.get(v)
             if k is not None:
                 by_id[k] = q
                 mask |= _FIELD << (W * k)
@@ -555,7 +655,11 @@ class DiffPoly:
                 j -= 1
             p = powers.get((k, j))
             for j in range(j + 1, e + 1):
-                p = powers[(k, j)] = by_id[k] if j == 1 else p * by_id[k]
+                if j > 1:
+                    p = powers[(k, j)] = p * powers[(k, 1)]
+                else:
+                    q = by_id[k]
+                    p = powers[(k, 1)] = q if q.vt is vt else _poly(q.n, _recode(q, vt), vt)
             return p
 
         def product(hit):
@@ -564,15 +668,15 @@ class DiffPoly:
                 prod = products[hit] = reduce(mul, [power(k, e) for k, e in _fields(hit)])
             return prod
 
-        if len(self.terms) == 1:
+        if len(terms) == 1:
             # 1*m with every factor of m replaced, such as one reducible
             # jet: the product of the images is the result, not a copy
-            (m, c), = self.terms.items()
+            (m, c), = terms.items()
             if c == 1 and m and (m & mask) == m:
                 return product(m)
         res = {}
         get = res.get
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             hit = m & mask
             if not hit:
                 res[m] = get(m, 0) + c
@@ -581,7 +685,7 @@ class DiffPoly:
             for m2, c2 in product(hit).terms.items():
                 key = kept + m2
                 res[key] = get(key, 0) + c * c2
-        return _guarded(self.n, res)
+        return _guarded(self.n, res, vt)
 
     def subst_deps(self, values: dict) -> "DiffPoly":
         """Replace each dependent in ``values`` by its polynomial, at once;
@@ -601,18 +705,22 @@ class DiffPoly:
         land on the same jet merge into one power; the guard is checked
         after each addition, as in ``encode``.
         """
+        vt = var_table()
+        terms = self.terms if self.vt is vt else _recode(self, vt)
+        variables = vt.vars
         to = {}
         mask = 0
-        for k, _ in _fields(reduce(or_, self.terms, 0)):
-            v = _VARS[k]
+        for k, _ in _fields(reduce(or_, terms, 0)):
+            v = variables[k]
             if type(v) is not int and mapping.get(v[0], v[0]) != v[0]:
-                to[W * k] = W * _id((mapping[v[0]], v[1]))
+                to[W * k] = W * vt.id((mapping[v[0]], v[1]))
                 mask |= _FIELD << (W * k)
         if not mask:
             return self
+        guard = vt.guard
         res = {}
         get = res.get
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             hit = m & mask
             out = m - hit
             while hit:
@@ -620,10 +728,10 @@ class DiffPoly:
                 e = hit >> s
                 hit -= e << s
                 out += e << to[s]
-                if out & _GUARD:
+                if out & guard:
                     raise ExponentOverflow()
             res[out] = get(out, 0) + c
-        return _guarded(self.n, res)
+        return _guarded(self.n, res, vt)
 
 
 class VectorFunction:
@@ -700,29 +808,43 @@ def formal_vector(n: int, dep_ids) -> VectorFunction:
 
 
 class Run:
-    """A table of total derivatives.  The active run's holds plain D_sigma
-    and lives exactly as long as one run; each ``EquationSystem`` owns
-    another, for its restricted D̄_sigma, kept apart because the passivity
-    check takes plain D_sigma of the same right-hand sides.
+    """A table of total derivatives, made under the variable table that is
+    active then.  The active run's holds plain D_sigma and lives exactly as
+    long as one run, as that run's variable table does; each
+    ``EquationSystem`` owns another, for its restricted D̄_sigma, kept
+    apart because the passivity check takes plain D_sigma of the same
+    right-hand sides.
 
     The table holds, for each base polynomial, its derivatives keyed by
     ``sigma``.  A base is found first by ``id``; its entry keeps the base
     alive, so the id is not reused while the table lasts.  A base not seen
-    as an object is found by value, ``(n, frozenset(terms))``, a key built
-    once per distinct base object, so value-equal copies share one table.
+    as an object is found by value, ``(n, frozenset(terms))`` with the
+    terms packed in the Run's own variable table, a key built once per
+    distinct base object, so value-equal copies share one table whatever
+    table each was built in.
     """
 
-    __slots__ = ("_by_id", "_by_value", "__weakref__")
+    __slots__ = ("_by_id", "_by_value", "_vt", "__weakref__")
 
     def __init__(self):
         self._by_id = {}
         self._by_value = {}
+        self._vt = var_table()
+
+    def stale(self) -> bool:
+        """Whether the active variable table is another than the one this
+        Run was made under: its derivatives then belong to another run, or
+        to the builders outside runs, and an owner that meets them again
+        makes a new Run."""
+        return self._vt is not var_table()
 
     def table(self, base: DiffPoly) -> dict:
         """The derivatives of ``base`` taken in this run, keyed by ``sigma``."""
         entry = self._by_id.get(id(base))
         if entry is None:
-            table = self._by_value.setdefault((base.n, frozenset(base.terms.items())), {})
+            vt = self._vt
+            terms = base.terms if base.vt is vt else _recode(base, vt)
+            table = self._by_value.setdefault((base.n, frozenset(terms.items())), {})
             entry = self._by_id[id(base)] = (base, table)
         return entry[1]
 
@@ -765,27 +887,32 @@ _RUN = ContextVar("hamcheck_run", default=None)
 
 def current_run() -> Run:
     """The active run; outside one, a fresh throwaway ``Run``, so that a
-    library call keeps its derivatives only while it lasts."""
+    library call keeps its derivatives only while it lasts, and builds in
+    the default variable table."""
     run = _RUN.get()
     return Run() if run is None else run
 
 
 @contextmanager
 def run_scope():
-    """Make a fresh ``Run`` active for the block, unless one already is,
-    and give the active one.
+    """Make a fresh ``Run`` and an empty variable table active for the
+    block, unless a run already is, and give the active ``Run``.
 
-    A ``Run`` it made is reset on the way out, even on error, so its table
-    is unreachable once the block ends.
+    Every value built in the block is packed in the run's variable table,
+    so the ids it gives depend on the run alone.  Both are reset on the way
+    out, even on error: the derivative table is unreachable once the block
+    ends, and the variable table once no value built in the block is left.
     """
     if _RUN.get() is not None:
         yield _RUN.get()
         return
+    tables = _TABLE.set(_VarTable())
     token = _RUN.set(Run())
     try:
         yield _RUN.get()
     finally:
         _RUN.reset(token)
+        _TABLE.reset(tables)
 
 
 def euler(frame: Frame, density: DiffPoly) -> VectorFunction:

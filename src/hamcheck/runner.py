@@ -138,12 +138,14 @@ class RunContext:
 
 
 def _bivector_key(system, op: CDiffOp):
+    # by decoded terms: an operator of the program and one a task built
+    # may be packed apart, one outside the run and one in it
     return (
         id(system),
         op.rows,
         op.cols,
         tuple(
-            (r, c, sigma, tuple(sorted(a.terms.items())))
+            (r, c, sigma, frozenset(a.items()))
             for (r, c, sigma), a in sorted(op.entries.items())
         ),
     )

@@ -82,7 +82,10 @@ class EquationSystem:
     every system that ``make_system``, ``solve_orthonomic``, ``seal`` and
     ``constraint_system`` build; the tagged twin is built from it.  The
     per-instance caches only memoize derived values that are functions of
-    the immutable state, and the slots admit no other state.
+    the immutable state, and the slots admit no other state.  They hold
+    values built in one run, or outside runs; ``_forget`` drops them when
+    the system is used in another, so a system that outlives a run, such
+    as one a library user built, never serves the run's values.
     """
 
     __slots__ = ("frame", "originals", "rules", "ranking", "_by_dep",
@@ -101,6 +104,14 @@ class EquationSystem:
         self._lin = None
         self._lin_adj = None
         self._twin = None
+
+    def _forget(self):
+        """Drop the caches.  Every entry point calls this first when the
+        system's ``Run`` is stale: the caches were then filled in another
+        run, or outside runs while one is active, or the reverse."""
+        self._normal = {}
+        self._restricted = Run()
+        self._lin = self._lin_adj = self._twin = None
 
     # -- reduction ------------------------------------------------------
 
@@ -122,6 +133,8 @@ class EquationSystem:
         normal form whose raised reducible jets are replaced by their own
         normal forms, in one pass, is again a normal form.
         """
+        if self._restricted.stale():
+            self._forget()
         table = self._normal
         if jet in table:
             return table[jet]
@@ -157,11 +170,15 @@ class EquationSystem:
     # -- derived operators ------------------------------------------------
 
     def linearization(self) -> CDiffOp:
+        if self._restricted.stale():
+            self._forget()
         if self._lin is None:
             self._lin = linearize(self.originals, range(self.frame.m))
         return self._lin
 
     def adjoint_linearization(self) -> CDiffOp:
+        if self._restricted.stale():
+            self._forget()
         if self._lin_adj is None:
             self._lin_adj = self.linearization().adjoint()
         return self._lin_adj
@@ -221,6 +238,8 @@ class EquationSystem:
         terms of F-degree 2 and more drop out.  The row is a normal form, so every entry is one too.
         """
         n = self.frame.n
+        if self._restricted.stale():
+            self._forget()
         twin = self._twin
         if twin is None:
             zero = (0,) * n

@@ -1,9 +1,4 @@
-import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -12,12 +7,14 @@ from hamcheck import (
     DiffPoly,
     ExponentOverflow,
     Frame,
+    Ranking,
     VectorFunction,
     euler,
     linearize,
+    make_system,
 )
 from hamcheck.parser import parse_poly
-from hamcheck.poly import _IDS, _RAISE, _VARS, W
+from hamcheck.poly import W, run_scope, var_table
 from hamcheck.render import poly_text
 
 
@@ -160,64 +157,68 @@ def test_restricted_total_gives_no_id_to_a_replaced_jet(kdv):
     ups = [(0, (40, 1)), (0, (0, 1))]
     # the images, and the ids of the jets they keep, exist before the step
     assert all(kdv._image(v) is not None for v in ups)
-    before = len(_VARS)
+    table = var_table()
+    before = len(table.vars)
     out = p.total(1, kdv._image)
-    assert len(_VARS) == before
-    assert (0, (40, 1)) not in _IDS
-    assert out.jetvars() <= set(_VARS)
+    assert len(table.vars) == before
+    assert (0, (40, 1)) not in table.ids
+    assert out.jetvars() <= set(table.vars)
 
 
 def test_deep_reduction_gives_ids_only_to_jets_its_normal_forms_use():
-    # In a fresh process, so that no other test has given these ids.  Each
-    # new id is a jet of the normal form or of a normal form the system
-    # stored on the way, in its table by jet or in its table of restricted
-    # derivatives: u_{x^23}, for one, occurs only in D̄_x^20 of the
-    # right-hand side, the image of u_{x^20 t}.  No reducible jet gets one.
-    child = """
-import json
-from hamcheck import DiffPoly, Frame, Ranking, make_system
-from hamcheck.parser import parse_poly
-from hamcheck.poly import _VARS
-fr = Frame(("x", "t"), ("u",))
-f = parse_poly(fr, "u_t - u_xxx - 6*u*u_x")
-rhs = parse_poly(fr, "u_xxx + 6*u*u_x")
-kdv = make_system(fr, [f], [((0, (0, 1)), rhs)], Ranking.of(fr, "t", "x"))
-u_t8 = DiffPoly.jet(2, 0, (0, 8))
-before = len(_VARS)
-nf = kdv.reduce(u_t8)
-forms = [q for q in kdv._normal.values() if q is not None]
-forms += [q for t in kdv._restricted._by_value.values() for q in t.values()]
-stored = set().union(*(q.jetvars() for q in forms))
-print(json.dumps({
-    "given": _VARS[before:],
-    "normal_form": sorted(nf.jetvars()),
-    "stored": sorted(stored),
-    "reducible": [v for v in _VARS[before:] if kdv.rule_for(v) is not None],
-}))
-"""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    # In a fresh run, whose variable table starts empty, so that no other
+    # test has given these ids.  Each new id is a jet of the normal form or
+    # of a normal form the system stored on the way, in its table by jet or
+    # in its table of restricted derivatives: u_{x^23}, for one, occurs
+    # only in D̄_x^20 of the right-hand side, the image of u_{x^20 t}.  No
+    # reducible jet gets one.
+    with run_scope():
+        table = var_table()
+        assert table.vars == []
+        fr = Frame(("x", "t"), ("u",))
+        f = parse_poly(fr, "u_t - u_xxx - 6*u*u_x")
+        rhs = parse_poly(fr, "u_xxx + 6*u*u_x")
+        kdv = make_system(fr, [f], [((0, (0, 1)), rhs)], Ranking.of(fr, "t", "x"))
+        u_t8 = DiffPoly.jet(2, 0, (0, 8))
+        before = len(table.vars)
+        nf = kdv.reduce(u_t8)
+        forms = [q for q in kdv._normal.values() if q is not None]
+        forms += [q for t in kdv._restricted._by_value.values() for q in t.values()]
+        stored = set().union(*(q.jetvars() for q in forms))
+        given = table.vars[before:]
     # D_t^8 u has weight 26, so its normal form uses u_{x^24} at the top
-    assert [0, [24, 0]] in out["normal_form"]
-    assert out["given"] and all(v in out["stored"] for v in out["given"])
-    assert [0, [23, 0]] in out["given"] and [0, [23, 0]] not in out["normal_form"]
-    assert out["reducible"] == []
+    assert (0, (24, 0)) in nf.jetvars()
+    assert given and all(v in stored for v in given)
+    assert (0, (23, 0)) in given and (0, (23, 0)) not in nf.jetvars()
+    assert [v for v in given if kdv.rule_for(v) is not None] == []
 
 
 def test_raise_map_holds_jets_and_offsets_only(kdv):
     kdv.reduce(DiffPoly.jet(2, 0, (1, 3)) * DiffPoly.jet(2, 0, (2, 0)))
-    assert _RAISE
-    for (k, i), (up, t) in _RAISE.items():
-        dep, idx = _VARS[k]
+    table = var_table()
+    assert table.raised
+    for (k, i), (up, t) in table.raised.items():
+        dep, idx = table.vars[k]
         assert up == (dep, idx[:i] + (idx[i] + 1,) + idx[i + 1:])
-        assert t is None or t == W * _IDS[up]
+        assert t is None or t == W * table.ids[up]
         assert not any(isinstance(x, DiffPoly) for x in (k, i, up, t))
+
+
+def test_a_value_reads_the_same_under_every_table(fr_u):
+    # A run's table starts empty and holds only what the run met.  A value
+    # keeps the table it was built in and is re-encoded where it meets the
+    # active one, so a value built outside any run reads the same inside
+    # one, and a value built in a run reads the same after it.
+    text = "3*u_xx*u^2 - x*u_t + 1/2"
+    p = parse_poly(fr_u, text)
+    with run_scope():
+        q = parse_poly(fr_u, text)
+        assert set(var_table().vars) == {0, (0, (0, 0)), (0, (2, 0)), (0, (0, 1))}
+        assert q == p and repr(q) == repr(p)
+        inside = (p + q, q - p, p * q, p.total(0), p.partial((0, (0, 0))),
+                  p.substitute({(0, (0, 0)): q}), p.relabel_deps({0: 1}))
+    assert inside == (2 * p, 0, p * p, q.total(0), q.partial((0, (0, 0))),
+                      q.substitute({(0, (0, 0)): p}), q.relabel_deps({0: 1}))
 
 
 def test_relabel_deps_merges_factors_on_one_jet():

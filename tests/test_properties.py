@@ -30,7 +30,7 @@ from hamcheck.frame import index_le, index_sub
 from hamcheck.ops import _binom, _sub_indices
 from hamcheck.parser import parse_op, parse_poly, parse_program, parse_vector
 from hamcheck.poly import (
-    _IDS, _VARS, LIMIT, as_vector, current_run, decode, encode, run_scope,
+    LIMIT, as_vector, current_run, decode, encode, run_scope, var_table,
 )
 from hamcheck.render import jet_text, op_text, poly_text
 from hamcheck.runner import run_program
@@ -772,7 +772,7 @@ def test_top_field_walk_at_exponent_edges(e):
         (((_U, 1), (top, e), (_UX, 2)), (1, 0, 3)),
         (((_UY, LIMIT - 1),), (0, e, 0)),
     ) + pad[-1]
-    assert _IDS[top] > 300
+    assert var_table().ids[top] > 300
     assert p.jetvars() == {top, _U, _UX, _UY, (1, (19, 14, 11))}
     assert all(encode(decode(3, m)) == m for m in p.terms)
     assert {mono for mono, _ in p.items()} == {
@@ -954,9 +954,9 @@ def test_factor_matches_rewriting_reference(
     delta = system.factor_through_f(g)
     assert delta == _factor_reference(system, g)
     assert all(min(a.deps(), default=0) >= 0 for a in delta.entries.values())
-    ids = len(_VARS)
+    ids = len(var_table().vars)
     assert system.factor_through_f(g) == delta
-    assert len(_VARS) == ids
+    assert len(var_table().vars) == ids
 
 
 def test_factor_on_a_passive_two_rule_system():

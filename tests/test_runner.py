@@ -263,11 +263,15 @@ def test_run_program_sets_one_run_and_releases_it(monkeypatch):
     assert len(runs) == 5 and runs[0] is not None
     assert all(r is runs[0] for r in runs)
     assert runs[0].table(poly.DiffPoly.const(1, 1)) is not None
-    ref = weakref.ref(runs[0])
+    ref, table = weakref.ref(runs[0]), weakref.ref(runs[0]._vt)
     runs.clear()
-    # no Run is active after the run, and its table is unreachable
+    # no Run is active after the run, and its table is unreachable; so is
+    # its variable table once the program, parsed outside the run, is
+    # dropped, since its system keeps the normal forms the run took
     assert poly._RUN.get() is None
     assert ref() is None
+    del program
+    assert table() is None
 
 
 def test_run_is_released_when_a_task_or_the_loop_fails(monkeypatch):
@@ -721,8 +725,11 @@ def test_cli_run_options_shape_only_the_report(capsys):
 
 
 def test_cli_main_repeats_alike_in_one_process(tmp_path, capsys):
-    # one argument parser serves every call: a good run, a bad option and
-    # the good run again give the same exit codes, output and report bytes
+    # one argument parser serves every call: a good run, a bad option, a
+    # run that meets a hundred new jets and the good run again give the
+    # same exit codes, output and report bytes.  Each run gives its ids in
+    # a table of its own, so the default table does not grow.
+    ids = len(poly.var_table().vars)
     out = tmp_path / "r.json"
     good = ["run", str(DEMOS / "kdv.ham"), "--report", str(out)]
     assert cli.main(good) == 0
@@ -733,10 +740,17 @@ def test_cli_main_repeats_alike_in_one_process(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: hamcheck ")
     assert err.endswith("error: unrecognized arguments: --bogus\n")
+    big = tmp_path / "big.ham"
+    big.write_text(KDV_SOURCE.split("operator")[0]
+                   + "operator A = Dx^100;\ntask bivector(kdv, A);\n")
+    assert cli.main(["run", str(big), "--report", str(tmp_path / "big.json")]) == 1
+    capsys.readouterr()
+    assert "u_x" + "x" * 99 in (tmp_path / "big.json").read_text()
     out.unlink()
     assert cli.main(good) == 0
     assert out.read_bytes() == first
     assert capsys.readouterr().out == first_out
+    assert len(poly.var_table().vars) == ids
 
 
 def test_cli_timings_flag_adds_seconds(tmp_path):

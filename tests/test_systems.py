@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from hamcheck import (
     solve_orthonomic,
 )
 from hamcheck.parser import parse_op, parse_poly, parse_vector
-from hamcheck.render import poly_text
+from hamcheck.poly import run_scope, var_table
+from hamcheck.render import op_text, poly_text
 from hamcheck.systems import solve_for
 from reference import NotConserved, current_to_genfn, make_current
 
@@ -217,6 +219,34 @@ def test_reduced_totals_commute(kdv, fr_u):
     a = kdv.reduce(kdv.reduce(p.total(0)).total(1))
     b = kdv.reduce(kdv.reduce(p.total(1)).total(0))
     assert a == b
+
+
+def test_a_system_built_outside_runs_serves_no_runs_values(kdv, fr_u):
+    # The session system is built outside any run.  Two runs in turn meet
+    # jets the other does not: u_t^9, then u_{x^30}t.  Each drops what the
+    # system kept from before, so its answers are those taken outside any
+    # run, and a run's variable table is released once the system is used
+    # under another.  The answers are compared as text, which holds no
+    # table.
+    jets = DiffPoly.jet(2, 0, (0, 9)), DiffPoly.jet(2, 0, (30, 1))
+    g = kdv.originals[0].total(0)
+
+    def answers(p):
+        return (poly_text(fr_u, kdv.reduce(p)), op_text(fr_u, kdv.linearization()),
+                op_text(fr_u, kdv.factor_through_f(g)))
+
+    kdv._forget()  # so that the first run fills the caches itself
+    tables, inside = [], []
+    for p in jets:
+        with run_scope():
+            tables.append(weakref.ref(var_table()))
+            inside.append(answers(p))
+    assert tables[0]() is None
+    outside = [answers(p) for p in jets]
+    assert tables[1]() is None
+    assert inside == outside
+    assert "u_" + "x" * 33 in outside[1][0] and "x" * 28 not in outside[0][0]
+    assert outside[0][1:] == ("-6*u_x + Dt + (-6*u)*Dx - Dx^3", "Dx")
 
 
 def test_restrict_op(kdv, fr_u):
