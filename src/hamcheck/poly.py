@@ -20,9 +20,10 @@ the constructor takes keys in it.  The canonical order of terms is
 graded, then by jet factors, then by x exponents, highest first;
 ``DiffPoly.canonical_terms`` walks the terms in it, giving each term's
 factors in order (x factors by index, then jets ascending).  It ranks
-the jets that occur once per call and sorts by one ``bytes`` key per term
-built from those ranks, never by the ints, whose order depends on the
-order in which ids were given.
+the jets that occur once per call and sorts by one ``int`` key per term,
+with one field per ranked jet and per x_i under the degree, each as
+narrow as the widest exponent allows; never by the packed monomials,
+whose order depends on the order in which ids were given.
 
 Three invariants hold for every value the kernel builds: no zero
 coefficient is stored; no stored exponent reaches ``LIMIT``; and a
@@ -85,12 +86,13 @@ and the passivity check share what any of them took.  A builder called
 outside a run gets a throwaway ``Run`` of its own, kept only while the
 call lasts.  Restricted derivatives D̄_sigma, which depend on an
 equation, are taken in a ``Run`` that each system owns, with the
-system's ``_image``; beside it the system keeps one table keyed by the
+system's image lookup; beside it the system keeps one table keyed by the
 jet: each reducible jet's normal form, or None for an irreducible one.
 A system drops these when its ``Run`` is ``stale``, made under another
-variable table than the active one, so a system that outlives a run
-never serves the run's values in another.  Factoring reduces on a twin
-of the system, so it uses the twin's tables and not the run's.
+variable table than the active one, checked once per ``reduce``, so a
+system that outlives a run never serves the run's values in another.
+Factoring reduces on a twin of the system, so it uses the twin's tables
+and not the run's.
 """
 
 from __future__ import annotations
@@ -229,6 +231,16 @@ def _recode(p: "DiffPoly", vt: _VarTable) -> dict:
             out += e << to[s]
         res[out] = c
     return res
+
+
+def value_key(p: "DiffPoly", vt=None):
+    """A hashable key that two polynomials share exactly when they are
+    equal: ``(n, frozenset of terms)``, the terms packed in ``vt``, by
+    default the active table, into which a polynomial of another table is
+    re-encoded.  Only keys made under one table compare."""
+    if vt is None:
+        vt = var_table()
+    return p.n, frozenset((p.terms if p.vt is vt else _recode(p, vt)).items())
 
 
 def encode(mono) -> int:
@@ -381,48 +393,66 @@ class DiffPoly:
         ``factors`` lists ``factor(v, e)`` for each factor ``v^e`` of the
         term: the explicit variables by index (``v`` is the ``int`` i), then
         the jets in ascending order.  ``factor`` is called once per distinct
-        factor.  The jets that occur are ranked once, and each term's sort
-        key is one ``bytes`` object, so one comparison orders two terms as
-        their decoded ``(jets, xexp)`` would: the degree in 8 bytes (a sum
-        of far fewer than 2**48 exponents below ``LIMIT``), a code of ``cw``
-        bytes for each jet's (rank + 1, exponent) in rank order, ``cw`` zero
-        bytes, so that a term whose jet factors begin another's sorts below
-        it, and the x exponents in ``W`` bits each.
+        factor.
+
+        Each term's sort key is one ``int``, so one comparison orders two
+        terms as their decoded ``(jets, xexp)`` would.  One walk of the OR
+        of the monomials finds the jets that occur, ranked in ascending
+        order, and the field width ``b``: one bit more than the widest
+        exponent, so the gap value ``2**b - 1`` exceeds every exponent.
+        From the top, the key holds the degree, with no width limit, then
+        one ``b``-bit field per jet in rank order, then one per x_i from
+        x_0 on.  A jet's field holds its exponent in the term; a jet the
+        term lacks holds the gap below the term's highest-ranked jet, so a
+        smaller jet sorts first, and 0 above it, so a term whose jet
+        factors begin another's sorts below it.  The key is summed in the
+        walk that finds the term's factors, from one memo entry per factor:
+        each adds its exponent to the degree and to its field, a jet's less
+        the gap, and the term's highest-ranked jet, last once the factors
+        are sorted, adds the gap to every jet field down to its own.
+        Distinct terms never tie.
         """
-        n, variables = self.n, self.vt.vars
-        jets = sorted(v for v in self._vars() if type(v) is not int)
-        rank = {v: r for r, v in enumerate(jets, 1)}
-        cw, xw = (len(jets).bit_length() + W + 7) // 8, (W * n + 7) // 8
-        end, no_x = bytes(cw), bytes(cw + xw)
-        # field -> (code, factor(v, e)) for a jet; for x_i, (b"", i, e at its
-        # place in the x exponents, factor(v, e)), which sorts first, by i
+        n, variables, terms = self.n, self.vt.vars, self.terms
+        jets = []
+        b = 1
+        for k, e in _fields(reduce(or_, terms, 0)):
+            b = max(b, e.bit_length() + 1)
+            if type(variables[k]) is not int:
+                jets.append(variables[k])
+        jets.sort()
+        top = b * (n + len(jets))
+        gap, unit = (1 << b) - 1, 1 << top  # unit: one degree
+        at = {v: (n + r, top - b * r) for r, v in enumerate(jets, 1)}
+        # field -> (order, key part, fill, factor(v, e)): x_i sorts first, by
+        # i, then the jets by rank, so a term's last factor is its
+        # highest-ranked jet if it has one; an x factor fills nothing
         memo = {}
         rows = []
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             fs = []
-            deg = 0
+            key = 0
             while m:
                 s = (m.bit_length() - 1) & -W
-                e = m >> s
-                f = e << s
+                f = m >> s << s
                 m -= f
-                deg += e
                 t = memo.get(f)
                 if t is None:
-                    v = variables[s // W]
-                    t = memo[f] = (
-                        (b"", v, e << (W * (n - 1 - v)), factor(v, e)) if type(v) is int
-                        else (((rank[v] << W) + e).to_bytes(cw, "big"), factor(v, e))
-                    )
+                    e, v = f >> s, variables[s // W]
+                    if type(v) is int:
+                        t = (v, e * unit + (e << (b * (n - 1 - v))), 0, factor(v, e))
+                    else:
+                        r, p = at[v]
+                        t = (r, e * unit + ((e - gap) << p), unit - (1 << p), factor(v, e))
+                    memo[f] = t
+                key += t[1]
                 fs.append(t)
-            fs.sort()
-            key = [deg.to_bytes(8, "big"), *[t[0] for t in fs], no_x]
-            if fs and not fs[0][0]:
-                key[-1] = end + sum(t[2] for t in fs if not t[0]).to_bytes(xw, "big")
-            rows.append((b"".join(key), fs, c))
+            if fs:
+                fs.sort()
+                key += fs[-1][2]
+            rows.append((key, fs, c))
         rows.sort(key=itemgetter(0), reverse=True)
         for _, fs, c in rows:
-            yield [t[-1] for t in fs], c
+            yield [t[3] for t in fs], c
 
     # -- ring structure ----------------------------------------------
 
@@ -842,9 +872,7 @@ class Run:
         """The derivatives of ``base`` taken in this run, keyed by ``sigma``."""
         entry = self._by_id.get(id(base))
         if entry is None:
-            vt = self._vt
-            terms = base.terms if base.vt is vt else _recode(base, vt)
-            table = self._by_value.setdefault((base.n, frozenset(terms.items())), {})
+            table = self._by_value.setdefault(value_key(base, self._vt), {})
             entry = self._by_id[id(base)] = (base, table)
         return entry[1]
 
@@ -857,7 +885,7 @@ class Run:
         ``sigma`` is lowered in its first nonzero direction until it meets
         a taken index or zero, and the path is climbed back with
         ``total(i, image)``, storing every index on the way: with a
-        system's ``_image``, each step is the restricted D̄_i.  A table
+        system's image lookup, each step is the restricted D̄_i.  A table
         serves one ``image``, passed on each call and never stored, so a
         system's table holds no bound method and a dropped system is freed
         at once.  Iterative, so the jet order is not limited by the

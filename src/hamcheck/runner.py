@@ -31,7 +31,7 @@ from .equivalence import (
 )
 from .ops import CDiffOp
 from .parser import Direction, NameRef, Program, TaskDecl
-from .poly import DiffPoly, VectorFunction, as_vector, run_scope
+from .poly import DiffPoly, VectorFunction, as_vector, run_scope, value_key
 from .render import op_text, poly_text, vector_text
 from .systems import EquationSystem, HamcheckError
 
@@ -138,14 +138,14 @@ class RunContext:
 
 
 def _bivector_key(system, op: CDiffOp):
-    # by decoded terms: an operator of the program and one a task built
-    # may be packed apart, one outside the run and one in it
+    # by value, so an operator of the program, which may have been parsed
+    # outside the run, and an equal one a task built in it meet
     return (
         id(system),
         op.rows,
         op.cols,
         tuple(
-            (r, c, sigma, frozenset(a.items()))
+            (r, c, sigma, value_key(a))
             for (r, c, sigma), a in sorted(op.entries.items())
         ),
     )

@@ -124,17 +124,22 @@ class EquationSystem:
         return None
 
     def _image(self, jet):
-        """Normal form of a reducible jet, or None if no rule reduces it.
+        """Normal form of a reducible jet, or None if no rule reduces it;
+        the caches are dropped first if they belong to another run."""
+        if self._restricted.stale():
+            self._forget()
+        return self._lookup(jet)
+
+    def _lookup(self, jet):
+        """``_image`` without the staleness check, which its caller made.
 
         Both answers are kept in ``_normal``, by jet, so a jet asked for
         again costs one lookup.  The image of lead_k is ``reduce(rhs_k)``;
-        that of lead_k + tau is D̄_tau of it, climbed with ``_image`` in the
-        system's own ``Run``, which keeps every step of the path.  D_i of a
-        normal form whose raised reducible jets are replaced by their own
-        normal forms, in one pass, is again a normal form.
+        that of lead_k + tau is D̄_tau of it, climbed with ``_lookup`` in
+        the system's own ``Run``, which keeps every step of the path.  D_i
+        of a normal form whose raised reducible jets are replaced by their
+        own normal forms, in one pass, is again a normal form.
         """
-        if self._restricted.stale():
-            self._forget()
         table = self._normal
         if jet in table:
             return table[jet]
@@ -147,15 +152,17 @@ class EquationSystem:
         if base is None:
             base = table[(dep, lead)] = self.reduce(self.rules[k].rhs)
         tau = index_sub(jet[1], lead)
-        p = table[jet] = self._restricted.total(base, tau, self._image)
+        p = table[jet] = self._restricted.total(base, tau, self._lookup)
         return p
 
     def reduce(self, p: DiffPoly) -> DiffPoly:
         """Normal form: every reducible jet replaced by its image, at once.
         Every image is already a normal form, so one substitution is final."""
+        if self._restricted.stale():
+            self._forget()
         images = {}
         for jet in p.jetvars():
-            q = self._image(jet)
+            q = self._lookup(jet)
             if q is not None:
                 images[jet] = q
         return p.substitute(images) if images else p

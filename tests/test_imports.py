@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and no module but ``poly`` names the variable table.
+and no module but ``poly`` names the variable table or the packing of
+monomials.
 
 ``__init__.py`` is left out of the first check: it imports names to
 re-export them.
@@ -14,10 +15,11 @@ import hamcheck
 
 SOURCES = sorted(Path(hamcheck.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
-# the table, its accessor and its attribute on a polynomial or a Run, and
-# the process-wide names it replaced
+# the table, its accessor and its attribute on a polynomial or a Run, the
+# process-wide names it replaced, and the field layout of a packed monomial
 TABLE_NAMES = {"var_table", "_VarTable", "_TABLE", "vt", "_vt",
-               "_VARS", "_IDS", "_GUARD", "_RAISE"}
+               "_VARS", "_IDS", "_GUARD", "_RAISE",
+               "W", "_FIELD", "_fields", "_encode", "_decode", "_recode"}
 
 
 def _imported_and_used(tree):
@@ -55,7 +57,7 @@ def _names(node):
                          ids=lambda p: p.name)
 def test_only_poly_names_the_variable_table(path):
     # only ``poly`` knows how monomials are packed, so only it names the
-    # table they are packed in
+    # table they are packed in or the fields they are packed into
     tree = ast.parse(path.read_text(), str(path))
     named = sorted({(node.lineno, name) for node in ast.walk(tree)
                     for name in _names(node) if name in TABLE_NAMES})

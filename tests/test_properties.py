@@ -674,8 +674,11 @@ RENDER_FRAMES = FRAMES + [
 @st.composite
 def render_polys(draw):
     """Polynomials over a few jets, so that terms often share their jet
-    factors and differ only in exponents or in x and t."""
+    factors and differ only in exponents or in x and t.  The exponents run
+    up to a drawn 2**k, k <= 14, or to ``LIMIT - 1``, so the widest one
+    falls on either side of each field width of the sort key."""
     frame = draw(st.sampled_from(RENDER_FRAMES))
+    top = draw(st.sampled_from([1 << k for k in range(15)] + [LIMIT - 1]))
     pool = draw(st.lists(
         st.tuples(st.integers(0, frame.m - 1),
                   st.sampled_from(_multi_indices(frame.n, 2))),
@@ -686,8 +689,8 @@ def render_polys(draw):
     for _ in range(draw(st.integers(0, 8))):
         jets = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
         mono = (
-            tuple(sorted((v, draw(st.integers(1, 3))) for v in jets)),
-            tuple(draw(st.integers(0, 3)) for _ in range(frame.n)),
+            tuple(sorted((v, draw(st.integers(1, top))) for v in jets)),
+            tuple(draw(st.integers(0, top)) for _ in range(frame.n)),
         )
         terms[mono] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
     return frame, DiffPoly(frame.n, terms)
@@ -729,7 +732,21 @@ def _many_jets():
 
 
 _L = LIMIT - 1
+_K = 1 << 8
 _KEY_EDGES = {
+    "exponents 2^k - 1 and 2^k at equal degree": lambda: _terms(
+        (((_U, _K - 1), (_UX, _K)), (0, 0, 0)), (((_U, _K), (_UX, _K - 1)), (0, 0, 0)),
+        (((_UX, _K), (_V, _K - 1)), (0, 0, 0)), (((_U, _K - 1), (_V, _K)), (0, 0, 0)),
+        (((_U, _K - 1),), (_K, 0, 0)), (((_UX, _K - 1),), (0, 0, _K)),
+        ((), (_K - 1, _K, 0)), ((), (_K, 0, _K - 1)),
+    ),
+    # each pair is listed lower first, so a tie of the keys keeps it wrong
+    "widest exponent 2^k - 1": lambda: _terms(
+        (((_U, _K - 1), (_V, _K - 1)), (0, 0, 0)), (((_UX, _K - 1), (_V, _K - 1)), (0, 0, 0)),
+    ),
+    "x exponents wider than the jets'": lambda: _terms(
+        (((_U, 1),), (0, 5, 0)), (((_U, 1),), (1, 0, 4)),
+    ),
     "exponent at the limit": lambda: _terms(
         (((_U, _L),), (0, 0, 0)), (((_U, _L - 1), (_UX, 1)), (0, 0, 0)),
         (((_UX, _L),), (0, 0, 0)), (((_U, 1), (_UX, _L)), (0, 0, 0)),
